@@ -17,10 +17,10 @@ import numpy as np
 
 from benchmarks.conftest import save_and_print, timed_pedantic, write_bench_json
 from repro.analysis.tables import format_table
-from repro.core.beacon import BeaconDiscovery
+from repro.core.beacon import SparseBeaconDiscovery
 from repro.core.config import PaperConfig
 from repro.core.network import D2DNetwork
-from repro.core.pulsesync import PulseSyncKernel
+from repro.core.pulsesync import SparsePulseSyncKernel
 from repro.oscillator.prc import LinearPRC
 from repro.spanningtree.boruvka import distributed_boruvka
 from repro.spanningtree.ghs import distributed_ghs
@@ -33,15 +33,17 @@ def _network(n: int = 100, seed: int = 5) -> D2DNetwork:
 
 def _sync_run(net: D2DNetwork, *, refractory_ms: float, policy: str):
     cfg = net.config
-    kernel = PulseSyncKernel(
-        net.link_budget.mean_rx_dbm,
-        net.adjacency,
+    budget = net.sparse_budget
+    kernel = SparsePulseSyncKernel(
+        budget.link_indptr,
+        budget.link_indices,
+        budget.link_power_dbm,
         LinearPRC.from_dissipation(cfg.dissipation, cfg.epsilon),
         period_ms=cfg.period_ms,
         threshold_dbm=cfg.threshold_dbm,
         refractory_ms=refractory_ms,
         sync_window_ms=cfg.sync_window_ms,
-        fading=net.link_budget.fading,
+        fading=budget.fading,
         collision_policy=policy,
     )
     return kernel.run(np.random.default_rng(9), max_time_ms=60_000.0)
@@ -252,18 +254,21 @@ def test_ablation_beacon_preambles(benchmark, results_dir, bench_json_dir):
     """DESIGN §6 — preamble-pool size vs discovery latency (n=300)."""
     net = _network(n=300)
     cfg = net.config
-    required = net.adjacency & net.link_budget.adjacency(cfg.discovery_margin_db)
+    budget = net.sparse_budget
+    # every proximity link with the discovery margin to spare
+    required = budget.edge_is_link & (
+        budget.power_dbm >= cfg.threshold_dbm + cfg.discovery_margin_db
+    )
 
     def run_pools():
         out = {}
         for pool in (1, 4, 8, 16):
-            disc = BeaconDiscovery(
-                net.link_budget.mean_rx_dbm,
+            disc = SparseBeaconDiscovery(
+                budget,
                 threshold_dbm=cfg.threshold_dbm,
                 period_slots=cfg.period_slots,
                 slot_ms=cfg.slot_ms,
                 preambles=pool,
-                fading=net.link_budget.fading,
             ).run(np.random.default_rng(11), required=required, max_periods=2000)
             out[pool] = disc
         return out

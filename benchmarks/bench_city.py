@@ -3,14 +3,13 @@
 Runs whole-city discovery through :func:`repro.shard.run_city` — tile
 grid, per-shard simulations across a process pool, halo exchange, and
 the deterministic merge — recording wall-clock and tracemalloc peak per
-row.  The CI grid compares one city (2×2 at n = 2048, forced sparse per
-shard) against its single-region twin; the full grid
-(``REPRO_BENCH_FULL=1``) adds batch-backend cities up to
+row.  The CI grid compares one city (2×2 at n = 2048) against its
+single-region twin; the full grid (``REPRO_BENCH_FULL=1``) adds cities
+up to
 
 * n = 100 000 on a 2×2 grid, and
-* n = 1 000 000 on a 4×4 grid — 62 500 devices per shard, each shard on
-  the whole-array batch kernels, the acceptance row for the sharded
-  tier.
+* n = 1 000 000 on a 4×4 grid — 62 500 devices per shard, the
+  acceptance row for the sharded tier.
 
 Density is constant (the paper's 50 devices per 100 m × 100 m), so the
 area grows with n and E = O(n); the 4×4 city at one million devices
@@ -44,14 +43,14 @@ from repro.core.st import STSimulation
 from repro.shard import CityConfig, run_city
 
 SEED = 1
-#: Single-region reference rows (sparse backend).
+#: Single-region reference rows.
 SINGLE_SIZES = (2048,)
-#: City rows: (n, per-shard backend, (rows, cols)).
-CITY_GRID = [(2048, "sparse", (2, 2))]
+#: City rows: (n, (rows, cols)).
+CITY_GRID = [(2048, (2, 2))]
 if FULL:
     CITY_GRID += [
-        (100_000, "batch", (2, 2)),
-        (1_000_000, "batch", (4, 4)),
+        (100_000, (2, 2)),
+        (1_000_000, (4, 4)),
     ]
 #: Process-pool width for every city row.
 WORKERS = 2
@@ -61,16 +60,12 @@ WORKERS = 2
 SHARD_RATIO_LIMIT = 2.5
 
 
-def _config(n: int, backend: str) -> PaperConfig:
-    return (
-        PaperConfig(seed=SEED)
-        .with_devices(n, keep_density=True)
-        .replace(backend=backend)
-    )
+def _config(n: int) -> PaperConfig:
+    return PaperConfig(seed=SEED).with_devices(n, keep_density=True)
 
 
 def _run_single(n: int) -> dict:
-    config = _config(n, "sparse")
+    config = _config(n)
     tracemalloc.start()
     t0 = time.perf_counter()
     result = STSimulation(D2DNetwork(config)).run()
@@ -79,7 +74,6 @@ def _run_single(n: int) -> dict:
     tracemalloc.stop()
     return {
         "n": n,
-        "backend": "sparse",
         "wall_s": round(wall, 4),
         "peak_mb": round(peak / 2**20, 2),
         "messages": result.messages,
@@ -87,8 +81,8 @@ def _run_single(n: int) -> dict:
     }
 
 
-def _run_city_row(n: int, backend: str, tiles: tuple[int, int], obs_dir=None) -> dict:
-    city = CityConfig(_config(n, backend), *tiles)
+def _run_city_row(n: int, tiles: tuple[int, int], obs_dir=None) -> dict:
+    city = CityConfig(_config(n), *tiles)
     t0 = time.perf_counter()
     res = run_city(
         city,
@@ -102,7 +96,6 @@ def _run_city_row(n: int, backend: str, tiles: tuple[int, int], obs_dir=None) ->
     assert res.converged, f"sharded ST did not converge at n={n} {tiles}"
     return {
         "n": n,
-        "backend": backend,
         "tiles": f"{tiles[0]}x{tiles[1]}",
         "wall_s": round(wall, 4),
         "peak_mb": res.peak_mb,
@@ -126,13 +119,13 @@ def test_bench_city(results_dir, bench_json_dir):
 
     bundle_name = "obs_city"
     city_rows = []
-    for i, (n, backend, tiles) in enumerate(CITY_GRID):
+    for i, (n, tiles) in enumerate(CITY_GRID):
         obs_dir = bench_json_dir / bundle_name if i == 0 else None
-        row = _run_city_row(n, backend, tiles, obs_dir=obs_dir)
+        row = _run_city_row(n, tiles, obs_dir=obs_dir)
         rows.append(row)
         city_rows.append(row)
 
-    ci_n, _, _ = CITY_GRID[0]
+    ci_n, _ = CITY_GRID[0]
     shard_ratio = round(city_rows[0]["wall_s"] / singles[ci_n]["wall_s"], 4)
     budgets = [
         {
@@ -144,14 +137,13 @@ def test_bench_city(results_dir, bench_json_dir):
 
     lines = ["city: sharded ST end-to-end (constant density), process pool"]
     lines.append(
-        f"{'n':>9} {'backend':>12} {'wall_s':>10} {'peak_mb':>9} "
+        f"{'n':>9} {'tiles':>6} {'wall_s':>10} {'peak_mb':>9} "
         f"{'messages':>12} {'halo_links':>10}"
     )
     for r in rows:
-        backend = r["backend"] + (f"[{r['tiles']}]" if r.get("tiles") else "")
         halo = f"{r['halo_links']:>10}" if "halo_links" in r else f"{'-':>10}"
         lines.append(
-            f"{r['n']:>9} {backend:>12} {r['wall_s']:>10.3f} "
+            f"{r['n']:>9} {r.get('tiles', '-'):>6} {r['wall_s']:>10.3f} "
             f"{r['peak_mb']:>9.2f} {r['messages']:>12} {halo}"
         )
     lines.append(

@@ -12,15 +12,15 @@ import numpy as np
 
 from benchmarks.conftest import save_and_print, timed_pedantic, write_bench_json
 from repro.analysis.tables import format_table
-from repro.core.beacon import BeaconDiscovery
+from repro.core.beacon import SparseBeaconDiscovery
 from repro.core.config import PaperConfig
 from repro.core.network import D2DNetwork
 from repro.core.st import STSimulation
 from repro.discovery.aggregation import aggregate_interests, flood_interests
 from repro.mobility.resync import MobilitySession
 from repro.mobility.waypoint import RandomWaypoint
-from repro.spanningtree.boruvka import distributed_boruvka
-from repro.spanningtree.repair import repair_after_failure
+from repro.spanningtree.boruvka import distributed_boruvka_csr
+from repro.spanningtree.repair import repair_after_failure_csr
 
 
 def test_extension_service_dissemination(benchmark, results_dir, bench_json_dir):
@@ -61,7 +61,10 @@ def test_extension_service_dissemination(benchmark, results_dir, bench_json_dir)
 def test_extension_churn_repair(benchmark, results_dir, bench_json_dir):
     """Repairing after one failure must cost far less than rebuilding."""
     net = D2DNetwork(PaperConfig(seed=32).with_devices(200, keep_density=False))
-    tree = distributed_boruvka(net.weights, net.adjacency)
+    budget = net.sparse_budget
+    tree = distributed_boruvka_csr(
+        net.n, budget.link_indptr, budget.link_indices, budget.link_power_dbm
+    )
 
     # fail a mid-degree tree node (an interesting, non-leaf case)
     degree: dict[int, int] = {}
@@ -71,7 +74,7 @@ def test_extension_churn_repair(benchmark, results_dir, bench_json_dir):
     failed = next(i for i, d in sorted(degree.items()) if d >= 2)
 
     def run_repair():
-        return repair_after_failure(tree.edges, failed, net.weights, net.adjacency)
+        return repair_after_failure_csr(tree.edges, failed, budget)
 
     repair, wall_s = timed_pedantic(benchmark, run_repair)
     rebuild_messages = tree.counter.total
@@ -106,20 +109,23 @@ def test_extension_duty_cycle_energy_latency(benchmark, results_dir, bench_json_
 
     net = D2DNetwork(PaperConfig(seed=36))
     cfg = net.config
-    required = net.adjacency & net.link_budget.adjacency(cfg.discovery_margin_db)
+    budget = net.sparse_budget
+    # every proximity link with the discovery margin to spare
+    required = budget.edge_is_link & (
+        budget.power_dbm >= cfg.threshold_dbm + cfg.discovery_margin_db
+    )
     model = EnergyModel()
 
     def run_duties():
         out = {}
         for duty in (1.0, 0.5, 0.25):
-            disc = BeaconDiscovery(
-                net.link_budget.mean_rx_dbm,
+            disc = SparseBeaconDiscovery(
+                budget,
                 threshold_dbm=cfg.threshold_dbm,
                 period_slots=cfg.period_slots,
                 slot_ms=cfg.slot_ms,
                 preambles=cfg.beacon_preambles,
                 listen_duty=duty,
-                fading=net.link_budget.fading,
             ).run(np.random.default_rng(36), required, max_periods=3000)
             out[duty] = disc
         return out

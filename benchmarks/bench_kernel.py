@@ -12,10 +12,10 @@ import numpy as np
 import pytest
 
 from benchmarks.conftest import benchmark_mean_s, write_bench_json
-from repro.core.beacon import BeaconDiscovery, top_k_required
+from repro.core.beacon import SparseBeaconDiscovery, top_k_required_csr
 from repro.core.config import PaperConfig
 from repro.core.network import D2DNetwork
-from repro.core.pulsesync import PulseSyncKernel
+from repro.core.pulsesync import SparsePulseSyncKernel
 from repro.oscillator.prc import LinearPRC
 
 
@@ -26,15 +26,17 @@ def network() -> D2DNetwork:
 
 def test_bench_pulse_sync_kernel(benchmark, network, bench_json_dir):
     cfg = network.config
-    kernel = PulseSyncKernel(
-        network.link_budget.mean_rx_dbm,
-        network.adjacency,
+    budget = network.sparse_budget
+    kernel = SparsePulseSyncKernel(
+        budget.link_indptr,
+        budget.link_indices,
+        budget.link_power_dbm,
         LinearPRC.from_dissipation(cfg.dissipation, cfg.epsilon),
         period_ms=cfg.period_ms,
         threshold_dbm=cfg.threshold_dbm,
         refractory_ms=cfg.refractory_ms,
         sync_window_ms=cfg.sync_window_ms,
-        fading=network.link_budget.fading,
+        fading=budget.fading,
     )
 
     def run():
@@ -56,15 +58,14 @@ def test_bench_pulse_sync_kernel(benchmark, network, bench_json_dir):
 
 def test_bench_beacon_discovery(benchmark, network, bench_json_dir):
     cfg = network.config
-    disc = BeaconDiscovery(
-        network.link_budget.mean_rx_dbm,
+    disc = SparseBeaconDiscovery(
+        network.sparse_budget,
         threshold_dbm=cfg.threshold_dbm,
         period_slots=cfg.period_slots,
         slot_ms=cfg.slot_ms,
         preambles=cfg.beacon_preambles,
-        fading=network.link_budget.fading,
     )
-    required = top_k_required(network.weights, network.adjacency, k=1)
+    required = top_k_required_csr(network.sparse_budget, k=1)
 
     def run():
         return disc.run(np.random.default_rng(4), required, max_periods=500)

@@ -1,6 +1,6 @@
 """Streaming-telemetry overhead budget: enabled vs obs=None, measured.
 
-Runs sparse ST at n=512 end-to-end many times — alternating between a
+Runs ST at n=512 end-to-end many times — alternating between a
 disabled bundle (kernels receive ``obs=None``, the true
 zero-instrumentation path) and full streaming telemetry (metrics +
 probes + bus + analyzers) — with the garbage collector parked, so
@@ -42,17 +42,13 @@ OVERHEAD_LIMIT = 0.05
 
 
 def _run_once(stream: bool) -> tuple[float, object]:
-    """One end-to-end sparse ST run; returns (sim wall seconds, result).
+    """One end-to-end ST run; returns (sim wall seconds, result).
 
     The network is rebuilt each repetition (its RNG streams are consumed
     by a run) but only the simulation is timed — topology construction
     is identical across variants and not what the budget governs.
     """
-    config = (
-        PaperConfig(seed=SEED)
-        .with_devices(N, keep_density=True)
-        .replace(backend="sparse")
-    )
+    config = PaperConfig(seed=SEED).with_devices(N, keep_density=True)
     network = D2DNetwork(config)
     obs = (
         Observability(stream=True)
@@ -100,14 +96,14 @@ def test_bench_obs_overhead(results_dir, bench_json_dir):
     rows = [
         {
             "n": N,
-            "backend": "sparse-obs-off",
+            "obs": "off",
             "wall_s": round(off_s, 4),
             "messages": off_result.messages,
             "converged": off_result.converged,
         },
         {
             "n": N,
-            "backend": "sparse-obs-on",
+            "obs": "on",
             "wall_s": round(on_s, 4),
             "messages": on_result.messages,
             "converged": on_result.converged,
@@ -122,7 +118,7 @@ def test_bench_obs_overhead(results_dir, bench_json_dir):
     ]
 
     lines = [
-        f"obs overhead: sparse ST n={N}, best of {REPEATS} interleaved reps",
+        f"obs overhead: ST n={N}, best of {REPEATS} interleaved reps",
         f"  obs=None   {off_s:9.3f} s/run (floor)",
         f"  streaming  {on_s:9.3f} s/run (floor)",
         f"  overhead   {overhead:+9.2%} ratio of floors"

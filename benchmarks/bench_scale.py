@@ -1,34 +1,22 @@
-"""Scale benchmark: the sparse and batch backends' whole point, measured.
+"""Scale benchmark: the CSR path's whole point, measured.
 
 Runs the ST pipeline end-to-end at growing device counts under
 *constant density* (the area grows with n, so E = O(n)), recording the
 network-construction and simulation wall times separately plus the
-tracemalloc peak.  Three backends appear in the grid:
-
-* ``sparse`` at every size — the O(n + E) reference scale path,
-* ``dense`` at the smallest size(s) — the original O(n²) pipeline, for
-  the historical dense/sparse speedup,
-* ``batch`` — the whole-array kernel tier, which must match the sparse
-  message bill bitwise while cutting the *simulation* wall time.
-
-The batch tier's speedup is defined on ``sim_s``, not end-to-end wall:
-both backends share the identical CSR network construction, whose
-counter-hashed channel draws dominate end-to-end time at scale, so the
-construction phase is reported separately rather than diluting the
-kernel comparison.  The individually replaced kernels are 5×–100×
-faster than their sparse counterparts (required-edge selection drops
-from seconds to tens of milliseconds), but the *shared* bitwise-pinned
-costs — per-cohort beacon decode and the Borůvka candidate presort —
-bound the end-to-end sim ratio; see docs/performance.md ("Batch
-backend") for the measured breakdown.
+tracemalloc peak.  Network construction (grid candidates plus
+counter-hashed channel draws into the link CSR) dominates end-to-end
+time at scale, so it is reported separately from the simulation
+(beacon decode, Borůvka presort and phases, timing replay, trim); see
+docs/performance.md for the measured breakdown.  One row per size, plus
+one merged multi-shard row (``tiles``) for the 2×2 city twin.
 
 Artifact: ``BENCH_scale.json`` — consumed by
 ``scripts/check_bench_regression.py`` against the committed baseline in
 ``benchmarks/baselines/``.  The committed baseline is recorded under
 ``REPRO_BENCH_FULL=1``; the CI grid is a subset of the full grid, so
 every CI row has a baseline counterpart (full-only rows show up as
-visible skips).  The artifact also carries machine-independent budget
-entries (sim-time ratios batch/sparse) that the checker enforces with
+visible skips).  The artifact also carries a machine-independent budget
+entry (the sharding overhead ratio) that the checker enforces with
 printed headroom.
 """
 
@@ -43,41 +31,25 @@ from repro.core.network import D2DNetwork
 from repro.core.st import STSimulation
 from repro.shard import CityConfig, run_city
 
-#: (n, backend) grid.  The CI subset is a strict subset of the full
-#: grid so the committed full-grid baseline covers every CI row.
-SPARSE_SIZES = (300, 800, 5000, 20000, 50000) if FULL else (300, 800)
-BATCH_SIZES = (300, 800, 5000, 20000, 50000, 100000) if FULL else (300, 800)
-#: Sizes where the dense backend also runs (for the dense/sparse ratio).
-COMPARE_SIZES = (300, 5000) if FULL else (300,)
+#: Device counts.  The CI subset is a strict subset of the full grid so
+#: the committed full-grid baseline covers every CI row.
+SIZES = (300, 800, 5000, 20000, 50000, 100000) if FULL else (300, 800)
 SEED = 1
 
-#: Machine-independent ceiling on sim_s(batch) / sim_s(sparse) at the
-#: largest shared size.  Measured ratio at n = 20 000–50 000 is ≈ 0.66
-#: (batch 1.5× faster end-to-end sim, bounded by the bitwise-pinned
-#: decode and presort both tiers share); 0.8 leaves headroom without
-#: letting the batch tier degenerate back to parity.  The CI sizes are
-#: far too small to amortize whole-array overheads, so CI only guards
-#: against outright degeneration (ratio ≤ 2.0).
-SIM_RATIO_LIMIT = 0.8 if FULL else 2.0
-
 #: Sharded comparison row: the same scenario executed as a 2×2 city
-#: (forced sparse per shard) against its single-region sparse twin.
+#: against its single-region twin.
 SHARD_TILES = (2, 2)
 SHARD_SIZE = 5000 if FULL else 800
-#: Ceiling on wall(sharded 2×2) / wall(single-region sparse) at
-#: SHARD_SIZE.  Sharding pays band extraction, halo exchange and merge
-#: on top of the same simulation work; at these small sizes that
-#: overhead is proportionally largest, so the limit only guards against
-#: outright degeneration (city-scale wins are bench_city's story).
+#: Ceiling on wall(sharded 2×2) / wall(single-region) at SHARD_SIZE.
+#: Sharding pays band extraction, halo exchange and merge on top of the
+#: same simulation work; at these small sizes that overhead is
+#: proportionally largest, so the limit only guards against outright
+#: degeneration (city-scale wins are bench_city's story).
 SHARD_RATIO_LIMIT = 2.5
 
 
-def _run_once(n: int, backend: str) -> dict:
-    config = (
-        PaperConfig(seed=SEED)
-        .with_devices(n, keep_density=True)
-        .replace(backend=backend)
-    )
+def _run_once(n: int) -> dict:
+    config = PaperConfig(seed=SEED).with_devices(n, keep_density=True)
     tracemalloc.start()
     t0 = time.perf_counter()
     network = D2DNetwork(config)
@@ -88,138 +60,80 @@ def _run_once(n: int, backend: str) -> dict:
     tracemalloc.stop()
     return {
         "n": n,
-        "backend": backend,
         "wall_s": round(t2 - t0, 4),
         "build_s": round(t1 - t0, 4),
         "sim_s": round(t2 - t1, 4),
         "peak_mb": round(peak / 2**20, 2),
         "messages": result.messages,
         "converged": result.converged,
-        "densified": network.densified,
     }
 
 
 def test_bench_scale_st(results_dir, bench_json_dir):
     rows = []
-    by_key = {}
-    speedups = {}
-    for n in SPARSE_SIZES:
-        sparse = _run_once(n, "sparse")
-        assert sparse["converged"], f"sparse ST did not converge at n={n}"
-        assert not sparse["densified"], f"sparse path densified at n={n}"
-        rows.append(sparse)
-        by_key[(n, "sparse")] = sparse
-        if n in COMPARE_SIZES:
-            dense = _run_once(n, "dense")
-            assert dense["messages"] == sparse["messages"], (
-                f"dense/sparse message parity broke at n={n}"
-            )
-            rows.append(dense)
-            speedups[str(n)] = round(dense["wall_s"] / sparse["wall_s"], 2)
-
-    sim_speedups = {}
-    for n in BATCH_SIZES:
-        batch = _run_once(n, "batch")
-        assert batch["converged"], f"batch ST did not converge at n={n}"
-        assert not batch["densified"], f"batch path densified at n={n}"
-        rows.append(batch)
-        twin = by_key.get((n, "sparse"))
-        if twin is not None:
-            assert batch["messages"] == twin["messages"], (
-                f"sparse/batch message parity broke at n={n}"
-            )
-            sim_speedups[str(n)] = round(twin["sim_s"] / batch["sim_s"], 2)
+    by_n = {}
+    for n in SIZES:
+        row = _run_once(n)
+        assert row["converged"], f"ST did not converge at n={n}"
+        rows.append(row)
+        by_n[n] = row
 
     # merged multi-shard row: the SHARD_SIZE scenario as a 2×2 city
-    import time as _time
-
-    config = (
-        PaperConfig(seed=SEED)
-        .with_devices(SHARD_SIZE, keep_density=True)
-        .replace(backend="sparse")
-    )
+    config = PaperConfig(seed=SEED).with_devices(SHARD_SIZE, keep_density=True)
     city = CityConfig(config, *SHARD_TILES)
-    t0 = _time.perf_counter()
+    t0 = time.perf_counter()
     city_res = run_city(city, algorithms=("st",), measure_memory=True)
-    city_wall = _time.perf_counter() - t0
+    city_wall = time.perf_counter() - t0
     assert city_res.converged, "sharded ST did not converge"
     tiles_txt = f"{SHARD_TILES[0]}x{SHARD_TILES[1]}"
-    shard_row = {
-        "n": SHARD_SIZE,
-        "backend": "sparse",
-        "tiles": tiles_txt,
-        "wall_s": round(city_wall, 4),
-        "build_s": None,
-        "sim_s": None,
-        "peak_mb": city_res.peak_mb,
-        "messages": city_res.messages,
-        "converged": city_res.converged,
-        "densified": False,
-    }
-    rows.append(shard_row)
-    shard_ratio = round(
-        city_wall / by_key[(SHARD_SIZE, "sparse")]["wall_s"], 4
+    rows.append(
+        {
+            "n": SHARD_SIZE,
+            "tiles": tiles_txt,
+            "wall_s": round(city_wall, 4),
+            "build_s": None,
+            "sim_s": None,
+            "peak_mb": city_res.peak_mb,
+            "messages": city_res.messages,
+            "converged": city_res.converged,
+        }
     )
-
-    shared = [n for n in BATCH_SIZES if (n, "sparse") in by_key]
-    budgets = []
-    if shared:
-        n_top = max(shared)
-        ratio = round(
-            next(r for r in rows if r["n"] == n_top and r["backend"] == "batch")[
-                "sim_s"
-            ]
-            / by_key[(n_top, "sparse")]["sim_s"],
-            4,
-        )
-        budgets.append(
-            {
-                "name": f"batch_sim_ratio_n{n_top}",
-                "value": ratio,
-                "limit": SIM_RATIO_LIMIT,
-            }
-        )
-    budgets.append(
+    shard_ratio = round(city_wall / by_n[SHARD_SIZE]["wall_s"], 4)
+    budgets = [
         {
             "name": "shard_overhead_ratio",
             "value": shard_ratio,
             "limit": SHARD_RATIO_LIMIT,
         }
-    )
+    ]
 
     lines = ["scale: ST end-to-end (constant density), build vs sim split"]
     lines.append(
-        f"{'n':>7} {'backend':>12} {'wall_s':>9} {'build_s':>9} "
+        f"{'n':>7} {'tiles':>6} {'wall_s':>9} {'build_s':>9} "
         f"{'sim_s':>9} {'peak_mb':>9} {'messages':>10}"
     )
+
     def _f(value, width=9, digits=3):
         return f"{'-':>{width}}" if value is None else f"{value:>{width}.{digits}f}"
 
     for r in rows:
-        backend = r["backend"] + (f"[{r['tiles']}]" if r.get("tiles") else "")
         lines.append(
-            f"{r['n']:>7} {backend:>12} {_f(r['wall_s'])} "
+            f"{r['n']:>7} {r.get('tiles', '-'):>6} {_f(r['wall_s'])} "
             f"{_f(r['build_s'])} {_f(r['sim_s'])} "
             f"{_f(r['peak_mb'], digits=2)} {r['messages']:>10}"
         )
     lines.append(
         f"shard overhead 2x2/single at n={SHARD_SIZE}: {shard_ratio:.2f}x"
     )
-    for n, s in speedups.items():
-        lines.append(f"end-to-end speedup dense/sparse at n={n}: {s:.2f}x")
-    for n, s in sim_speedups.items():
-        lines.append(f"sim speedup sparse/batch at n={n}: {s:.2f}x")
     save_and_print(results_dir, "scale", "\n".join(lines))
 
-    total_wall = sum(r["wall_s"] for r in rows if r["backend"] == "sparse")
+    total_wall = sum(r["wall_s"] for r in rows if "tiles" not in r)
     write_bench_json(
         bench_json_dir,
         "scale",
         total_wall,
         {
             "rows": rows,
-            "speedup": speedups,
-            "sim_speedup_sparse_batch": sim_speedups,
             "budgets": budgets,
             "full_grid": FULL,
         },

@@ -13,9 +13,8 @@ In-process on purpose: the number is the service's (routing, world
 queries, canonical JSON), not the socket stack's —
 ``scripts/service_load.py`` covers the HTTP layer.
 
-The CI grid runs n = 4096 (forced sparse); the full grid
-(``REPRO_BENCH_FULL=1``) adds the acceptance row, a **100 000-UE sparse
-world under continuous churn**, whose ``service_qps_floor_ratio``
+The CI grid runs n = 4096; the full grid (``REPRO_BENCH_FULL=1``) adds
+the acceptance row, a **100 000-UE world under continuous churn**, whose ``service_qps_floor_ratio``
 budget (floor / measured qps, limit 1.0) hard-fails
 ``scripts/check_bench_regression.py`` when the sustained rate drops
 below 1 000 queries/sec.  The budget always binds the largest row in
@@ -50,11 +49,10 @@ from repro.service import (
 )
 
 SEED = 1
-#: (n, backend) rows; the service always forces sparse — auto would pick
-#: the batch backend at n >= 16384, which has no live link CSR to query.
-GRID = [(4096, "sparse")]
+#: World sizes, one row each.
+GRID = [4096]
 if FULL:
-    GRID += [(100_000, "sparse")]
+    GRID += [100_000]
 #: Churn epochs per row and queries interleaved after each epoch.
 EPOCHS = 5
 QUERIES_PER_EPOCH = 2000
@@ -75,12 +73,8 @@ OPS_PAIRS_PER_ROUND = 10_000
 OPS_OVERHEAD_LIMIT = 0.05
 
 
-def _world(n: int, backend: str) -> SteadyStateWorld:
-    base = (
-        PaperConfig(seed=SEED)
-        .with_devices(n, keep_density=True)
-        .replace(backend=backend)
-    )
+def _world(n: int) -> SteadyStateWorld:
+    base = PaperConfig(seed=SEED).with_devices(n, keep_density=True)
     return SteadyStateWorld(
         WorldConfig(
             base=base,
@@ -107,9 +101,9 @@ def _query_script(client: ServiceClient, n: int, offset: int) -> int:
     return issued
 
 
-def _run_row(n: int, backend: str) -> dict:
+def _run_row(n: int) -> dict:
     t0 = time.perf_counter()
-    world = _world(n, backend)
+    world = _world(n)
     build_s = time.perf_counter() - t0
     client = ServiceClient(DiscoveryApp(world))
 
@@ -130,7 +124,6 @@ def _run_row(n: int, backend: str) -> dict:
     assert world.population > 0 and world.session.is_spanning is not None
     return {
         "n": n,
-        "backend": backend,
         "wall_s": round(build_s + loop_s, 4),
         "build_s": round(build_s, 4),
         "loop_s": round(loop_s, 4),
@@ -162,8 +155,8 @@ def _ops_overhead() -> dict:
     from repro.obs import FlightRecorder
     from repro.obs.ops import OpsPlane
 
-    n, backend = GRID[0]
-    world = _world(n, backend)
+    n = GRID[0]
+    world = _world(n)
     plane = OpsPlane(flight=FlightRecorder())
     app = DiscoveryApp(world, ops=plane)
     client = ServiceClient(app)
@@ -230,7 +223,6 @@ def _ops_overhead() -> dict:
     off_s, on_s = best
     return {
         "n": n,
-        "backend": backend,
         "off_s": round(off_s, 4),
         "on_s": round(on_s, 4),
         "round_ratios": [round(on / off - 1.0, 4) for off, on in rounds],
@@ -240,7 +232,7 @@ def _ops_overhead() -> dict:
 
 
 def test_bench_service(results_dir, bench_json_dir):
-    rows = [_run_row(n, backend) for n, backend in GRID]
+    rows = [_run_row(n) for n in GRID]
     ops = _ops_overhead()
 
     largest = max(rows, key=lambda r: r["n"])
@@ -261,12 +253,12 @@ def test_bench_service(results_dir, bench_json_dir):
         "service: sustained query rate under continuous churn (in-process)"
     ]
     lines.append(
-        f"{'n':>9} {'backend':>8} {'build_s':>9} {'step_s':>8} "
+        f"{'n':>9} {'build_s':>9} {'step_s':>8} "
         f"{'queries':>9} {'qps':>9}"
     )
     for r in rows:
         lines.append(
-            f"{r['n']:>9} {r['backend']:>8} {r['build_s']:>9.2f} "
+            f"{r['n']:>9} {r['build_s']:>9.2f} "
             f"{r['step_s']:>8.3f} {r['queries']:>9} {r['qps']:>9.1f}"
         )
     lines.append(

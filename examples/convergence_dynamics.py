@@ -14,22 +14,24 @@ import numpy as np
 
 from repro import D2DNetwork, PaperConfig
 from repro.analysis.ascii_plot import ascii_chart
-from repro.core.pulsesync import PulseSyncKernel
+from repro.core.pulsesync import SparsePulseSyncKernel
 from repro.oscillator.prc import LinearPRC
 
 
 def main() -> None:
     config = PaperConfig(seed=19).with_devices(100, keep_density=False)
     network = D2DNetwork(config)
-    kernel = PulseSyncKernel(
-        network.link_budget.mean_rx_dbm,
-        network.adjacency,
+    budget = network.sparse_budget
+    kernel = SparsePulseSyncKernel(
+        budget.link_indptr,
+        budget.link_indices,
+        budget.link_power_dbm,
         LinearPRC.from_dissipation(config.dissipation, config.epsilon),
         period_ms=config.period_ms,
         threshold_dbm=config.threshold_dbm,
         refractory_ms=config.refractory_ms,
         sync_window_ms=config.sync_window_ms,
-        fading=network.link_budget.fading,
+        fading=budget.fading,
     )
     result = kernel.run(
         np.random.default_rng(19), telemetry_interval_ms=25.0

@@ -9,10 +9,11 @@ Usage::
         [--tolerance 0.20]
 
 Compares the overall ``wall_time_s`` and, when both artifacts carry
-per-row timings (``metrics.rows[*].wall_s``), each (n, backend[, tiles])
+per-row timings (``metrics.rows[*].wall_s``), each (n[, tiles][, obs])
 row that exists in both.  Rows from merged multi-shard runs carry a
 ``tiles`` field (e.g. ``"2x2"``) and compare independently from their
-single-region twins.  A measurement is a regression when it exceeds the
+single-region twins; the observability-overhead bench tells its paired
+rows apart with an ``obs`` field (``"off"``/``"on"``).  A measurement is a regression when it exceeds the
 baseline by more than ``tolerance`` (a fraction: 0.20 = +20%).
 
 Multi-shard artifacts may reference an **observability bundle** — the
@@ -66,21 +67,23 @@ def _load(path: str) -> dict:
 
 
 def _rows_by_key(data: dict) -> dict[tuple[int, str, str], float]:
-    """Index rows by (n, backend, tiles); single-region rows use tiles=''."""
+    """Index rows by (n, tiles, obs); absent fields key as ''."""
     rows = data.get("metrics", {}).get("rows", [])
     return {
-        (int(r["n"]), str(r["backend"]), str(r.get("tiles", ""))): float(
+        (int(r["n"]), str(r.get("tiles", "")), str(r.get("obs", ""))): float(
             r["wall_s"]
         )
         for r in rows
-        if "n" in r and "backend" in r and "wall_s" in r
+        if "n" in r and "wall_s" in r
     }
 
 
 def _row_label(key: tuple[int, str, str]) -> str:
-    n, backend, tiles = key
-    label = f"n={n} backend={backend}"
-    return f"{label} tiles={tiles}" if tiles else label
+    n, tiles, obs = key
+    label = f"n={n}"
+    if tiles:
+        label += f" tiles={tiles}"
+    return f"{label} obs={obs}" if obs else label
 
 
 def compare(current: dict, baseline: dict, tolerance: float) -> list[str]:
@@ -119,7 +122,7 @@ def compare(current: dict, baseline: dict, tolerance: float) -> list[str]:
         if key in cur_rows:
             check(label, cur_rows[key], base_s)
         else:
-            # baseline-only rows (grid shrank, backend dropped) are visible
+            # baseline-only rows (grid shrank, variant dropped) are visible
             # skips, never silent passes
             print(f"{label}: skipped (no matching row in the current artifact)")
     return failures

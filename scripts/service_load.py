@@ -161,8 +161,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"setup error: {exc}", file=sys.stderr)
         return 2
     print(
-        f"world ready: n={args.devices} "
-        f"backend={base_cfg.resolved_backend} pop={world.population} "
+        f"world ready: n={args.devices} pop={world.population} "
         f"({build_s:.1f}s build)"
     )
 

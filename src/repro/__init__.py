@@ -19,7 +19,6 @@ that regenerate every table and figure of the paper's evaluation.
 """
 
 from repro.core import (
-    BeaconDiscovery,
     ChurnEvent,
     ChurnSession,
     D2DNetwork,
@@ -29,6 +28,7 @@ from repro.core import (
     PulseSyncKernel,
     PulseSyncResult,
     RunResult,
+    SparseBeaconDiscovery,
     STSimulation,
     TelemetrySample,
 )
@@ -36,7 +36,6 @@ from repro.core import (
 __version__ = "1.0.0"
 
 __all__ = [
-    "BeaconDiscovery",
     "ChurnEvent",
     "ChurnSession",
     "D2DNetwork",
@@ -47,6 +46,7 @@ __all__ = [
     "PulseSyncResult",
     "RunResult",
     "STSimulation",
+    "SparseBeaconDiscovery",
     "TelemetrySample",
     "__version__",
 ]

@@ -25,11 +25,10 @@ Commands
 ``conformance``
     Golden-trace conformance gate: ``record`` (re)writes the corpus
     under ``tests/goldens/``, ``run`` replays every committed golden
-    (optionally forcing a backend) plus the metamorphic relation
-    registry, ``diff`` executes one differential pair (dense/sparse,
-    sparse/batch, clean/noop faults, Borůvka/oracle, sorted/naive
-    FFA).  Any
-    divergence prints a first-diverging-round report and exits 1.
+    plus the metamorphic relation registry, ``diff`` executes one
+    differential pair (clean/noop faults, Borůvka/oracle, sorted/naive
+    FFA, sharded/single-region, service replay).  Any divergence prints
+    a first-diverging-round report and exits 1.
     ``run --ops`` replays the corpus under a live ops plane — the bytes
     must still match the committed goldens.
 ``serve``
@@ -104,15 +103,6 @@ def _build_parser() -> argparse.ArgumentParser:
         choices=("st", "fst", "both"),
         default="both",
     )
-    # no argparse choices: the value flows into PaperConfig validation so
-    # an invalid backend/faults combination exits 2 with a clean message
-    sim.add_argument(
-        "--backend",
-        default=None,
-        help="execution backend: auto, dense, sparse or batch (auto "
-        "switches to sparse at config.sparse_threshold_devices and to "
-        "batch at config.batch_threshold_devices)",
-    )
     sim.add_argument(
         "--faults",
         default=None,
@@ -142,7 +132,7 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="PATH",
         help="with --shards: write the canonical sharded-run document "
-        "(JSON) for byte comparison between runs/backends",
+        "(JSON) for byte comparison between runs",
     )
     sim.add_argument(
         "--breakdown", action="store_true", help="print per-kind message bill"
@@ -232,12 +222,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument("--devices", "-n", type=int, default=256)
     serve.add_argument("--seed", type=int, default=1)
-    serve.add_argument(
-        "--backend",
-        choices=("auto", "dense", "sparse", "batch"),
-        default="auto",
-        help="network backend for the world universe (default auto)",
-    )
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument(
         "--port", type=int, default=8642, help="0 = OS-assigned port"
@@ -328,12 +312,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--goldens", default="tests/goldens", help="corpus directory"
     )
     conf_run.add_argument(
-        "--backend",
-        choices=("dense", "sparse", "batch"),
-        default=None,
-        help="force every replay onto this backend (cross-backend gate)",
-    )
-    conf_run.add_argument(
         "--skip-relations",
         action="store_true",
         help="replay goldens only; skip the metamorphic relation registry",
@@ -358,8 +336,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     conf_diff.add_argument(
         "pair",
-        help="backends | batch | faults | boruvka | ffa | shard | service "
-        "| service-ops | all",
+        help="faults | boruvka | ffa | shard | service | service-ops | all",
     )
     conf_diff.add_argument("--devices", "-n", type=int, default=32)
     conf_diff.add_argument("--seed", type=int, default=1)
@@ -480,8 +457,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         overrides["n_devices"] = args.devices
     if args.area is not None:
         overrides["area_side_m"] = args.area
-    if args.backend is not None:
-        overrides["backend"] = args.backend
     if args.faults is not None:
         from repro.faults import FaultConfig
 
@@ -604,7 +579,7 @@ def _simulate_sharded(args: argparse.Namespace, config) -> int:
             int(r["result"]["messages"]) for r in shard["runs"].values()
         )
         print(
-            f"  shard {shard['shard_id']:>3} [{shard['backend']:>6}] "
+            f"  shard {shard['shard_id']:>3} "
             f"n={shard['n']:>6} seed={shard['seed']} "
             f"messages={run_messages}"
         )
@@ -740,9 +715,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     )
 
     try:
-        base = PaperConfig(
-            n_devices=args.devices, seed=args.seed, backend=args.backend
-        )
+        base = PaperConfig(n_devices=args.devices, seed=args.seed)
         wcfg = WorldConfig(
             base=base,
             arrival_rate=args.arrival_rate,
@@ -755,8 +728,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         print(f"invalid world config: {exc}", file=sys.stderr)
         return 2
     print(
-        f"building world: n={base.n_devices} "
-        f"backend={base.resolved_backend} seed={base.seed} "
+        f"building world: n={base.n_devices} seed={base.seed} "
         f"rates={wcfg.arrival_rate:g}/{wcfg.departure_rate:g} per epoch"
     )
     world = SteadyStateWorld(wcfg)
@@ -833,12 +805,7 @@ def _cmd_conformance(args: argparse.Namespace) -> int:
         else:
             scope = nullcontext()
         with scope:
-            checks = [
-                (name, div)
-                for name, div in verify_corpus(
-                    args.goldens, backend=args.backend
-                )
-            ]
+            checks = verify_corpus(args.goldens)
             if not args.skip_relations:
                 checks += [
                     (f"relation:{name}", div)
@@ -846,13 +813,8 @@ def _cmd_conformance(args: argparse.Namespace) -> int:
                         PaperConfig(n_devices=16, seed=1)
                     )
                 ]
-        backend = args.backend or "as recorded"
-        suffix = " +ops" if args.ops else ""
-        print(
-            render_summary(
-                checks, title=f"conformance run [{backend}{suffix}]"
-            )
-        )
+        title = "conformance run [+ops]" if args.ops else "conformance run"
+        print(render_summary(checks, title=title))
         return 1 if any(div is not None for _, div in checks) else 0
 
     if args.conformance_command == "diff":

@@ -6,11 +6,11 @@ Three complementary oracles over the same capture format:
   (events, per-round phase digests, merges, bill, result) and replay it
   later, reporting the first diverging round/event.
 - :mod:`repro.conformance.differential` — run one ``(config, seed)``
-  through paired pipelines that must agree (dense/sparse, clean/noop
-  faults, distributed/centralized MST, sorted/naive FFA).
+  through paired pipelines that must agree (clean/noop faults,
+  distributed/centralized MST, sorted/naive FFA, sharded/single-region).
 - :mod:`repro.conformance.metamorphic` — input transformations with
   known output effects (relabeling, seed translation, dB co-shift,
-  fault inactivity, backend invariance).
+  fault inactivity).
 
 The committed corpus lives in ``tests/goldens/`` and is managed by
 :mod:`repro.conformance.corpus`; the ``repro conformance`` CLI wraps
@@ -35,7 +35,6 @@ from repro.conformance.corpus import (
 from repro.conformance.differential import (
     DIFF_PAIRS,
     DiffOutcome,
-    diff_backends,
     diff_boruvka_oracle,
     diff_fault_noop,
     diff_ffa,
@@ -78,7 +77,6 @@ __all__ = [
     "content_hash",
     "corpus_specs",
     "default_name",
-    "diff_backends",
     "diff_boruvka_oracle",
     "diff_fault_noop",
     "diff_ffa",

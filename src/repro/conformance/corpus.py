@@ -1,18 +1,16 @@
 """The committed golden corpus: enumeration, recording, verification.
 
 The corpus spans the full conformance matrix —
-``{st, fst, pulsesync} × {dense, sparse} × {clean, faulted}`` at
-``n ∈ {8, 32, 128}`` — 36 goldens, every one converging in well under a
-second so the whole corpus replays inside a CI job.
+``{st, fst, pulsesync} × {clean, faulted}`` at ``n ∈ {8, 32, 128}`` —
+18 goldens, every one converging in well under a second so the whole
+corpus replays inside a CI job.
 
 The faulted half uses one fixed plan (:data:`CORPUS_FAULT_SPEC`): lossy
 beacons and PS pulses, a crash window wide enough to exercise repair,
 and collision arbitration — each decision a pure function of event
-identity, so faulted goldens replay bitwise on every backend (the
-committed corpus stores dense and sparse captures; CI additionally
-replays it under the forced ``batch`` backend).
+identity, so faulted goldens replay bitwise.
 
-Beside the 36 single-region goldens, the corpus records six **sharded
+Beside the 18 single-region goldens, the corpus records six **sharded
 city goldens** (:func:`shard_corpus_specs`) —
 ``{st, fst, pulsesync} × 2×2 tiles × n ∈ {32, 128}`` — whose replay
 re-runs the whole tile/halo pipeline (``docs/sharding.md``).
@@ -48,7 +46,6 @@ CORPUS_SEED = 1
 
 CORPUS_SIZES = (8, 32, 128)
 CORPUS_ALGORITHMS = ("st", "fst", "pulsesync")
-CORPUS_BACKENDS = ("dense", "sparse")
 
 #: Sharded corpus axis: every algorithm over a 2×2 tiling, clean, at
 #: these city populations (see :func:`shard_corpus_specs`).
@@ -64,27 +61,25 @@ BILLS_FILENAME = "message_bills.json"
 def corpus_specs() -> Iterator[tuple[str, PaperConfig, str]]:
     """Yield ``(name, config, algorithm)`` for every corpus golden."""
     for n in CORPUS_SIZES:
-        for backend in CORPUS_BACKENDS:
-            for faulted in (False, True):
-                config = PaperConfig(
-                    n_devices=n,
-                    seed=CORPUS_SEED,
-                    backend=backend,
-                    faults=(
-                        FaultConfig.from_spec(CORPUS_FAULT_SPEC)
-                        if faulted
-                        else None
-                    ),
-                )
-                for algorithm in CORPUS_ALGORITHMS:
-                    yield default_name(config, algorithm), config, algorithm
+        for faulted in (False, True):
+            config = PaperConfig(
+                n_devices=n,
+                seed=CORPUS_SEED,
+                faults=(
+                    FaultConfig.from_spec(CORPUS_FAULT_SPEC)
+                    if faulted
+                    else None
+                ),
+            )
+            for algorithm in CORPUS_ALGORITHMS:
+                yield default_name(config, algorithm), config, algorithm
 
 
 def shard_corpus_specs() -> Iterator[tuple[str, "object", str]]:
     """Yield ``(name, city_config, algorithm)`` for the sharded goldens.
 
     Kept separate from :func:`corpus_specs` — the single-region corpus
-    is pinned at 36 entries; the sharded axis extends it without
+    is pinned at 18 entries; the sharded axis extends it without
     renumbering.  Import of the shard tier is lazy: this module is
     reachable from ``repro.conformance.__init__`` while
     ``repro.shard.conformance`` imports back into the golden layer.
@@ -140,13 +135,11 @@ def load_corpus(root: str | pathlib.Path) -> list[GoldenTrace]:
 
 
 def verify_corpus(
-    root: str | pathlib.Path, *, backend: str | None = None
+    root: str | pathlib.Path,
 ) -> list[tuple[str, Divergence | None]]:
     """Replay every committed golden; return per-golden outcomes.
 
-    ``backend`` overrides the stamped execution backend for every
-    replay — running the corpus once per backend is the CI
-    cross-backend gate.  A golden whose stored content hash no longer
+    A golden whose stored content hash no longer
     matches its payload (hand-edited / corrupted file) is still
     replayed, so the outcome names the first diverging round/event
     rather than a bare checksum failure; the corruption is recorded in
@@ -154,12 +147,10 @@ def verify_corpus(
     """
     names = [name for name, _, _ in corpus_specs()]
     names += [name for name, _, _ in shard_corpus_specs()]
-    return [(name, _verify_one(root, name, backend)) for name in names]
+    return [(name, _verify_one(root, name)) for name in names]
 
 
-def _verify_one(
-    root: pathlib.Path, name: str, backend: str | None
-) -> Divergence | None:
+def _verify_one(root: pathlib.Path, name: str) -> Divergence | None:
     path = golden_path(root, name)
     if not path.exists():
         return Divergence(
@@ -171,7 +162,7 @@ def _verify_one(
         )
     golden = GoldenTrace.load(path)
     corrupted = not golden.integrity_ok()
-    _, div = replay(golden, backend=backend)
+    _, div = replay(golden)
     if div is None and corrupted:
         div = Divergence(
             pair=f"golden-vs-run:{name}",

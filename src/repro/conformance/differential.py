@@ -5,21 +5,15 @@ that the repo promises are equivalent and reports the **first diverging
 round/event** (a :class:`~repro.conformance.report.Divergence`) rather
 than a bare assert:
 
-``backends``
-    dense vs sparse execution of ST, FST and the bare sync kernel —
-    PR 2's seed-for-seed bitwise parity promise.
-``batch``
-    sparse vs batch execution of the same trio — the vectorized
-    whole-array kernels must replay the sparse dynamics bitwise.
 ``faults``
-    clean run vs a run under an all-zero (inactive) fault plan — PR 3's
+    clean run vs a run under an all-zero (inactive) fault plan — the
     "inactive plans perturb nothing" promise, normalized over the
     fault-only bookkeeping keys an active plan adds.
 ``boruvka``
-    the distributed Borůvka construction (dense or CSR, per the
-    configured backend) vs a centralized maximum-spanning-tree oracle —
-    on distinct weights the MST is unique, so the edge lists must match
-    exactly.
+    the distributed CSR Borůvka construction the simulations run vs a
+    centralized Kruskal maximum-spanning-tree oracle over the dense
+    views — on distinct weights the MST is unique, so the edge lists
+    must match exactly.
 ``shard``
     a 2×2 sharded city capture vs standalone single-region runs of each
     shard's equivalent config, plus pool-vs-inline byte equality — the
@@ -52,11 +46,7 @@ from repro.firefly.fa import BasicFireflyAlgorithm, FAParams
 from repro.firefly.fa_sorted import SortedFireflyAlgorithm
 from repro.firefly.objectives import sphere
 from repro.obs import Observability, get_active
-from repro.spanningtree.boruvka import (
-    distributed_boruvka,
-    distributed_boruvka_batch,
-    distributed_boruvka_csr,
-)
+from repro.spanningtree.boruvka import distributed_boruvka_csr
 from repro.spanningtree.mst import maximum_spanning_tree, tree_weight
 
 #: Keys an *active-capable* fault plan adds to bills/extras even when it
@@ -101,70 +91,6 @@ def _note(obs: Observability, pair: str, div: Divergence | None) -> None:
             help="conformance checks whose pipelines disagreed",
             unit="divergences",
         ).inc(pair=pair, kind=div.kind)
-
-
-# ----------------------------------------------------------------------
-# dense vs sparse
-# ----------------------------------------------------------------------
-def diff_backends(
-    config: PaperConfig, algorithms: tuple[str, ...] = ("st", "fst", "pulsesync")
-) -> DiffOutcome:
-    """Dense and sparse pipelines must produce identical captures."""
-    obs = get_active() or Observability()
-    with obs.span("conformance_diff", pair="dense-vs-sparse"):
-        for algorithm in algorithms:
-            dense = capture_run(config.replace(backend="dense"), algorithm)
-            sparse = capture_run(config.replace(backend="sparse"), algorithm)
-            div = first_divergence(
-                dense.doc(), sparse.doc(), pair=f"dense-vs-sparse:{algorithm}"
-            )
-            if div is not None:
-                _note(obs, "dense-vs-sparse", div)
-                return DiffOutcome(
-                    "dense-vs-sparse", div, f"{algorithm} diverged"
-                )
-    _note(obs, "dense-vs-sparse", None)
-    return DiffOutcome(
-        "dense-vs-sparse",
-        None,
-        f"{', '.join(algorithms)} identical at n={config.n_devices} "
-        f"seed={config.seed}",
-    )
-
-
-# ----------------------------------------------------------------------
-# sparse vs batch
-# ----------------------------------------------------------------------
-def diff_backends_batch(
-    config: PaperConfig, algorithms: tuple[str, ...] = ("st", "fst", "pulsesync")
-) -> DiffOutcome:
-    """Sparse and batch pipelines must produce identical captures.
-
-    The batch backend replaces per-cohort/per-fragment Python loops with
-    whole-array kernels; channel draws and fault decisions stay
-    counter-hashed, so every capture section (events, phase rounds,
-    merges, bill, result) must match the sparse run bitwise.
-    """
-    obs = get_active() or Observability()
-    with obs.span("conformance_diff", pair="sparse-vs-batch"):
-        for algorithm in algorithms:
-            sparse = capture_run(config.replace(backend="sparse"), algorithm)
-            batch = capture_run(config.replace(backend="batch"), algorithm)
-            div = first_divergence(
-                sparse.doc(), batch.doc(), pair=f"sparse-vs-batch:{algorithm}"
-            )
-            if div is not None:
-                _note(obs, "sparse-vs-batch", div)
-                return DiffOutcome(
-                    "sparse-vs-batch", div, f"{algorithm} diverged"
-                )
-    _note(obs, "sparse-vs-batch", None)
-    return DiffOutcome(
-        "sparse-vs-batch",
-        None,
-        f"{', '.join(algorithms)} identical at n={config.n_devices} "
-        f"seed={config.seed}",
-    )
 
 
 # ----------------------------------------------------------------------
@@ -235,26 +161,12 @@ def diff_boruvka_oracle(config: PaperConfig) -> DiffOutcome:
     obs = get_active() or Observability()
     pair = "boruvka-vs-oracle"
     with obs.span("conformance_diff", pair=pair):
-        dense_net = D2DNetwork(config.replace(backend="dense"))
-        if config.resolved_backend in ("sparse", "batch"):
-            csr_fn = (
-                distributed_boruvka_batch
-                if config.resolved_backend == "batch"
-                else distributed_boruvka_csr
-            )
-            sparse_net = D2DNetwork(
-                config.replace(backend=config.resolved_backend)
-            )
-            budget = sparse_net.sparse_budget
-            dist = csr_fn(
-                sparse_net.n,
-                budget.link_indptr,
-                budget.link_indices,
-                budget.link_power_dbm,
-            )
-        else:
-            dist = distributed_boruvka(dense_net.weights, dense_net.adjacency)
-        oracle = maximum_spanning_tree(dense_net.weights, dense_net.adjacency)
+        net = D2DNetwork(config)
+        budget = net.sparse_budget
+        dist = distributed_boruvka_csr(
+            net.n, budget.link_indptr, budget.link_indices, budget.link_power_dbm
+        )
+        oracle = maximum_spanning_tree(net.weights, net.adjacency)
         dist_edges = sorted(
             (min(u, v), max(u, v)) for u, v in dist.edges
         )
@@ -281,8 +193,8 @@ def diff_boruvka_oracle(config: PaperConfig) -> DiffOutcome:
                 actual=list(dist_edges[i]) if i < len(dist_edges) else "<end>",
             )
         if div is None:
-            w_dist = tree_weight(dense_net.weights, dist_edges)
-            w_oracle = tree_weight(dense_net.weights, oracle)
+            w_dist = tree_weight(net.weights, dist_edges)
+            w_oracle = tree_weight(net.weights, oracle)
             if abs(w_dist - w_oracle) > 1e-9 * max(1.0, abs(w_oracle)):
                 div = Divergence(
                     pair=pair,
@@ -377,14 +289,6 @@ def diff_ffa(
 # ----------------------------------------------------------------------
 # registry
 # ----------------------------------------------------------------------
-def _run_backends(config: PaperConfig) -> DiffOutcome:
-    return diff_backends(config)
-
-
-def _run_batch(config: PaperConfig) -> DiffOutcome:
-    return diff_backends_batch(config)
-
-
 def _run_faults(config: PaperConfig) -> DiffOutcome:
     return diff_fault_noop(config)
 
@@ -420,8 +324,6 @@ def _run_service_ops(config: PaperConfig) -> DiffOutcome:
 
 #: Named pairs for the CLI (``repro conformance diff <pair>``).
 DIFF_PAIRS: dict[str, Callable[[PaperConfig], DiffOutcome]] = {
-    "backends": _run_backends,
-    "batch": _run_batch,
     "faults": _run_faults,
     "boruvka": _run_boruvka,
     "ffa": _run_ffa,

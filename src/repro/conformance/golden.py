@@ -15,9 +15,9 @@ reports the **first diverging round/event** (see
 hash mismatch.
 
 Hardware PCO validation does exactly this against recorded reference
-traces (Brandner et al.); here it is the regression gate that keeps the
-sparse path bitwise-identical to dense and faulty runs bitwise
-reproducible while the kernels keep getting faster.
+traces (Brandner et al.); here it is the regression gate that keeps
+clean and faulty runs bitwise reproducible while the kernels keep
+getting faster.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from repro.conformance.report import Divergence, first_divergence
 from repro.core.config import PaperConfig
 from repro.core.fst import FSTSimulation
 from repro.core.network import D2DNetwork
-from repro.core.pulsesync import PulseSyncKernel, SparsePulseSyncKernel
+from repro.core.pulsesync import SparsePulseSyncKernel
 from repro.core.st import STSimulation
 from repro.faults.plan import FaultConfig, FaultPlan
 from repro.obs import Observability
@@ -48,6 +48,10 @@ GOLDEN_SCHEMA = "repro.conformance/1"
 
 #: Algorithms the capture layer knows how to drive.
 ALGORITHMS = ("st", "fst", "pulsesync")
+
+#: Layout tag in corpus golden names.  Every run uses the CSR (sparse)
+#: network layout; the tag keeps the committed corpus names stable.
+CORPUS_LAYOUT = "sparse"
 
 #: Event streams longer than this are elided from the stored golden
 #: (counts + stream hash are always kept, so divergence detection still
@@ -65,8 +69,6 @@ def config_summary(config: PaperConfig) -> dict[str, Any]:
         "n_devices": config.n_devices,
         "area_side_m": config.area_side_m,
         "seed": config.seed,
-        "backend": config.backend,
-        "resolved_backend": config.resolved_backend,
         "faults": faults.to_spec() if faults is not None else None,
     }
 
@@ -78,7 +80,6 @@ def config_from_summary(summary: dict[str, Any]) -> PaperConfig:
         n_devices=int(summary["n_devices"]),
         area_side_m=float(summary["area_side_m"]),
         seed=int(summary["seed"]),
-        backend=summary["backend"],
         faults=FaultConfig.from_spec(faults) if faults else None,
     )
 
@@ -196,27 +197,15 @@ def _pulsesync_capture(
         sync_window_ms=cfg.sync_window_ms,
         collision_policy=cfg.collision_policy,
     )
-    if net.is_sparse:
-        from repro.core.batch import BatchPulseSyncKernel
-
-        budget = net.sparse_budget
-        kernel_cls = BatchPulseSyncKernel if net.is_batch else SparsePulseSyncKernel
-        kernel = kernel_cls(
-            budget.link_indptr,
-            budget.link_indices,
-            budget.link_power_dbm,
-            prc,
-            fading=budget.fading,
-            **opts,
-        )
-    else:
-        kernel = PulseSyncKernel(
-            net.link_budget.mean_rx_dbm,
-            net.adjacency,
-            prc,
-            fading=net.link_budget.fading,
-            **opts,
-        )
+    budget = net.sparse_budget
+    kernel = SparsePulseSyncKernel(
+        budget.link_indptr,
+        budget.link_indices,
+        budget.link_power_dbm,
+        prc,
+        fading=budget.fading,
+        **opts,
+    )
     res = kernel.run(
         net.streams.stream("pulsesync"),
         max_time_ms=cfg.max_time_ms,
@@ -307,10 +296,10 @@ def capture_run(
 
 
 def default_name(config: PaperConfig, algorithm: str) -> str:
-    """Corpus naming convention: ``{algo}-{backend}-{clean|faulted}-n{n}``."""
+    """Corpus naming convention: ``{algo}-sparse-{clean|faulted}-n{n}``."""
     faulted = config.faults is not None and config.faults.active
     return (
-        f"{algorithm}-{config.resolved_backend}-"
+        f"{algorithm}-{CORPUS_LAYOUT}-"
         f"{'faulted' if faulted else 'clean'}-n{config.n_devices}"
     )
 
@@ -318,15 +307,8 @@ def default_name(config: PaperConfig, algorithm: str) -> str:
 # ----------------------------------------------------------------------
 # replay
 # ----------------------------------------------------------------------
-def replay(
-    golden: GoldenTrace, *, backend: str | None = None
-) -> tuple[GoldenTrace, Divergence | None]:
+def replay(golden: GoldenTrace) -> tuple[GoldenTrace, Divergence | None]:
     """Re-execute a golden's run and locate the first divergence.
-
-    ``backend`` overrides the stamped execution backend — replaying a
-    dense golden on the sparse backend (or vice versa) is the
-    cross-backend conformance check, valid because every stream draw and
-    fault decision is backend-invariant by construction.
 
     Goldens whose config stamp carries a ``tiles`` key are sharded
     captures and dispatch to
@@ -335,10 +317,8 @@ def replay(
     if "tiles" in golden.config:
         from repro.shard.conformance import replay_city
 
-        return replay_city(golden, backend=backend)
+        return replay_city(golden)
     config = config_from_summary(golden.config)
-    if backend is not None:
-        config = config.replace(backend=backend)
     # same elision policy as record, so identical runs yield identical docs
     fresh = capture_run(config, golden.algorithm, name=golden.name)
     div = first_divergence(

@@ -24,10 +24,6 @@ Registered relations:
 ``fault_inactivity``
     An all-zero fault plan must be a bitwise no-op (delegates to the
     clean-vs-inactive differential runner).
-``backend_invariance``
-    Dense, sparse and batch execution are the identity transformation on
-    the captured behaviour (delegates to the dense-vs-sparse and
-    sparse-vs-batch runners).
 
 The registry is consumed both by ``pytest`` parametrizations
 (``tests/test_conformance_metamorphic.py``) and by the
@@ -40,11 +36,7 @@ from typing import Any, Callable
 
 import numpy as np
 
-from repro.conformance.differential import (
-    diff_backends,
-    diff_backends_batch,
-    diff_fault_noop,
-)
+from repro.conformance.differential import diff_fault_noop
 from repro.conformance.golden import capture_run
 from repro.conformance.report import Divergence
 from repro.core.config import PaperConfig
@@ -79,7 +71,7 @@ def relation_node_relabeling(config: PaperConfig) -> Divergence | None:
     fragment structure are label-independent).
     """
     pair = "metamorphic:node_relabeling"
-    net = D2DNetwork(config.replace(backend="dense"))
+    net = D2DNetwork(config)
     w, adj = net.weights, net.adjacency
     n = net.n
     perm = np.random.default_rng(config.seed + 7919).permutation(n)
@@ -196,10 +188,9 @@ def relation_ps_weight_monotonicity(config: PaperConfig) -> Divergence | None:
     """
     pair = "metamorphic:ps_weight_monotonicity"
     delta = POWER_SHIFT_DB
-    base_net = D2DNetwork(config.replace(backend="dense"))
+    base_net = D2DNetwork(config)
     shifted_net = D2DNetwork(
         config.replace(
-            backend="dense",
             tx_power_dbm=config.tx_power_dbm + delta,
             threshold_dbm=config.threshold_dbm + delta,
         )
@@ -256,21 +247,12 @@ def relation_fault_inactivity(config: PaperConfig) -> Divergence | None:
     return diff_fault_noop(config).divergence
 
 
-def relation_backend_invariance(config: PaperConfig) -> Divergence | None:
-    """Dense, sparse and batch execution capture identically."""
-    div = diff_backends(config).divergence
-    if div is not None:
-        return div
-    return diff_backends_batch(config).divergence
-
-
 #: Name → relation; consumed by pytest parametrization and the CLI.
 METAMORPHIC_RELATIONS: dict[str, RelationFn] = {
     "node_relabeling": relation_node_relabeling,
     "seed_translation": relation_seed_translation,
     "ps_weight_monotonicity": relation_ps_weight_monotonicity,
     "fault_inactivity": relation_fault_inactivity,
-    "backend_invariance": relation_backend_invariance,
 }
 
 

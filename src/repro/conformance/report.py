@@ -1,8 +1,8 @@
 """Divergence objects and human-readable conformance reports.
 
 The conformance layer never fails with a bare assert: every comparison
-between two captured runs (golden vs fresh, dense vs sparse, clean vs
-inactive-faults, ...) produces either ``None`` or a :class:`Divergence`
+between two captured runs (golden vs fresh, clean vs inactive-faults,
+sharded vs single-region, ...) produces either ``None`` or a :class:`Divergence`
 that names the **first** diverging round/event, what was expected and
 what actually happened — the difference between "parity broke" and a
 bisectable bug report.
@@ -17,7 +17,7 @@ from repro.conformance.canonical import content_hash, to_jsonable
 
 #: Sections that describe what the run *did* (vs how it was labelled);
 #: the closing safety-net hash covers exactly these, so pairs whose
-#: ``config``/``name`` stamps legitimately differ (dense-vs-sparse,
+#: ``config``/``name`` stamps legitimately differ (sharded-vs-single,
 #: clean-vs-inactive-faults) compare clean when the dynamics match.
 PAYLOAD_KEYS = (
     "events",
@@ -45,7 +45,7 @@ class Divergence:
     ----------
     pair:
         What was compared, e.g. ``"golden-vs-run"`` or
-        ``"dense-vs-sparse"``.
+        ``"clean-vs-inactive-faults"``.
     kind:
         Which section diverged first: ``event``, ``event_counts``,
         ``phase_round``, ``merge``, ``bill``, ``result``, ``tree``,

@@ -7,26 +7,36 @@
 * :class:`~repro.core.st.STSimulation` — the proposed tree-based
   distributed firefly algorithm (Algorithms 1–3);
 * :class:`~repro.core.fst.FSTSimulation` — the FST baseline [17];
-* :class:`~repro.core.pulsesync.PulseSyncKernel` — the shared vectorized
-  pulse-coupled synchronization kernel.
+* :class:`~repro.core.pulsesync.SparsePulseSyncKernel` — the shared
+  vectorized pulse-coupled synchronization kernel over the link CSR
+  (:class:`~repro.core.pulsesync.PulseSyncKernel` is its dense-matrix
+  twin for stream fading).
 """
 
-from repro.core.beacon import BeaconDiscovery, BeaconResult, top_k_required
+from repro.core.beacon import (
+    BeaconResult,
+    SparseBeaconDiscovery,
+    top_k_required_csr,
+)
 from repro.core.churn import ChurnEvent, ChurnSession
 from repro.core.config import PAPER_DENSITY_PER_M2, PaperConfig
 from repro.core.device import Device, make_devices
-from repro.core.fst import FSTSimulation, heavy_edge_forest, stitch_forest
+from repro.core.fst import (
+    FSTSimulation,
+    heavy_edge_forest_csr,
+    stitch_forest_csr,
+)
 from repro.core.network import D2DNetwork
 from repro.core.pulsesync import (
     PulseSyncKernel,
     PulseSyncResult,
+    SparsePulseSyncKernel,
     TelemetrySample,
 )
 from repro.core.results import RunResult
 from repro.core.st import STSimulation
 
 __all__ = [
-    "BeaconDiscovery",
     "BeaconResult",
     "ChurnEvent",
     "ChurnSession",
@@ -39,9 +49,11 @@ __all__ = [
     "PulseSyncResult",
     "RunResult",
     "STSimulation",
+    "SparseBeaconDiscovery",
+    "SparsePulseSyncKernel",
     "TelemetrySample",
-    "heavy_edge_forest",
+    "heavy_edge_forest_csr",
     "make_devices",
-    "stitch_forest",
-    "top_k_required",
+    "stitch_forest_csr",
+    "top_k_required_csr",
 ]

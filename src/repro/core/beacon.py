@@ -11,8 +11,8 @@ scheme.  The tree-based ST algorithm only needs each device to decode its
 heaviest neighbours, which are strong precisely because they are heavy —
 the physical root of the paper's scaling advantage.
 
-The simulation is vectorized per slot-cohort; one period costs O(n²)
-array work regardless of how the cohorts fall.
+The simulation runs over the CSR radio graph, vectorized per
+slot-cohort: one period costs O(E) array work.
 """
 
 from __future__ import annotations
@@ -38,7 +38,8 @@ class BeaconResult:
     periods: int
     time_ms: float
     messages: int
-    #: decoded[i, j] — receiver i decoded sender j at least once
+    #: radio-graph edge mask: edge ``tx → rx`` set once receiver ``rx``
+    #: identity-decoded sender ``tx``
     decoded: np.ndarray = field(repr=False, default=None)
     #: ordered pairs still missing when the run ended
     missing_pairs: int = 0
@@ -49,11 +50,11 @@ class BeaconResult:
 
 
 class _BeaconFaultState:
-    """Mutable per-run fault bookkeeping shared by both discovery classes.
+    """Mutable per-run fault bookkeeping of a discovery run.
 
     Driven purely by the (period index, period start time) pair and the
-    deterministic :class:`~repro.faults.plan.FaultPlan`, so a dense and a
-    sparse run over the same plan evolve bit-identically.  Collided
+    deterministic :class:`~repro.faults.plan.FaultPlan`, so two runs over
+    the same plan evolve bit-identically.  Collided
     transmitters back off exponentially (``2^streak − 1`` silent periods,
     bounded by ``max_backoff_periods``); their next transmission counts
     as a retry.  Crashed devices fall permanently silent; stalled devices
@@ -127,13 +128,20 @@ class _BeaconFaultState:
             ).inc(self.retries, **labels)
 
 
-class BeaconDiscovery:
-    """Random-slot beaconing over a fixed radio environment.
+class SparseBeaconDiscovery:
+    """Random-slot beaconing over a CSR radio graph — O(E) per period.
+
+    ``required`` and ``decoded`` are boolean masks over the budget's
+    *radio graph* edges (edge ``tx → rx`` decoded ⇔ receiver ``rx``
+    identity-decoded sender ``tx``).  The radio graph includes every link
+    whose mean power is within the fading cap of the threshold, so all
+    possible detections — including the sub-threshold interferers that
+    decide the capture race — are represented.
 
     Parameters
     ----------
-    mean_rx_dbm:
-        ``(n, n)`` mean received power (dBm), −inf diagonal.
+    budget:
+        The CSR radio environment.
     threshold_dbm:
         Detection floor.
     period_slots, slot_ms:
@@ -148,318 +156,9 @@ class BeaconDiscovery:
         1.0 = always listening.  A sleeping receiver decodes nothing that
         slot, trading discovery latency for receive energy.
     fading:
-        Per-transmission fading (fresh draw per beacon per receiver).
-    """
-
-    def __init__(
-        self,
-        mean_rx_dbm: np.ndarray,
-        *,
-        threshold_dbm: float,
-        period_slots: int,
-        slot_ms: float = 1.0,
-        capture_margin_db: float = 6.0,
-        preambles: int = 1,
-        listen_duty: float = 1.0,
-        fading=None,
-    ) -> None:
-        mean_rx_dbm = np.asarray(mean_rx_dbm, dtype=float)
-        if mean_rx_dbm.ndim != 2 or mean_rx_dbm.shape[0] != mean_rx_dbm.shape[1]:
-            raise ValueError("mean_rx_dbm must be square")
-        if period_slots < 1:
-            raise ValueError("period_slots must be >= 1")
-        if slot_ms <= 0:
-            raise ValueError("slot_ms must be positive")
-        if preambles < 1:
-            raise ValueError("preambles must be >= 1")
-        if not 0.0 < listen_duty <= 1.0:
-            raise ValueError(f"listen_duty must be in (0, 1], got {listen_duty}")
-        self.n = mean_rx_dbm.shape[0]
-        self.mean_rx = mean_rx_dbm
-        self.threshold_dbm = float(threshold_dbm)
-        self.period_slots = int(period_slots)
-        self.slot_ms = float(slot_ms)
-        self.capture_margin_db = float(capture_margin_db)
-        self.preambles = int(preambles)
-        self.listen_duty = float(listen_duty)
-        self.fading = fading if fading is not None else NoFading()
-        self._hashed_fading = hasattr(self.fading, "link_db")
-        self._node_ids = np.arange(self.n, dtype=np.int64)
-
-    # ------------------------------------------------------------------
-    def run(
-        self,
-        rng: np.random.Generator,
-        required: np.ndarray,
-        *,
-        max_periods: int = 3_000,
-        decoded: np.ndarray | None = None,
-        obs: Observability | None = None,
-        obs_labels: dict[str, str] | None = None,
-        faults: FaultPlan | None = None,
-    ) -> BeaconResult:
-        """Beacon until every ``required[i, j]`` pair has been decoded.
-
-        Parameters
-        ----------
-        required:
-            Ordered-pair matrix: receiver ``i`` must decode sender ``j``.
-        decoded:
-            Optional pre-existing decode state to continue from (mutated).
-        obs:
-            Optional observability bundle: bills ``beacon_tx_total``,
-            observes per-slot occupancy, and records a ``neighbor_fill``
-            probe sample per period (how much of the required
-            neighbour-table is decoded).  ``None`` leaves the loop
-            untouched.
-        obs_labels:
-            Labels attached to the metrics this run records.
-        faults:
-            Optional :class:`~repro.faults.plan.FaultPlan`.  Injects
-            beacon-decode loss, bursty RACH preamble collisions (with
-            bounded exponential backoff and retry accounting), and
-            crash/stall silence; required pairs touching crashed devices
-            are dropped so the loop cannot spin on the unreachable.
-            ``None`` (default) leaves the loop byte-identical to before.
-        """
-        n = self.n
-        required = np.asarray(required, dtype=bool).copy()
-        if required.shape != (n, n):
-            raise ValueError(f"required must be ({n}, {n})")
-        np.fill_diagonal(required, False)
-        if decoded is None:
-            decoded = np.zeros((n, n), dtype=bool)
-        remaining = int((required & ~decoded).sum())
-        required_total = max(int(required.sum()), 1)
-        messages = 0
-        use_fading = not isinstance(self.fading, NoFading)
-        labels = obs_labels or {}
-        bus = obs.bus if obs is not None else None
-        if obs is not None:
-            tx_counter = obs.metrics.counter(
-                "beacon_tx_total",
-                help="discovery beacon transmissions",
-                unit="messages",
-            )
-            # bound view: label key resolved once, not per cohort
-            occ_hist = obs.metrics.histogram(
-                "beacon_slot_occupancy",
-                buckets=SLOT_OCCUPANCY_BUCKETS,
-                help="simultaneous beacons per occupied slot/preamble",
-                unit="transmitters",
-            ).bound(**labels)
-        else:
-            tx_counter = None
-            occ_hist = None
-
-        fstate = _BeaconFaultState(faults, n) if faults is not None else None
-        period = 0
-        period_tx = n
-        prev_collisions = 0
-        prev_retries = 0
-        event = 0  # radio event counter: one per slot-cohort
-        while remaining > 0 and period < max_periods:
-            period += 1
-            # each device picks a random (slot, preamble); only same-slot
-            # same-preamble beacons superpose (OFDMA orthogonality).  The
-            # draw covers all n devices even under faults so the stream
-            # stays aligned with fault-free runs.
-            chan = rng.integers(0, self.period_slots * self.preambles, size=n)
-            if self.listen_duty < 1.0:
-                # per-slot sleep schedule: a sleeping receiver misses every
-                # preamble of that slot
-                awake = rng.random((self.period_slots, n)) < self.listen_duty
-            else:
-                awake = None
-            if fstate is None:
-                messages += n
-                receiving = None
-                order = np.argsort(chan, kind="stable")
-            else:
-                period_start_ms = (period - 1) * self.period_slots * self.slot_ms
-                tx_mask, ok_mask, receiving = fstate.begin_period(
-                    period, period_start_ms
-                )
-                period_tx = int(tx_mask.sum())
-                messages += period_tx
-                dead = faults.dead_by(period_start_ms)
-                if dead.any():
-                    # timeout discipline: crashed devices can never satisfy
-                    # a required pair — drop them instead of spinning
-                    required[dead, :] = False
-                    required[:, dead] = False
-                live = np.flatnonzero(ok_mask)
-                order = live[np.argsort(chan[live], kind="stable")]
-            if order.size:
-                sorted_chan = chan[order]
-                boundaries = np.nonzero(np.diff(sorted_chan))[0] + 1
-                cohorts = np.split(order, boundaries)
-                starts = np.concatenate(([0], boundaries))
-                for cohort, start in zip(cohorts, starts):
-                    slot = int(sorted_chan[start]) // self.preambles
-                    awake_row = awake[slot] if awake is not None else None
-                    if receiving is not None:
-                        awake_row = (
-                            receiving
-                            if awake_row is None
-                            else awake_row & receiving
-                        )
-                    if occ_hist is not None:
-                        occ_hist.observe(cohort.size)
-                    self._decode_cohort(
-                        cohort, rng, required, decoded, use_fading, awake_row,
-                        event, fstate,
-                    )
-                    event += 1
-            remaining = int((required & ~decoded).sum())
-            if obs is not None:
-                tx_counter.inc(n, **labels)
-                period_end_ms = period * self.period_slots * self.slot_ms
-                obs.probes.record(
-                    period_end_ms,
-                    "neighbor_fill",
-                    fill_ratio=1.0 - remaining / required_total,
-                    missing_pairs=remaining,
-                    periods=period,
-                )
-                if obs.trace is not None:
-                    obs.trace.emit(
-                        period_end_ms,
-                        "beacon_period",
-                        period=period,
-                        missing_pairs=remaining,
-                        **labels,
-                    )
-                if bus is not None:
-                    bus.publish(
-                        "beacon",
-                        period_end_ms,
-                        labels,
-                        period=period,
-                        missing_pairs=remaining,
-                        fill_ratio=1.0 - remaining / required_total,
-                    )
-                    if fstate is not None:
-                        bus.publish(
-                            "rach",
-                            period_end_ms,
-                            labels,
-                            collisions=fstate.collisions - prev_collisions,
-                            retries=fstate.retries - prev_retries,
-                            transmitters=period_tx,
-                        )
-                        prev_collisions = fstate.collisions
-                        prev_retries = fstate.retries
-
-        if obs is not None:
-            obs.metrics.gauge(
-                "beacon_missing_pairs",
-                help="required (receiver, sender) pairs still undecoded",
-                unit="pairs",
-            ).set(remaining, **labels)
-        if fstate is not None:
-            fstate.record(obs, labels)
-        return BeaconResult(
-            complete=remaining == 0,
-            periods=period,
-            time_ms=period * self.period_slots * self.slot_ms,
-            messages=messages,
-            decoded=decoded,
-            missing_pairs=remaining,
-            retries=fstate.retries if fstate is not None else 0,
-            faults_injected=fstate.injected if fstate is not None else 0,
-        )
-
-    # ------------------------------------------------------------------
-    def _decode_cohort(
-        self,
-        cohort: np.ndarray,
-        rng: np.random.Generator,
-        required: np.ndarray,
-        decoded: np.ndarray,
-        use_fading: bool,
-        awake: np.ndarray | None = None,
-        event: int = 0,
-        fstate: _BeaconFaultState | None = None,
-    ) -> None:
-        """One slot: cohort members transmit simultaneously; decode."""
-        n = self.n
-        k = cohort.size
-        if k == 1:
-            # fast path: an uncontested beacon decodes wherever detected
-            tx = int(cohort[0])
-            power_row = self.mean_rx[tx]
-            if self._hashed_fading:
-                power_row = power_row + self.fading.link_db(
-                    event, np.int64(tx), self._node_ids
-                )
-            elif use_fading:
-                power_row = power_row + self.fading.sample_db(n)
-            det_row = power_row >= self.threshold_dbm
-            det_row[tx] = False
-            if awake is not None:
-                det_row &= awake
-            if fstate is None:
-                decoded[det_row, tx] = True
-            else:
-                rx_idx = np.nonzero(det_row)[0]
-                if rx_idx.size:
-                    lost = fstate.lose_beacons(event, np.int64(tx), rx_idx)
-                    decoded[rx_idx[~lost], tx] = True
-            return
-        power = self.mean_rx[cohort]
-        if self._hashed_fading:
-            power = power + self.fading.link_db(
-                event, cohort[:, None], self._node_ids[None, :]
-            )
-        elif use_fading:
-            power = power + self.fading.sample_db((k, n))
-        det = power >= self.threshold_dbm
-        counts = det.sum(axis=0)
-        any_heard = counts >= 1
-        if not any_heard.any():
-            return
-        masked = np.where(det, power, -np.inf)
-        strongest_row = np.argmax(masked, axis=0)
-        strongest_pow = masked[strongest_row, np.arange(n)]
-        linear = np.where(det, np.power(10.0, power / 10.0), 0.0)
-        total = linear.sum(axis=0)
-        signal = np.where(any_heard, np.power(10.0, strongest_pow / 10.0), 0.0)
-        noise = np.maximum(total - signal, 1e-30)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            sir_db = 10.0 * np.log10(np.maximum(signal, 1e-300) / noise)
-        decodable = any_heard & (
-            (counts == 1) | (sir_db >= self.capture_margin_db)
-        )
-        # half-duplex: transmitters cannot decode this slot
-        decodable[cohort] = False
-        if awake is not None:
-            decodable &= awake
-        rx_idx = np.nonzero(decodable)[0]
-        if rx_idx.size:
-            tx_idx = cohort[strongest_row[rx_idx]]
-            if fstate is not None:
-                lost = fstate.lose_beacons(event, tx_idx, rx_idx)
-                rx_idx = rx_idx[~lost]
-                tx_idx = tx_idx[~lost]
-            decoded[rx_idx, tx_idx] = True
-
-
-class SparseBeaconDiscovery:
-    """Random-slot beaconing over a CSR radio graph — O(E) per period.
-
-    The sparse counterpart of :class:`BeaconDiscovery`: ``required`` and
-    ``decoded`` are boolean masks over the budget's *radio graph* edges
-    (edge ``tx → rx`` decoded ⇔ receiver ``rx`` identity-decoded sender
-    ``tx``) instead of ``(n, n)`` matrices.  The radio graph includes
-    every link whose mean power is within the fading cap of the
-    threshold, so all possible detections — including the sub-threshold
-    interferers that decide the capture race — are represented.
-
-    Requires counter-based fading; it advances the same slot-cohort event
-    counter as the dense class, so with
-    :class:`~repro.radio.fading.HashedRayleighFading` the two are
-    seed-for-seed identical given the same ``rng``.
+        Per-transmission fading; must be counter-based (a fresh
+        ``(event, tx, rx)`` draw per beacon per receiver, one event per
+        slot-cohort).  Defaults to the budget's model.
     """
 
     def __init__(
@@ -513,10 +212,30 @@ class SparseBeaconDiscovery:
     ) -> BeaconResult:
         """Beacon until every required radio-graph edge has been decoded.
 
-        Mirrors :meth:`BeaconDiscovery.run` — same draws from ``rng`` in
-        the same order, same metrics/probes, same fault injection — with
-        edge-mask state.  The returned :class:`BeaconResult` carries the
-        decoded *edge mask* in its ``decoded`` field.
+        Parameters
+        ----------
+        required:
+            Radio-graph edge mask: receiver ``rx`` must decode sender
+            ``tx`` over each marked edge.
+        decoded:
+            Optional pre-existing decode state to continue from (mutated).
+        obs:
+            Optional observability bundle: bills ``beacon_tx_total``,
+            observes per-slot occupancy, and records a ``neighbor_fill``
+            probe sample per period (how much of the required
+            neighbour-table is decoded).  ``None`` leaves the loop
+            untouched.
+        obs_labels:
+            Labels attached to the metrics this run records.
+        faults:
+            Optional :class:`~repro.faults.plan.FaultPlan`.  Injects
+            beacon-decode loss, bursty RACH preamble collisions (with
+            bounded exponential backoff and retry accounting), and
+            crash/stall silence; required pairs touching crashed devices
+            are dropped so the loop cannot spin on the unreachable.
+
+        The returned :class:`BeaconResult` carries the decoded edge mask
+        in its ``decoded`` field.
         """
         n = self.n
         required = np.asarray(required, dtype=bool).copy()
@@ -557,8 +276,10 @@ class SparseBeaconDiscovery:
         event = 0  # radio event counter: one per slot-cohort
         while remaining > 0 and period < max_periods:
             period += 1
+            # each device picks a random (slot, preamble); only same-slot
+            # same-preamble beacons superpose (OFDMA orthogonality).  The
             # draw covers all n devices even under faults so the stream
-            # stays aligned with fault-free (and dense) runs
+            # stays aligned with fault-free runs.
             chan = rng.integers(0, self.period_slots * self.preambles, size=n)
             if self.listen_duty < 1.0:
                 awake = rng.random((self.period_slots, n)) < self.listen_duty
@@ -663,9 +384,15 @@ class SparseBeaconDiscovery:
 
         ``order`` lists this period's live transmitters sorted (stably)
         by channel; cohorts are its channel groups in ascending channel
-        order, and cohort ``c`` uses radio event ``event + c``.  The
-        batch backend overrides this with a whole-period vectorized
-        decode (:class:`repro.core.batch.BatchBeaconDiscovery`).
+        order, and cohort ``c`` uses radio event ``event + c``.
+
+        A whole-period decode (every transmitter's edges gathered at
+        once, all capture races resolved by one global lexsort) was
+        measured ~3× slower at n = 20 000: at the paper's density a
+        period has few occupied channels and therefore large cohorts, so
+        the per-cohort numpy calls are already amortized, while the
+        whole-period variant pays per-edge event-id hashing and an
+        E log E sort (docs/performance.md).
         """
         sorted_chan = chan[order]
         boundaries = np.nonzero(np.diff(sorted_chan))[0] + 1
@@ -694,7 +421,11 @@ class SparseBeaconDiscovery:
         event: int,
         fstate: _BeaconFaultState | None = None,
     ) -> None:
-        """One slot over CSR edges; same capture semantics as dense."""
+        """One slot: cohort members transmit simultaneously; decode.
+
+        A receiver decodes the strongest detected beacon when it is alone
+        or clears the capture margin over the superposed rest.
+        """
         budget = self.budget
         if cohort.size == 1:
             tx = int(cohort[0])
@@ -728,7 +459,7 @@ class SparseBeaconDiscovery:
         if rx_e.size == 0:
             return
         # receiver segments: power descending, lowest tx on ties — the
-        # first edge of a segment is the dense argmax winner
+        # first edge of a segment is the capture winner
         order = np.lexsort((tx_e, -power_e, rx_e))
         rx_s = rx_e[order]
         pw_s = power_e[order]
@@ -762,46 +493,42 @@ class SparseBeaconDiscovery:
 
 
 def top_k_required_csr(budget: SparseLinkBudget, k: int = 1) -> np.ndarray:
-    """Sparse :func:`top_k_required`: a radio-graph edge mask.
+    """Required-pairs edge mask: each receiver must decode its ``k``
+    heaviest proximity neighbours — the knowledge the ST algorithm's
+    first Borůvka phase needs ("in beginning nodes know only weight of
+    links to whom they are connected" restricted to the links that
+    matter).
 
-    Each receiver must decode its ``k`` heaviest proximity neighbours;
-    the mask marks the corresponding ``sender → receiver`` radio edges.
-    Tie-break (equal weights → lowest neighbour id) matches the dense
-    stable argsort.
+    The mask marks the corresponding ``sender → receiver`` radio edges;
+    ties (equal weights) break to the lowest neighbour id.  For the
+    k = 1 case the ST seed needs, the per-receiver heaviest link is a
+    ``maximum.reduceat`` over the link CSR rows and the tie-break a
+    masked ``minimum.reduceat`` — O(E) with no global lexsort.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     n = budget.n
-    rx = budget.link_row_ids  # link graph is symmetric: row = receiver
-    nbr = budget.link_indices
+    indptr = budget.link_indptr
+    nbr = budget.link_indices  # link graph is symmetric: row = receiver
     w = budget.link_power_dbm
+    required = np.zeros(budget.edge_count, dtype=bool)
+    if k == 1:
+        rows = np.flatnonzero(np.diff(indptr) > 0)
+        if rows.size == 0:
+            return required
+        starts = indptr[rows]
+        # the row maximum is one of the row's elements bitwise, so the
+        # equality mask selects exactly the argmax candidates
+        row_max = np.maximum.reduceat(w, starts)
+        is_max = w == np.repeat(row_max, np.diff(indptr)[rows])
+        best_nbr = np.minimum.reduceat(np.where(is_max, nbr, n), starts)
+        required[budget.edge_position(best_nbr, rows)] = True
+        return required
+    rx = budget.link_row_ids
     order = np.lexsort((nbr, -w, rx))
     rx_s = rx[order]
     nbr_s = nbr[order]
-    rank = np.arange(rx_s.size) - budget.link_indptr[rx_s]
+    rank = np.arange(rx_s.size) - indptr[rx_s]
     sel = rank < min(k, max(n - 1, 1))
-    required = np.zeros(budget.edge_count, dtype=bool)
-    pos = budget.edge_position(nbr_s[sel], rx_s[sel])
-    required[pos] = True
-    return required
-
-
-def top_k_required(weights: np.ndarray, adjacency: np.ndarray, k: int = 1) -> np.ndarray:
-    """Required-pairs matrix: each receiver must decode its ``k`` heaviest
-    detectable neighbours — the knowledge the ST algorithm's first Borůvka
-    phase needs ("in beginning nodes know only weight of links to whom
-    they are connected" restricted to the links that matter)."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    w = np.where(np.asarray(adjacency, dtype=bool), weights, -np.inf)
-    n = w.shape[0]
-    required = np.zeros((n, n), dtype=bool)
-    # indices of the k largest per row (only finite ones); a device has at
-    # most n-1 neighbours, so clamp k accordingly
-    k = min(k, max(n - 1, 1))
-    idx = np.argsort(-w, axis=1, kind="stable")[:, :k]
-    rows = np.repeat(np.arange(n), k)
-    cols = idx.ravel()
-    finite = np.isfinite(w[rows, cols])
-    required[rows[finite], cols[finite]] = True
+    required[budget.edge_position(nbr_s[sel], rx_s[sel])] = True
     return required

@@ -10,17 +10,16 @@ heavy-edge tree of the *active* population incrementally:
   so the session tracks how far the incremental tree drifts from the
   maximum-spanning-tree oracle.
 * **fail** — the tree is repaired with
-  :func:`repro.spanningtree.repair.repair_after_failure`: surviving
+  :func:`repro.spanningtree.repair.repair_after_failure_csr`: surviving
   fragments are kept and only the re-merging phases are paid.
 * **rebuild** — on demand, a full Borůvka run restores optimality; the
   session reports the message bill either way, so the repair-vs-rebuild
   trade-off is measurable.
 
-Both backends are first-class: a sparse network's session works entirely
-on the link CSR (filtered per the active set, never densified), with the
-maximum-spanning-tree oracle computed by seeded Borůvka — on distinct
-weights the Borůvka tree *is* the maximum spanning tree, so the oracle
-matches the dense Kruskal result edge for edge.
+The session works entirely on the link CSR (filtered per the active set,
+no dense views), with the maximum-spanning-tree oracle computed by
+Borůvka — on distinct weights the Borůvka tree *is* the maximum spanning
+tree, so the oracle matches a Kruskal result edge for edge.
 """
 
 from __future__ import annotations
@@ -32,15 +31,8 @@ import numpy as np
 from repro.core.fst import _tree_weight_for
 from repro.core.network import D2DNetwork
 from repro.radio.sparse_link import csr_from_edges
-from repro.spanningtree.boruvka import (
-    distributed_boruvka,
-    distributed_boruvka_csr,
-)
-from repro.spanningtree.mst import maximum_spanning_tree, tree_weight
-from repro.spanningtree.repair import (
-    repair_after_failure,
-    repair_after_failure_csr,
-)
+from repro.spanningtree.boruvka import distributed_boruvka_csr
+from repro.spanningtree.repair import repair_after_failure_csr
 
 #: Messages a join costs: one discovery beacon round + RACH2 handshake.
 JOIN_HANDSHAKE_MSGS = 2
@@ -128,14 +120,6 @@ class ChurnSession:
         self._rebuild(initial=True)
 
     # ------------------------------------------------------------------
-    def _masked_adjacency(self) -> np.ndarray:
-        adj = self.network.adjacency.copy()
-        inactive = [i for i in range(self.network.n) if i not in self.active]
-        if inactive:
-            adj[inactive, :] = False
-            adj[:, inactive] = False
-        return adj
-
     def _active_array(self) -> np.ndarray:
         """Boolean active mask, maintained incrementally.
 
@@ -146,7 +130,7 @@ class ChurnSession:
         return self._active_np
 
     def _filtered_link_csr(self):
-        """Active-subgraph link CSR (sparse backend; never densifies)."""
+        """Active-subgraph link CSR (never densifies)."""
         budget = self.network.sparse_budget
         act = self._active_array()
         rows = budget.link_row_ids
@@ -161,20 +145,12 @@ class ChurnSession:
             return float("nan")
         if len(self.active) < 2:
             return 1.0
-        if self.network.is_sparse:
-            # On distinct weights the Borůvka tree is the maximum spanning
-            # tree, so a seeded CSR run serves as the sparse oracle.
-            indptr, indices, (w_e,) = self._filtered_link_csr()
-            oracle = distributed_boruvka_csr(
-                self.network.n, indptr, indices, w_e
-            )
-            oracle_w = _tree_weight_for(self.network, oracle.edges)
-            mine = _tree_weight_for(self.network, self.tree_edges)
-        else:
-            w = self.network.weights
-            oracle_edges = maximum_spanning_tree(w, self._masked_adjacency())
-            oracle_w = tree_weight(w, oracle_edges)
-            mine = tree_weight(w, self.tree_edges)
+        # On distinct weights the Borůvka tree is the maximum spanning
+        # tree, so a CSR run serves as the oracle.
+        indptr, indices, (w_e,) = self._filtered_link_csr()
+        oracle = distributed_boruvka_csr(self.network.n, indptr, indices, w_e)
+        oracle_w = _tree_weight_for(self.network, oracle.edges)
+        mine = _tree_weight_for(self.network, self.tree_edges)
         if oracle_w == 0.0:
             return 1.0
         # weights are negative (dBm sums): mine/oracle >= 1 means heavier
@@ -200,33 +176,21 @@ class ChurnSession:
             raise ValueError(f"device {device} is already active")
         if not 0 <= device < self.network.n:
             raise ValueError(f"device {device} out of range")
-        if self.network.is_sparse:
-            budget = self.network.sparse_budget
-            lo = int(budget.link_indptr[device])
-            hi = int(budget.link_indptr[device + 1])
-            nbr = budget.link_indices[lo:hi]
-            # only links to currently active devices count; neighbours are
-            # sorted by id, so argmax ties break to the lowest id exactly
-            # as the dense full-row argmax does
-            act = self._active_array()
-            w = np.where(act[nbr], budget.link_power_dbm[lo:hi], -np.inf)
-            if w.size:
-                pos = int(np.argmax(w))
-                best = int(nbr[pos])
-                ok = bool(np.isfinite(w[pos]))
-            else:
-                best = -1
-                ok = False
+        budget = self.network.sparse_budget
+        lo = int(budget.link_indptr[device])
+        hi = int(budget.link_indptr[device + 1])
+        nbr = budget.link_indices[lo:hi]
+        # only links to currently active devices count; neighbours are
+        # sorted by id, so argmax ties break to the lowest id
+        act = self._active_array()
+        w = np.where(act[nbr], budget.link_power_dbm[lo:hi], -np.inf)
+        if w.size:
+            pos = int(np.argmax(w))
+            best = int(nbr[pos])
+            ok = bool(np.isfinite(w[pos]))
         else:
-            w = np.where(
-                self.network.adjacency[device],
-                self.network.weights[device],
-                -np.inf,
-            )
-            # only links to currently active devices count
-            w = np.where(self._active_array(), w, -np.inf)
-            best = int(np.argmax(w))
-            ok = bool(np.isfinite(w[best]))
+            best = -1
+            ok = False
         messages = self.network.config.discovery_periods + JOIN_HANDSHAKE_MSGS
         self.active.add(device)
         self._active_np[device] = True
@@ -244,19 +208,9 @@ class ChurnSession:
             messages, ok = self._fail_greedy(device)
             return self._record("fail", device, messages, ok)
         inactive = {i for i in range(self.network.n) if i not in self.active}
-        if self.network.is_sparse:
-            result = repair_after_failure_csr(
-                self.tree_edges,
-                inactive | {device},
-                self.network.sparse_budget,
-            )
-        else:
-            result = repair_after_failure(
-                self.tree_edges,
-                inactive | {device},
-                self.network.weights,
-                self.network.adjacency,
-            )
+        result = repair_after_failure_csr(
+            self.tree_edges, inactive | {device}, self.network.sparse_budget
+        )
         self.tree_edges = result.tree_edges
         self._rebuild_tree_adj()
         return self._record("fail", device, result.messages, result.repaired)
@@ -334,32 +288,23 @@ class ChurnSession:
         Ties break to the lowest member id then lowest target id (members
         are sorted and argmax returns the first maximum).
         """
-        if self.network.is_sparse:
-            budget = self.network.sparse_budget
-            best_w = -np.inf
-            best: tuple[int, int] | None = None
-            for m in comp:
-                lo = int(budget.link_indptr[m])
-                hi = int(budget.link_indptr[m + 1])
-                if lo == hi:
-                    continue
-                nbr = budget.link_indices[lo:hi]
-                w = np.where(allowed[nbr], budget.link_power_dbm[lo:hi], -np.inf)
-                pos = int(np.argmax(w))
-                if w[pos] > best_w:
-                    best_w = float(w[pos])
-                    best = (m, int(nbr[pos]))
-            if best is None or not np.isfinite(best_w):
-                return None
-            return best
-        rows = self.network.weights[comp]
-        mask = self.network.adjacency[comp] & allowed[None, :]
-        w = np.where(mask, rows, -np.inf)
-        flat = int(np.argmax(w))
-        r, t = divmod(flat, self.network.n)
-        if not np.isfinite(w[r, t]):
+        budget = self.network.sparse_budget
+        best_w = -np.inf
+        best: tuple[int, int] | None = None
+        for m in comp:
+            lo = int(budget.link_indptr[m])
+            hi = int(budget.link_indptr[m + 1])
+            if lo == hi:
+                continue
+            nbr = budget.link_indices[lo:hi]
+            w = np.where(allowed[nbr], budget.link_power_dbm[lo:hi], -np.inf)
+            pos = int(np.argmax(w))
+            if w[pos] > best_w:
+                best_w = float(w[pos])
+                best = (m, int(nbr[pos]))
+        if best is None or not np.isfinite(best_w):
             return None
-        return (comp[r], t)
+        return best
 
     def _edge_add(self, edge: tuple[int, int]) -> None:
         u, v = edge
@@ -392,15 +337,8 @@ class ChurnSession:
         return self._record("rebuild", -1, messages, True)
 
     def _rebuild(self, *, initial: bool) -> int:
-        if self.network.is_sparse:
-            indptr, indices, (w_e,) = self._filtered_link_csr()
-            result = distributed_boruvka_csr(
-                self.network.n, indptr, indices, w_e
-            )
-        else:
-            result = distributed_boruvka(
-                self.network.weights, self._masked_adjacency()
-            )
+        indptr, indices, (w_e,) = self._filtered_link_csr()
+        result = distributed_boruvka_csr(self.network.n, indptr, indices, w_e)
         # keep only edges among active devices (inactive are isolated)
         self.tree_edges = [
             e for e in result.edges if e[0] in self.active and e[1] in self.active

@@ -84,20 +84,8 @@ class PaperConfig:
     #: Fragment merge rule: plain Borůvka (default) or level-based GHS
     #: (the paper cites both: "Keeping in mind GHS and Boruvkas algorithm").
     merge_rule: Literal["boruvka", "ghs"] = "boruvka"
-    #: Execution path: ``"dense"`` (O(n²) matrices), ``"sparse"``
-    #: (grid + CSR, O(n + E)), ``"batch"`` (CSR layout with whole-array
-    #: per-period kernels for the 50k–100k tier), or ``"auto"`` (sparse
-    #: from ``sparse_threshold_devices`` up, batch from
-    #: ``batch_threshold_devices`` up).  All paths are seed-for-seed
-    #: identical (tests/test_sparse_parity.py, tests/test_batch_parity.py).
-    backend: Literal["auto", "dense", "sparse", "batch"] = "auto"
-    #: ``auto`` switches to the sparse path at this many devices.
-    sparse_threshold_devices: int = 1024
-    #: ``auto`` switches from sparse to the batch path at this many
-    #: devices (must not be below ``sparse_threshold_devices``).
-    batch_threshold_devices: int = 16384
     #: Two-sided shadowing clip in units of sigma (bounds the candidate
-    #: radius of the sparse path; applied identically on the dense path).
+    #: radius of the grid search that builds the link CSR).
     shadow_clip_sigma: float = 3.0
     #: Hard cap on simulated time (ms).
     max_time_ms: float = 300_000.0
@@ -138,14 +126,6 @@ class PaperConfig:
             raise ValueError("beacon_preambles must be >= 1")
         if self.ffa_rounds_per_phase < 0:
             raise ValueError("ffa_rounds_per_phase must be >= 0")
-        if self.backend not in ("auto", "dense", "sparse", "batch"):
-            raise ValueError(f"unknown backend {self.backend!r}")
-        if self.sparse_threshold_devices < 2:
-            raise ValueError("sparse_threshold_devices must be >= 2")
-        if self.batch_threshold_devices < self.sparse_threshold_devices:
-            raise ValueError(
-                "batch_threshold_devices must be >= sparse_threshold_devices"
-            )
         if self.shadow_clip_sigma <= 0:
             raise ValueError("shadow_clip_sigma must be positive")
         if isinstance(self.faults, str):
@@ -173,17 +153,6 @@ class PaperConfig:
     @property
     def density_per_m2(self) -> float:
         return self.n_devices / (self.area_side_m**2)
-
-    @property
-    def resolved_backend(self) -> Literal["dense", "sparse", "batch"]:
-        """The execution path ``"auto"`` resolves to for this size."""
-        if self.backend != "auto":
-            return self.backend
-        if self.n_devices >= self.batch_threshold_devices:
-            return "batch"
-        if self.n_devices >= self.sparse_threshold_devices:
-            return "sparse"
-        return "dense"
 
     def with_devices(self, n: int, *, keep_density: bool = True) -> "PaperConfig":
         """Scale the scenario to ``n`` devices.

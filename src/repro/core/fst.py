@@ -21,65 +21,31 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.batch import BatchBeaconDiscovery, BatchPulseSyncKernel
-from repro.core.beacon import BeaconDiscovery, SparseBeaconDiscovery
+from repro.core.beacon import SparseBeaconDiscovery
 from repro.core.config import PaperConfig
 from repro.core.network import D2DNetwork
-from repro.core.pulsesync import (
-    PhaseHook,
-    PulseSyncKernel,
-    SparsePulseSyncKernel,
-)
+from repro.core.pulsesync import PhaseHook, SparsePulseSyncKernel
 from repro.core.results import RunResult
 from repro.faults.invariants import InvariantChecker
 from repro.faults.plan import FaultPlan
 from repro.obs import Observability, get_active
 from repro.oscillator.prc import LinearPRC
 from repro.radio.sparse_link import SparseLinkBudget
-from repro.spanningtree.mst import tree_weight
 from repro.spanningtree.unionfind import UnionFind
-
-
-def _heavy_edges_from_candidates(
-    us: np.ndarray, vs: np.ndarray
-) -> list[tuple[int, int]]:
-    """Deduplicated sorted edge list from per-node (u, heaviest v) pairs."""
-    if us.size == 0:
-        return []
-    a = np.minimum(us, vs).astype(np.int64)
-    b = np.maximum(us, vs).astype(np.int64)
-    codes = np.unique((a << np.int64(32)) | b)
-    return [(int(c >> 32), int(c & 0xFFFFFFFF)) for c in codes]
-
-
-def heavy_edge_forest(
-    weights: np.ndarray,
-    adjacency: np.ndarray,
-    node_mask: np.ndarray | None = None,
-) -> list[tuple[int, int]]:
-    """Each node's heaviest incident edge (Fig. 2's "selecting heavy edge").
-
-    The union over nodes is a forest (it is a subgraph of the maximum
-    spanning tree on distinct weights).  Fully vectorized: argmax per row
-    (ties → lowest neighbour id), then a unique over packed edge codes.
-    ``node_mask`` restricts the forest to the surviving devices (edges
-    touching a masked-out node are ignored).
-    """
-    w = np.where(adjacency, weights, -np.inf)
-    if node_mask is not None:
-        node_mask = np.asarray(node_mask, dtype=bool)
-        w = np.where(node_mask[:, None] & node_mask[None, :], w, -np.inf)
-    n = w.shape[0]
-    best = np.argmax(w, axis=1)
-    finite = np.isfinite(w[np.arange(n), best])
-    us = np.nonzero(finite)[0]
-    return _heavy_edges_from_candidates(us, best[us])
 
 
 def heavy_edge_forest_csr(
     budget: SparseLinkBudget, node_mask: np.ndarray | None = None
 ) -> list[tuple[int, int]]:
-    """CSR :func:`heavy_edge_forest` over the proximity graph — O(E)."""
+    """Each node's heaviest incident edge (Fig. 2's "selecting heavy edge").
+
+    The union over nodes is a forest (it is a subgraph of the maximum
+    spanning tree on distinct weights).  O(E) over the link CSR: one
+    lexsort picks each row's heaviest link (ties → lowest neighbour id),
+    then a unique over packed edge codes.  ``node_mask`` restricts the
+    forest to the surviving devices (edges touching a masked-out node
+    are ignored).
+    """
     rows = budget.link_row_ids
     nbr = budget.link_indices
     w = budget.link_power_dbm
@@ -89,65 +55,17 @@ def heavy_edge_forest_csr(
         rows, nbr, w = rows[keep], nbr[keep], w[keep]
     if rows.size == 0:
         return []
-    # heaviest edge per row; ties → lowest neighbour id (dense argmax)
+    # heaviest edge per row; ties → lowest neighbour id
     order = np.lexsort((nbr, -w, rows))
     r_sorted = rows[order]
     first = np.concatenate(([True], r_sorted[1:] != r_sorted[:-1]))
     sel = order[first]
-    return _heavy_edges_from_candidates(rows[sel], nbr[sel])
-
-
-def _kruskal_complete(
-    uf: UnionFind,
-    edges: list[tuple[int, int]],
-    iu: np.ndarray,
-    ju: np.ndarray,
-    w: np.ndarray,
-) -> int:
-    """Greedy union over candidate edges sorted by (weight desc, i, j)."""
-    stitches = 0
-    order = np.lexsort((ju, iu, -w))
-    for k in order:
-        u, v = int(iu[k]), int(ju[k])
-        if uf.union(u, v):
-            edges.append((u, v))
-            stitches += 1
-            if uf.components == 1:
-                break
-    return stitches
-
-
-def stitch_forest(
-    forest: list[tuple[int, int]],
-    weights: np.ndarray,
-    adjacency: np.ndarray,
-    node_mask: np.ndarray | None = None,
-) -> tuple[list[tuple[int, int]], int]:
-    """Connect forest components over heaviest available links.
-
-    Returns ``(tree_edges, stitches)``.  Greedy over all inter-component
-    edges by descending weight — i.e. Kruskal completion of the forest.
-    Equal-weight candidates are taken in (i, j) row-major order, same as
-    the historical stable sort over ``triu_indices``.  ``node_mask``
-    restricts stitching to the surviving devices (masked-out nodes stay
-    isolated singletons).
-    """
-    n = weights.shape[0]
-    uf = UnionFind(n)
-    edges = list(forest)
-    for u, v in forest:
-        uf.union(u, v)
-    stitches = 0
-    if uf.components > 1:
-        w = np.where(adjacency, weights, -np.inf)
-        if node_mask is not None:
-            node_mask = np.asarray(node_mask, dtype=bool)
-            w = np.where(node_mask[:, None] & node_mask[None, :], w, -np.inf)
-        iu, ju = np.triu_indices(n, k=1)
-        usable = np.isfinite(w[iu, ju])
-        iu, ju = iu[usable], ju[usable]
-        stitches = _kruskal_complete(uf, edges, iu, ju, w[iu, ju])
-    return sorted(edges), stitches
+    # deduplicate the per-node (u, heaviest v) pairs via packed codes
+    us, vs = rows[sel], nbr[sel]
+    a = np.minimum(us, vs).astype(np.int64)
+    b = np.maximum(us, vs).astype(np.int64)
+    codes = np.unique((a << np.int64(32)) | b)
+    return [(int(c >> 32), int(c & 0xFFFFFFFF)) for c in codes]
 
 
 def stitch_forest_csr(
@@ -155,7 +73,14 @@ def stitch_forest_csr(
     budget: SparseLinkBudget,
     node_mask: np.ndarray | None = None,
 ) -> tuple[list[tuple[int, int]], int]:
-    """CSR :func:`stitch_forest` over the proximity graph — O(E log E)."""
+    """Connect forest components over heaviest available links.
+
+    Returns ``(tree_edges, stitches)``.  Greedy over all inter-component
+    links by descending weight — i.e. Kruskal completion of the forest,
+    O(E log E); equal-weight candidates are taken in (i, j) row-major
+    order.  ``node_mask`` restricts stitching to the surviving devices
+    (masked-out nodes stay isolated singletons).
+    """
     uf = UnionFind(budget.n)
     edges = list(forest)
     for u, v in forest:
@@ -170,24 +95,30 @@ def stitch_forest_csr(
             node_mask = np.asarray(node_mask, dtype=bool)
             keep = node_mask[iu] & node_mask[ju]
             iu, ju, w = iu[keep], ju[keep], w[keep]
-        stitches = _kruskal_complete(uf, edges, iu, ju, w)
+        # greedy union over candidates sorted by (weight desc, i, j)
+        for k in np.lexsort((ju, iu, -w)):
+            u, v = int(iu[k]), int(ju[k])
+            if uf.union(u, v):
+                edges.append((u, v))
+                stitches += 1
+                if uf.components == 1:
+                    break
     return sorted(edges), stitches
 
 
 def _tree_weight_for(net: D2DNetwork, tree: list[tuple[int, int]]) -> float:
-    """Tree weight without densifying a sparse network.
+    """Tree weight from the link CSR (no dense views).
 
     Weights equal mean link power bitwise (the 0.5·(m + mᵀ)
-    symmetrization is the identity on the hashed channel), and the sum is
-    sequential in the same sorted edge order in both branches.
+    symmetrization is the identity on the hashed channel); the sum is
+    sequential in edge order, like :func:`~repro.spanningtree.mst.
+    tree_weight` over the dense matrix.
     """
-    if net.is_sparse:
-        us = np.fromiter((u for u, _ in tree), dtype=np.int64, count=len(tree))
-        vs = np.fromiter((v for _, v in tree), dtype=np.int64, count=len(tree))
-        if us.size == 0:
-            return 0.0
-        return float(sum(net.sparse_budget.edge_power_lookup(us, vs).tolist()))
-    return tree_weight(net.weights, tree)
+    us = np.fromiter((u for u, _ in tree), dtype=np.int64, count=len(tree))
+    vs = np.fromiter((v for _, v in tree), dtype=np.int64, count=len(tree))
+    if us.size == 0:
+        return 0.0
+    return float(sum(net.sparse_budget.edge_power_lookup(us, vs).tolist()))
 
 
 class FSTSimulation:
@@ -224,38 +155,20 @@ class FSTSimulation:
         # kernels obs=None so the hot loops skip instrumentation entirely
         kobs = obs if obs.enabled else None
         bus = obs.bus
-        sparse = net.is_sparse
-        batch = net.is_batch
         plan = FaultPlan.from_config(cfg)
-        if sparse:
-            budget = net.sparse_budget
-            kernel_cls = (
-                BatchPulseSyncKernel if batch else SparsePulseSyncKernel
-            )
-            kernel = kernel_cls(
-                budget.link_indptr,
-                budget.link_indices,
-                budget.link_power_dbm,
-                self.prc,
-                period_ms=cfg.period_ms,
-                threshold_dbm=cfg.threshold_dbm,
-                refractory_ms=cfg.refractory_ms,
-                sync_window_ms=cfg.sync_window_ms,
-                fading=budget.fading,
-                collision_policy=cfg.collision_policy,
-            )
-        else:
-            kernel = PulseSyncKernel(
-                net.link_budget.mean_rx_dbm,
-                net.adjacency,
-                self.prc,
-                period_ms=cfg.period_ms,
-                threshold_dbm=cfg.threshold_dbm,
-                refractory_ms=cfg.refractory_ms,
-                sync_window_ms=cfg.sync_window_ms,
-                fading=net.link_budget.fading,
-                collision_policy=cfg.collision_policy,
-            )
+        budget = net.sparse_budget
+        kernel = SparsePulseSyncKernel(
+            budget.link_indptr,
+            budget.link_indices,
+            budget.link_power_dbm,
+            self.prc,
+            period_ms=cfg.period_ms,
+            threshold_dbm=cfg.threshold_dbm,
+            refractory_ms=cfg.refractory_ms,
+            sync_window_ms=cfg.sync_window_ms,
+            fading=budget.fading,
+            collision_policy=cfg.collision_policy,
+        )
         # FST's deliverable is simultaneous synchronization AND complete
         # mesh neighbour discovery: every device must identity-decode
         # every proximity neighbour at least once (that is what [17]'s
@@ -278,47 +191,26 @@ class FSTSimulation:
                 )
             with obs.span("discovery"):
                 max_periods = max(1, int(cfg.max_time_ms / cfg.period_ms))
-                if sparse:
-                    # same condition as the dense mask below, expressed on
-                    # the radio-edge axis: link edges with margin to spare
-                    required_edges = budget.edge_is_link & (
-                        budget.power_dbm
-                        >= cfg.threshold_dbm + cfg.discovery_margin_db
-                    )
-                    discovery_cls = (
-                        BatchBeaconDiscovery if batch else SparseBeaconDiscovery
-                    )
-                    beacons = discovery_cls(
-                        budget,
-                        threshold_dbm=cfg.threshold_dbm,
-                        period_slots=cfg.period_slots,
-                        slot_ms=cfg.slot_ms,
-                        preambles=cfg.beacon_preambles,
-                    ).run(
-                        net.streams.stream("fst-beacons"),
-                        required=required_edges,
-                        max_periods=max_periods,
-                        obs=kobs,
-                        obs_labels={"algorithm": "fst", "stage": "discovery"},
-                        faults=plan,
-                    )
-                else:
-                    beacons = BeaconDiscovery(
-                        net.link_budget.mean_rx_dbm,
-                        threshold_dbm=cfg.threshold_dbm,
-                        period_slots=cfg.period_slots,
-                        slot_ms=cfg.slot_ms,
-                        preambles=cfg.beacon_preambles,
-                        fading=net.link_budget.fading,
-                    ).run(
-                        net.streams.stream("fst-beacons"),
-                        required=net.adjacency
-                        & net.link_budget.adjacency(cfg.discovery_margin_db),
-                        max_periods=max_periods,
-                        obs=kobs,
-                        obs_labels={"algorithm": "fst", "stage": "discovery"},
-                        faults=plan,
-                    )
+                # every proximity link with margin to spare, on the
+                # radio-edge axis
+                required_edges = budget.edge_is_link & (
+                    budget.power_dbm
+                    >= cfg.threshold_dbm + cfg.discovery_margin_db
+                )
+                beacons = SparseBeaconDiscovery(
+                    budget,
+                    threshold_dbm=cfg.threshold_dbm,
+                    period_slots=cfg.period_slots,
+                    slot_ms=cfg.slot_ms,
+                    preambles=cfg.beacon_preambles,
+                ).run(
+                    net.streams.stream("fst-beacons"),
+                    required=required_edges,
+                    max_periods=max_periods,
+                    obs=kobs,
+                    obs_labels={"algorithm": "fst", "stage": "discovery"},
+                    faults=plan,
+                )
 
             time_ms = max(sync.time_ms, beacons.time_ms)
             converged = sync.converged and beacons.complete
@@ -334,18 +226,10 @@ class FSTSimulation:
                     dead_final = plan.dead_by(time_ms)
                     if dead_final.any():
                         alive = ~dead_final
-                if sparse:
-                    forest = heavy_edge_forest_csr(budget, node_mask=alive)
-                    tree, stitches = stitch_forest_csr(
-                        forest, budget, node_mask=alive
-                    )
-                else:
-                    forest = heavy_edge_forest(
-                        net.weights, net.adjacency, node_mask=alive
-                    )
-                    tree, stitches = stitch_forest(
-                        forest, net.weights, net.adjacency, node_mask=alive
-                    )
+                forest = heavy_edge_forest_csr(budget, node_mask=alive)
+                tree, stitches = stitch_forest_csr(
+                    forest, budget, node_mask=alive
+                )
             stitch_messages = 2 * stitches  # one RACH2 handshake per stitch
             if bus is not None:
                 alive_n = (

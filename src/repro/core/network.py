@@ -10,32 +10,20 @@ the concrete simulation inputs:
 * the PS-strength edge weights ("weight of edge is directly proportional
   to PS strength observed by nodes", §IV).
 
-Three execution backends share one construction contract
-(``config.backend`` / ``config.resolved_backend``):
+Construction is grid candidate generation plus a CSR
+:class:`~repro.radio.sparse_link.SparseLinkBudget` (``sparse_budget``);
+nothing of size n² is allocated, and every simulation kernel consumes
+the CSR directly.  Channel randomness is counter-based
+(:mod:`repro.radio.chanhash`) — shadowing a pure function of
+``(key, link)``, fading of ``(key, event, tx, rx)`` — so the CSR link
+powers are bitwise the entries of the equivalent dense matrices.
 
-dense
-    The original O(n²) pipeline — a full
-    :class:`~repro.radio.link.LinkBudget` matrix, boolean adjacency, and
-    weight matrix.
-sparse
-    The scale path: grid candidate generation plus a CSR
-    :class:`~repro.radio.sparse_link.SparseLinkBudget`; nothing of size
-    n² is allocated.  The dense-matrix views (``link_budget``,
-    ``adjacency``, ``weights``) remain available as *lazy* properties
-    that densify on first touch (``densified`` records that it happened)
-    so legacy analysis code keeps working — hot paths must not touch
-    them.
-batch
-    The 50k–100k tier: same CSR construction as sparse, but the hot
-    loops run the whole-array kernels in :mod:`repro.core.batch`
-    (vectorized per-period beacon decode, subset phase advancement,
-    incremental fragment bookkeeping).  Bitwise-identical to sparse
-    (``tests/test_batch_parity.py``, conformance goldens).
-
-Channel randomness is counter-based (:mod:`repro.radio.chanhash`) in both
-backends — shadowing a pure function of ``(key, link)``, fading of
-``(key, event, tx, rx)`` — which is what makes the two backends
-seed-for-seed identical (``tests/test_sparse_parity.py``).
+The dense-matrix views (``link_budget``, ``adjacency``, ``weights``) are
+the one explicit dense helper, for analysis, plotting and the matrix
+GHS/Borůvka functions at small n: on first touch they materialize an
+O(n²) :class:`~repro.radio.link.LinkBudget` from the positions and
+channel keys the CSR was built from.  Simulation hot paths never touch
+them.
 
 Disconnected placements are repaired by re-drawing (documented option) so
 the spanning-tree algorithms always have a spanning tree to find; the
@@ -84,7 +72,7 @@ class D2DNetwork:
     Parameters
     ----------
     config:
-        Scenario parameters (including the execution backend).
+        Scenario parameters.
     streams:
         Random-stream universe; derived from ``config.seed`` when omitted.
     require_connected:
@@ -102,41 +90,27 @@ class D2DNetwork:
         self.config = config
         self.streams = streams if streams is not None else RandomStreams(config.seed)
         self.pathloss = _pathloss_for(config)
-        self.backend = config.resolved_backend
         self.placement_attempts = 0
-        #: set when a sparse network materialized a dense view after all
-        #: (legacy analysis fallback) — hot paths must keep this False
-        self.densified = False
 
         placement_rng = self.streams.stream("placement")
         shadow_rng = self.streams.stream("shadowing")
-        # both backends draw the same stream values in the same order —
         # one fading key up front, then (positions, shadow key) per attempt
         self.fading_key = int(self.streams.stream("fading").integers(0, 2**63))
-        # the batch backend shares the sparse CSR construction — only the
-        # kernels that consume it differ
-        sparse = self.backend in ("sparse", "batch")
         for _attempt in range(MAX_PLACEMENT_ATTEMPTS):
             self.placement_attempts += 1
             positions = placement_rng.uniform(
                 0.0, config.area_side_m, size=(config.n_devices, 2)
             )
             shadow_key = int(shadow_rng.integers(0, 2**63))
-            shadowing = self._make_shadowing(shadow_key)
-            budget_cls = SparseLinkBudget if sparse else LinkBudget
-            budget = budget_cls(
+            budget = SparseLinkBudget(
                 positions,
                 self.pathloss,
                 tx_power_dbm=config.tx_power_dbm,
                 threshold_dbm=config.threshold_dbm,
-                shadowing=shadowing,
+                shadowing=self._make_shadowing(shadow_key),
                 fading=self._make_fading(),
             )
-            if sparse:
-                connected = budget.is_connected()
-            else:
-                connected = self._is_connected(budget.adjacency())
-            if not require_connected or connected:
+            if not require_connected or budget.is_connected():
                 break
         else:
             raise RuntimeError(
@@ -147,20 +121,10 @@ class D2DNetwork:
 
         self.positions = positions
         self.shadow_key = shadow_key
-        if sparse:
-            self.sparse_budget: SparseLinkBudget | None = budget
-            self._link_budget: LinkBudget | None = None
-            self._adjacency: np.ndarray | None = None
-            self._weights: np.ndarray | None = None
-        else:
-            self.sparse_budget = None
-            self._link_budget = budget
-            adjacency = budget.adjacency()
-            self._adjacency = adjacency & adjacency.T  # symmetric detectability
-            np.fill_diagonal(self._adjacency, False)
-            # PS-strength weights: mean of the two directions' rx power, so
-            # the weight matrix is symmetric even though shadowing already is.
-            self._weights = 0.5 * (budget.mean_rx_dbm + budget.mean_rx_dbm.T)
+        self.sparse_budget = budget
+        self._link_budget: LinkBudget | None = None
+        self._adjacency: np.ndarray | None = None
+        self._weights: np.ndarray | None = None
         self.ranging = RSSIRanging(
             LogDistancePathLoss(
                 exponent=config.rssi_exponent,
@@ -186,28 +150,12 @@ class D2DNetwork:
             return HashedRayleighFading(self.fading_key)
         return NoFading()
 
-    @staticmethod
-    def _is_connected(adjacency: np.ndarray) -> bool:
-        sym = adjacency & adjacency.T
-        g = nx.from_numpy_array(sym)
-        return nx.is_connected(g)
-
     # ------------------------------------------------------------------
-    @property
-    def is_sparse(self) -> bool:
-        return self.sparse_budget is not None
-
-    @property
-    def is_batch(self) -> bool:
-        """True when the whole-array batch kernels should run."""
-        return self.backend == "batch"
-
     def _densify(self) -> None:
-        """Materialize the dense matrix views from a sparse network.
+        """Materialize the dense matrix views (O(n²) time and memory).
 
-        Legacy fallback (O(n²) time and memory): same positions, same
-        hashed channel keys, so the dense views are bitwise what the
-        dense backend would have built.
+        Same positions, same hashed channel keys, so every entry equals
+        the CSR value for the same link bitwise.
         """
         budget = LinkBudget(
             self.positions,
@@ -219,28 +167,28 @@ class D2DNetwork:
         )
         adjacency = budget.adjacency()
         self._link_budget = budget
-        self._adjacency = adjacency & adjacency.T
+        self._adjacency = adjacency & adjacency.T  # symmetric detectability
         np.fill_diagonal(self._adjacency, False)
+        # PS-strength weights: mean of the two directions' rx power
         self._weights = 0.5 * (budget.mean_rx_dbm + budget.mean_rx_dbm.T)
-        self.densified = True
 
     @property
     def link_budget(self) -> LinkBudget:
-        """Dense link budget (lazy densify on a sparse network)."""
+        """Dense link budget (materialized on first touch)."""
         if self._link_budget is None:
             self._densify()
         return self._link_budget
 
     @property
     def adjacency(self) -> np.ndarray:
-        """Dense boolean proximity matrix (lazy densify on sparse)."""
+        """Dense boolean proximity matrix (materialized on first touch)."""
         if self._adjacency is None:
             self._densify()
         return self._adjacency
 
     @property
     def weights(self) -> np.ndarray:
-        """Dense PS-strength weight matrix (lazy densify on sparse)."""
+        """Dense PS-strength weight matrix (materialized on first touch)."""
         if self._weights is None:
             self._densify()
         return self._weights
@@ -254,27 +202,19 @@ class D2DNetwork:
         """The proximity graph with PS-strength edge weights."""
         g = nx.Graph()
         g.add_nodes_from(range(self.n))
-        if self.is_sparse:
-            sb = self.sparse_budget
-            upper = sb.link_row_ids < sb.link_indices
-            for u, v, w in zip(
-                sb.link_row_ids[upper].tolist(),
-                sb.link_indices[upper].tolist(),
-                sb.link_power_dbm[upper].tolist(),
-            ):
-                g.add_edge(u, v, weight=w)
-            return g
-        iu, ju = np.nonzero(np.triu(self.adjacency, k=1))
-        for u, v in zip(iu.tolist(), ju.tolist()):
-            g.add_edge(u, v, weight=float(self.weights[u, v]))
+        sb = self.sparse_budget
+        upper = sb.link_row_ids < sb.link_indices
+        for u, v, w in zip(
+            sb.link_row_ids[upper].tolist(),
+            sb.link_indices[upper].tolist(),
+            sb.link_power_dbm[upper].tolist(),
+        ):
+            g.add_edge(u, v, weight=w)
         return g
 
     def degree_stats(self) -> dict[str, float]:
         """Mean/min/max degree of the proximity graph."""
-        if self.is_sparse:
-            deg = self.sparse_budget.degrees()
-        else:
-            deg = self.adjacency.sum(axis=1)
+        deg = self.sparse_budget.degrees()
         return {
             "mean": float(deg.mean()),
             "min": int(deg.min()),
@@ -291,5 +231,5 @@ class D2DNetwork:
     def __repr__(self) -> str:
         return (
             f"D2DNetwork(n={self.n}, side={self.config.area_side_m:.0f} m, "
-            f"backend={self.backend}, attempts={self.placement_attempts})"
+            f"attempts={self.placement_attempts})"
         )

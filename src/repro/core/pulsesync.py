@@ -34,22 +34,19 @@ discovery stalls exactly when synchronization succeeds.  The kernel
 optionally tracks decoding and can require a set of ordered pairs to be
 decoded before declaring convergence (``required_decoding``).
 
-Two interchangeable kernels share one run loop (:class:`_PulseSyncBase`):
+Two kernels share one run loop (:class:`_PulseSyncBase`):
 
-* :class:`PulseSyncKernel` — the dense reference, ``(k, n)`` row slices
-  of the mean-power matrix per wave;
-* :class:`SparsePulseSyncKernel` — CSR coupling graph, O(edges-of-wave)
-  per wave via segment reductions, with scratch arrays reused across
-  waves.  Requires counter-based fading; with
-  :class:`~repro.radio.fading.HashedRayleighFading` the two kernels are
-  seed-for-seed identical because every fading value is a pure function
-  of ``(key, event, tx, rx)`` and both kernels advance the same radio
-  event counter (one event per avalanche wave).
-
-A third kernel, :class:`repro.core.batch.BatchPulseSyncKernel`, subclasses
-the sparse one for the ``batch`` backend: it advances phases on the
-gathered eligible subset (O(|wave|) instead of O(n) per wave) — bitwise
-identical because elementwise float ops commute with gathering.
+* :class:`SparsePulseSyncKernel` — the simulation kernel: CSR coupling
+  graph, O(edges-of-wave) per wave via segment reductions, with scratch
+  arrays reused across waves.  Requires counter-based fading
+  (:class:`~repro.radio.fading.HashedRayleighFading`): every fading
+  value is a pure function of ``(key, event, tx, rx)`` with one radio
+  event per avalanche wave.
+* :class:`PulseSyncKernel` — ``(k, n)`` row slices of a dense
+  mean-power matrix per wave.  It also accepts *stream* fading (a fresh
+  ``(k, n)`` block per wave from a generator), which the mobility
+  re-sync study (:mod:`repro.mobility.resync`) draws; moving that study
+  to counter-based fading would change its published results.
 
 The kernels are pure NumPy per wave (no per-node Python loops), following
 the HPC guide's vectorization rule.
@@ -127,8 +124,8 @@ class _PulseSyncBase:
 
     The loop advances a radio **event counter** — one event per avalanche
     wave — and hands it to the reception hook.  Counter-based fading
-    models key their draws on it, which is what keeps the dense and
-    sparse kernels on identical channel realizations.
+    models key their draws on it, so a channel realization is a pure
+    function of the wave's identity.
     """
 
     def _init_common(
@@ -442,7 +439,7 @@ class _PulseSyncBase:
                 )
                 if faults is not None:
                     # stall deafness + per-(event, rx) PS erasure; both are
-                    # functions of identity, so dense/sparse agree exactly
+                    # pure functions of identity
                     lost_ps = faults.ps_lost(event, ids_u64)
                     ps_loss_count += int(np.count_nonzero(heard & lost_ps))
                     deaf = (stall_start <= t) & (t < stall_end)
@@ -570,17 +567,21 @@ class _PulseSyncBase:
 
         Mutates ``next_fire`` in place for receivers the pulse moved but
         did not push over threshold, and returns the boolean mask of
-        those it did (the next avalanche wave).  The batch kernel
-        overrides this with a gather/scatter subset variant — elementwise
-        float ops on a gathered subset are bitwise what the full-array
-        masked form computes, so both produce identical runs.
+        those it did (the next avalanche wave).  The eligible indices are
+        gathered first, so a wave of w receivers costs O(w), not O(n).
         """
-        theta = 1.0 - (next_fire - t) / period_of
+        idx = np.flatnonzero(eligible)
+        period_sub = period_of[idx]
+        theta = 1.0 - (next_fire[idx] - t) / period_sub
         theta = np.clip(theta, 0.0, 1.0)
         new_theta = np.minimum(self.prc.alpha * theta + self.prc.beta, 1.0)
-        to_fire = eligible & (new_theta >= 1.0)
-        adjust = eligible & ~to_fire
-        next_fire[adjust] = t + (1.0 - new_theta[adjust]) * period_of[adjust]
+        fire_sub = new_theta >= 1.0
+        adjust = idx[~fire_sub]
+        next_fire[adjust] = t + (1.0 - new_theta[~fire_sub]) * period_sub[
+            ~fire_sub
+        ]
+        to_fire = np.zeros(self.n, dtype=bool)
+        to_fire[idx[fire_sub]] = True
         return to_fire
 
     # ------------------------------------------------------------------
@@ -648,7 +649,7 @@ class _PulseSyncBase:
 
 
 class PulseSyncKernel(_PulseSyncBase):
-    """Dense reference kernel over a fixed radio environment.
+    """Dense-matrix kernel (stream fading; see the module docstring).
 
     Parameters
     ----------
@@ -782,8 +783,7 @@ class SparsePulseSyncKernel(_PulseSyncBase):
     ranges (:func:`~repro.radio.sparse_link.gather_rows`), applies
     per-edge counter-based fading, and resolves detection/decoding with
     segment reductions over the receiver-sorted edge list.  The strongest
-    -copy tie-break (equal powers → lowest transmitter id) matches dense
-    ``np.argmax`` first-occurrence semantics exactly.
+    -copy tie-break is equal powers → lowest transmitter id.
 
     Length-``n`` scratch arrays are preallocated once and reused across
     waves; nothing of size n² is ever allocated.
@@ -878,7 +878,7 @@ class SparsePulseSyncKernel(_PulseSyncBase):
             return heard, dec_sender
 
         # receiver-sorted segments: power descending, lowest tx on ties —
-        # the first edge of each segment is the dense argmax winner
+        # the first edge of each segment is the capture winner
         order = np.lexsort((tx_e, -power_e, rx_e))
         rx_s = rx_e[order]
         pw_s = power_e[order]

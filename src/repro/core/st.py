@@ -19,7 +19,7 @@ Composition of Algorithms 1–3 over the RSSI-weighted proximity graph:
 3. **Final trim** (Algorithm 3 over the finished tree): alignment waves
    leave residual per-hop quantization offsets, so a short pulse-coupled
    run over the tree edges tightens the network into the sync window —
-   this is a genuine :class:`~repro.core.pulsesync.PulseSyncKernel` run
+   this is a genuine :class:`~repro.core.pulsesync.SparsePulseSyncKernel` run
    seeded with the residual spread.
 
 Timing model: control actions advance one hop per 1 ms slot (RACH
@@ -29,114 +29,33 @@ concurrent.  Message accounting is per transmission, split by kind.
 
 from __future__ import annotations
 
-from collections import deque
-
 import numpy as np
 
-from repro.core.batch import (
-    BatchBeaconDiscovery,
-    BatchPulseSyncKernel,
-    BatchReplayLedger,
-    top_k_required_batch,
-)
-from repro.core.beacon import (
-    BeaconDiscovery,
-    SparseBeaconDiscovery,
-    top_k_required,
-    top_k_required_csr,
-)
+from repro.core.beacon import SparseBeaconDiscovery, top_k_required_csr
 from repro.core.config import PaperConfig
 from repro.core.fst import _tree_weight_for
 from repro.core.network import D2DNetwork
 from repro.core.pulsesync import (
     PhaseHook,
-    PulseSyncKernel,
     PulseSyncResult,
     SparsePulseSyncKernel,
 )
+from repro.core.replay import ReplayLedger
 from repro.core.results import RunResult
 from repro.faults.invariants import InvariantChecker
 from repro.faults.plan import FaultPlan
 from repro.obs import Observability, get_active
 from repro.oscillator.prc import LinearPRC
-from repro.spanningtree.boruvka import (
-    distributed_boruvka,
-    distributed_boruvka_batch,
-    distributed_boruvka_csr,
-)
-from repro.spanningtree.fragment import FragmentSet
+from repro.spanningtree.boruvka import distributed_boruvka_csr
 from repro.spanningtree.ghs import distributed_ghs
-from repro.spanningtree.repair import (
-    repair_after_failure,
-    repair_after_failure_csr,
-)
+from repro.spanningtree.repair import repair_after_failure_csr
 
 #: Slots for one H_Connect RACH2 exchange (broadcast + acknowledgement).
 HANDSHAKE_SLOTS = 2
 
 
-def _tree_diameter(start: int, adj: dict[int, list[int]]) -> int:
-    """Hop diameter of the tree component containing ``start`` (double BFS)."""
-
-    def farthest(src: int) -> tuple[int, int]:
-        seen = {src: 0}
-        queue = deque([src])
-        far_node, far_dist = src, 0
-        while queue:
-            u = queue.popleft()
-            for v in adj.get(u, ()):
-                if v not in seen:
-                    seen[v] = seen[u] + 1
-                    if seen[v] > far_dist:
-                        far_node, far_dist = v, seen[v]
-                    queue.append(v)
-        return far_node, far_dist
-
-    a, _ = farthest(start)
-    _, diameter = farthest(a)
-    return diameter
-
-
 #: Bucket bounds for fragment sizes along the Borůvka growth.
 FRAGMENT_SIZE_BUCKETS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0, 512.0)
-
-
-class _FragmentReplayLedger:
-    """Reference replay state: a :class:`FragmentSet` plus double-BFS.
-
-    The dense and sparse backends replay the Borůvka merge schedule
-    through this ledger; the batch backend substitutes
-    :class:`~repro.core.batch.BatchReplayLedger`, which answers the same
-    size/diameter queries incrementally.  Both produce identical
-    integers, so the replay loop is backend-agnostic.
-    """
-
-    def __init__(self, n: int) -> None:
-        self._frags = FragmentSet(n)
-        self._adj: dict[int, list[int]] = {}
-
-    def size_of(self, u: int) -> int:
-        return self._frags.size_of(u)
-
-    def diameter_of(self, u: int) -> int:
-        return _tree_diameter(u, self._adj)
-
-    def merge(self, u: int, v: int) -> bool:
-        merged = self._frags.merge(u, v)
-        if merged:
-            self._adj.setdefault(u, []).append(v)
-            self._adj.setdefault(v, []).append(u)
-        return merged
-
-    @property
-    def count(self) -> int:
-        return self._frags.count
-
-    def sizes(self) -> list[int]:
-        return [f.size for f in self._frags.fragments()]
-
-    def all_tree_edges(self) -> list[tuple[int, int]]:
-        return self._frags.all_tree_edges()
 
 
 class STSimulation:
@@ -178,16 +97,9 @@ class STSimulation:
         self, tree_edges: list[tuple[int, int]], dead_mask: np.ndarray
     ) -> tuple[list[tuple[int, int]], bool, int]:
         """Repair the tree around crashed devices; ``(edges, ok, msgs)``."""
-        net = self.network
-        failed = np.flatnonzero(dead_mask)
-        if net.is_sparse:
-            rep = repair_after_failure_csr(
-                tree_edges, failed, net.sparse_budget
-            )
-        else:
-            rep = repair_after_failure(
-                tree_edges, failed, net.weights, net.adjacency
-            )
+        rep = repair_after_failure_csr(
+            tree_edges, np.flatnonzero(dead_mask), self.network.sparse_budget
+        )
         return rep.tree_edges, rep.repaired, rep.messages
 
     # ------------------------------------------------------------------
@@ -208,50 +120,24 @@ class STSimulation:
             # neighbour (the Borůvka seed edge); heavy edges are strong, so
             # they win the capture race quickly even in dense deployments.
             # A floor of ``discovery_periods`` beacon periods is always paid.
-            sparse = net.is_sparse
-            batch = net.is_batch
+            budget = net.sparse_budget
             plan = FaultPlan.from_config(cfg)
             max_periods = max(1, int(cfg.max_time_ms / cfg.period_ms))
             with obs.span("discovery"):
-                if sparse:
-                    budget = net.sparse_budget
-                    discovery_cls = (
-                        BatchBeaconDiscovery if batch else SparseBeaconDiscovery
-                    )
-                    disc = discovery_cls(
-                        budget,
-                        threshold_dbm=cfg.threshold_dbm,
-                        period_slots=cfg.period_slots,
-                        slot_ms=cfg.slot_ms,
-                        preambles=cfg.beacon_preambles,
-                    ).run(
-                        net.streams.stream("st-beacons"),
-                        required=(
-                            top_k_required_batch(budget)
-                            if batch
-                            else top_k_required_csr(budget, k=1)
-                        ),
-                        max_periods=max_periods,
-                        obs=kobs,
-                        obs_labels={"algorithm": "st", "stage": "discovery"},
-                        faults=plan,
-                    )
-                else:
-                    disc = BeaconDiscovery(
-                        net.link_budget.mean_rx_dbm,
-                        threshold_dbm=cfg.threshold_dbm,
-                        period_slots=cfg.period_slots,
-                        slot_ms=cfg.slot_ms,
-                        preambles=cfg.beacon_preambles,
-                        fading=net.link_budget.fading,
-                    ).run(
-                        net.streams.stream("st-beacons"),
-                        required=top_k_required(net.weights, net.adjacency, k=1),
-                        max_periods=max_periods,
-                        obs=kobs,
-                        obs_labels={"algorithm": "st", "stage": "discovery"},
-                        faults=plan,
-                    )
+                disc = SparseBeaconDiscovery(
+                    budget,
+                    threshold_dbm=cfg.threshold_dbm,
+                    period_slots=cfg.period_slots,
+                    slot_ms=cfg.slot_ms,
+                    preambles=cfg.beacon_preambles,
+                ).run(
+                    net.streams.stream("st-beacons"),
+                    required=top_k_required_csr(budget, k=1),
+                    max_periods=max_periods,
+                    obs=kobs,
+                    obs_labels={"algorithm": "st", "stage": "discovery"},
+                    faults=plan,
+                )
             discovery_periods = max(disc.periods, cfg.discovery_periods)
             discovery_ms = discovery_periods * cfg.period_ms
             # actual beacon transmissions (backoff/crash silence included)
@@ -267,33 +153,20 @@ class STSimulation:
             with obs.span("construction", merge_rule=cfg.merge_rule):
                 with obs.span("merge_schedule"):
                     if cfg.merge_rule == "ghs":
-                        # GHS has no CSR port yet — a sparse network pays
-                        # the one-off densify (net.densified records it)
+                        # GHS runs on the dense views (one-off densify)
                         boruvka = distributed_ghs(net.weights, net.adjacency)
-                    elif sparse:
-                        # link weights ARE the symmetrized PS weights,
-                        # bitwise (see D2DNetwork docstring)
-                        boruvka_fn = (
-                            distributed_boruvka_batch
-                            if batch
-                            else distributed_boruvka_csr
-                        )
-                        boruvka = boruvka_fn(
+                    else:
+                        # link weights ARE the symmetrized PS weights
+                        boruvka = distributed_boruvka_csr(
                             n,
                             budget.link_indptr,
                             budget.link_indices,
                             budget.link_power_dbm,
                         )
-                    else:
-                        boruvka = distributed_boruvka(net.weights, net.adjacency)
                 # the replay ledger answers the size/diameter queries the
-                # timing model needs; the batch variant answers them with
-                # O(1) oracle distances over the final forest instead of a
-                # BFS per merge — identical integers either way
-                if batch:
-                    ledger = BatchReplayLedger(n, boruvka.edges)
-                else:
-                    ledger = _FragmentReplayLedger(n)
+                # timing model needs with O(1) oracle distances over the
+                # final forest
+                ledger = ReplayLedger(n, boruvka.edges)
                 handshake_msgs = 0
                 align_msgs = 0
                 construction_slots = 0
@@ -425,44 +298,29 @@ class STSimulation:
                     sync_window_ms=cfg.sync_window_ms,
                     collision_policy=cfg.collision_policy,
                 )
-                if sparse:
-                    # both directions of each tree edge, powers looked up
-                    # from the radio CSR — no (n, n) allocation
-                    eu = np.fromiter(
-                        (u for u, _ in tree_edges),
-                        dtype=np.int64,
-                        count=len(tree_edges),
-                    )
-                    ev = np.fromiter(
-                        (v for _, v in tree_edges),
-                        dtype=np.int64,
-                        count=len(tree_edges),
-                    )
-                    tx = np.concatenate((eu, ev))
-                    rx = np.concatenate((ev, eu))
-                    kernel_cls = (
-                        BatchPulseSyncKernel if batch else SparsePulseSyncKernel
-                    )
-                    kernel = kernel_cls.from_edges(
-                        n,
-                        tx,
-                        rx,
-                        budget.edge_power_lookup(tx, rx),
-                        self.prc,
-                        fading=budget.fading,
-                        **kernel_opts,
-                    )
-                else:
-                    tree_adj = np.zeros((n, n), dtype=bool)
-                    for u, v in tree_edges:
-                        tree_adj[u, v] = tree_adj[v, u] = True
-                    kernel = PulseSyncKernel(
-                        net.link_budget.mean_rx_dbm,
-                        tree_adj,
-                        self.prc,
-                        fading=net.link_budget.fading,
-                        **kernel_opts,
-                    )
+                # both directions of each tree edge, powers looked up
+                # from the radio CSR — no (n, n) allocation
+                eu = np.fromiter(
+                    (u for u, _ in tree_edges),
+                    dtype=np.int64,
+                    count=len(tree_edges),
+                )
+                ev = np.fromiter(
+                    (v for _, v in tree_edges),
+                    dtype=np.int64,
+                    count=len(tree_edges),
+                )
+                tx = np.concatenate((eu, ev))
+                rx = np.concatenate((ev, eu))
+                kernel = SparsePulseSyncKernel.from_edges(
+                    n,
+                    tx,
+                    rx,
+                    budget.edge_power_lookup(tx, rx),
+                    self.prc,
+                    fading=budget.fading,
+                    **kernel_opts,
+                )
                 if active_mask is not None and not active_mask.any():
                     # total extinction before the trim: nothing to sync
                     trim = PulseSyncResult(

@@ -3,8 +3,8 @@
 :class:`LiveNeighborView` answers the service's ``GET /near/{ue}``
 question — who can UE *x* hear right now, how strongly, and roughly how
 far away — directly from the network's link structure filtered by the
-current active mask.  It never densifies: on a sparse network one CSR
-row slice per query, on a dense network one adjacency row.
+current active mask.  It never densifies: one link-CSR row slice per
+query.
 
 Ordering is deterministic: neighbours sort by descending PS strength
 with ascending-id tie-break, so the same world state always serialises
@@ -57,16 +57,11 @@ class LiveNeighborView:
         n = self.network.n
         if not 0 <= device < n:
             raise ValueError(f"device {device} out of range 0..{n - 1}")
-        if self.network.is_sparse:
-            budget = self.network.sparse_budget
-            lo = int(budget.link_indptr[device])
-            hi = int(budget.link_indptr[device + 1])
-            nbr = budget.link_indices[lo:hi]
-            power = budget.link_power_dbm[lo:hi]
-        else:
-            row = self.network.adjacency[device]
-            nbr = np.flatnonzero(row)
-            power = self.network.weights[device, nbr]
+        budget = self.network.sparse_budget
+        lo = int(budget.link_indptr[device])
+        hi = int(budget.link_indptr[device + 1])
+        nbr = budget.link_indices[lo:hi]
+        power = budget.link_power_dbm[lo:hi]
         keep = self._active[nbr]
         nbr = nbr[keep]
         power = power[keep]

@@ -5,7 +5,7 @@
   :class:`~repro.core.config.PaperConfig` (``faults=...``) or parsed
   from a CLI spec string (``simulate --faults "crash=0.1,..."``).
 * :class:`FaultPlan` — the materialized, counter-hashed decision
-  source; dense and sparse backends draw identical faults from it.
+  source; every decision is a pure function of event identity.
 * :class:`InvariantChecker` / :class:`InvariantViolation` — round-by-
   round validation that degraded runs still uphold the protocol's
   contracts (acyclic in-graph trees, monotone fragments, phases in

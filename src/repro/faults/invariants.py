@@ -55,22 +55,18 @@ class InvariantViolation(RuntimeError):
 def network_edge_exists(network) -> Callable[[int, int], bool]:
     """Proximity-graph membership test that never densifies.
 
-    Dense networks answer from the adjacency matrix; sparse networks
-    binary-search the link CSR (rows are sorted by neighbour id).
+    Binary-searches the link CSR (rows are sorted by neighbour id).
     """
-    if network.is_sparse:
-        sb = network.sparse_budget
-        indptr = sb.link_indptr
-        indices = sb.link_indices
+    sb = network.sparse_budget
+    indptr = sb.link_indptr
+    indices = sb.link_indices
 
-        def exists(u: int, v: int) -> bool:
-            lo, hi = int(indptr[u]), int(indptr[u + 1])
-            pos = lo + int(np.searchsorted(indices[lo:hi], v))
-            return pos < hi and int(indices[pos]) == v
+    def exists(u: int, v: int) -> bool:
+        lo, hi = int(indptr[u]), int(indptr[u + 1])
+        pos = lo + int(np.searchsorted(indices[lo:hi], v))
+        return pos < hi and int(indices[pos]) == v
 
-        return exists
-    adjacency = network.adjacency
-    return lambda u, v: bool(adjacency[u, v])
+    return exists
 
 
 class InvariantChecker:

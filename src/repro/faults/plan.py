@@ -17,9 +17,9 @@ of a run key and the *identity* of the event being decided —
 * clock drift:      ``f(key, device)``          (clipped normal factor)
 * event drop:       ``f(key, seq)``             (engine callbacks)
 
-so dense and sparse execution layouts draw **identical** faults in any
-evaluation order, and a faulty run is bitwise reproducible across repeats
-and backends (``tests/test_sparse_parity.py``).  The plan key derives
+so every evaluation order (per event, per cohort, per whole-array pass)
+draws **identical** faults, and a faulty run is bitwise reproducible
+across repeats (``tests/test_sparse_parity.py``).  The plan key derives
 purely from ``config.seed`` — no generator stream is consumed — so
 enabling a plan with all probabilities zero perturbs nothing.
 """
@@ -226,7 +226,7 @@ class FaultPlan:
 
         The key is a pure hash of ``config.seed``: no generator stream is
         consumed, so fault-free runs are bit-identical with or without
-        this call, and dense/sparse backends derive the same plan.
+        this call.
         """
         fc = getattr(config, "faults", None)
         if fc is None or not fc.active:

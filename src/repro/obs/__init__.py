@@ -17,7 +17,7 @@ One :class:`Observability` bundle travels through a run and collects
 ``STSimulation``/``FSTSimulation`` create a private bundle per run when
 none is supplied, so every :class:`~repro.core.results.RunResult` carries
 a metrics snapshot.  Hot kernels (:class:`~repro.core.pulsesync.
-PulseSyncKernel`, :class:`~repro.core.beacon.BeaconDiscovery`,
+SparsePulseSyncKernel`, :class:`~repro.core.beacon.SparseBeaconDiscovery`,
 :class:`~repro.sim.engine.Engine`) take ``obs=None`` and skip all
 instrumentation when unset — the disabled path adds no per-event work.
 

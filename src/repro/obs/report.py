@@ -174,7 +174,7 @@ def _message_bills(doc: dict[str, Any]) -> dict[str, dict[str, float]]:
 # ----------------------------------------------------------------------
 def _section_headline(doc: dict[str, Any]) -> str:
     rows = []
-    for key in ("experiment", "algorithm", "backend", "n", "seed", "faults"):
+    for key in ("experiment", "algorithm", "n", "seed", "faults"):
         if key in doc:
             rows.append(
                 f'<tr><th class="l">{_esc(key)}</th>'

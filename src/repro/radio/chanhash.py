@@ -68,8 +68,8 @@ def hashed_uniform(codes: np.ndarray, subkey: np.uint64) -> np.ndarray:
     The primitive behind every counter-based draw in the repo — channel
     randomness here and the fault decisions of
     :mod:`repro.faults.plan` — so all of them share the layout-
-    independence property that makes dense and sparse backends
-    seed-for-seed identical.
+    independence property: a draw depends on the event's identity, not
+    on the order or batch shape it is evaluated in.
     """
     h = splitmix64(codes ^ subkey)
     return ((h >> _U64(11)).astype(np.float64) + 0.5) * _INV_2_53

@@ -17,8 +17,8 @@ from repro.radio.chanhash import event_exponential
 #: Hashed Rayleigh fading clips the dB gain to this cap.  An Exp(1) power
 #: gain exceeds +6 dB (g ≈ 4) with probability e⁻⁴ ≈ 1.8 %; the cap bounds
 #: the link budget headroom the sparse candidate generator must allow for
-#: beacon decoding on sub-threshold-mean links.  Both the dense and the
-#: sparse path apply the same cap, so they stay seed-for-seed identical.
+#: beacon decoding on sub-threshold-mean links.  Dense-matrix and per-edge
+#: draws apply the same cap, so they stay seed-for-seed identical.
 FADE_CAP_DB = 6.0
 
 #: Floor matching the legacy ``max(gain, 1e-12)`` clamp (−120 dB).

@@ -59,15 +59,16 @@ class HashedShadowing:
     Each link's value is a pure function of ``(key, {i, j})`` (see
     :mod:`repro.radio.chanhash`), so a dense ``link_matrix`` and a sparse
     per-edge :meth:`link_db` produce bitwise-identical values for the
-    same links.  This is the property the sparse scale path needs for
-    seed-for-seed parity with the dense reference.
+    same links.  This is what lets the CSR network and the dense helper
+    views (and the dense test references) agree bitwise.
 
     Draws are clipped to ``±clip_sigma`` standard deviations.  Unbounded
     Gaussian shadowing admits arbitrarily large *gains*, which would make
     every pair of devices a potential link and defeat any spatial pruning;
     measured shadowing is bounded in practice, and the clip (default 3σ,
-    i.e. 30 dB at Table I's σ = 10 dB) perturbs 0.27 % of draws.  Both
-    the dense and sparse paths apply the same clip, so parity holds.
+    i.e. 30 dB at Table I's σ = 10 dB) perturbs 0.27 % of draws.  The
+    dense matrix and the per-edge draws apply the same clip, so they
+    agree bitwise.
 
     Parameters
     ----------

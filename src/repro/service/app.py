@@ -310,7 +310,6 @@ class DiscoveryApp:
                 "step": w.step_index,
                 "time_ms": w.now_ms,
                 "paused": w.paused,
-                "backend": cfg.base.resolved_backend,
                 "seed": cfg.base.seed,
                 "tree_version": w.tree_version,
             },

@@ -103,7 +103,6 @@ def capture_service(config: PaperConfig) -> dict:
     return {
         "schema": CAPTURE_SCHEMA,
         "n_devices": config.n_devices,
-        "backend": config.resolved_backend,
         "seed": config.seed,
         "responses": responses,
     }
@@ -147,7 +146,7 @@ def diff_service(config: PaperConfig) -> DiffOutcome:
         _note(obs, "service-replay", div)
         detail = (
             f"{len(first['responses'])} scripted responses on "
-            f"n={config.n_devices} [{config.resolved_backend}]"
+            f"n={config.n_devices}"
         )
         return DiffOutcome(pair="service-replay", divergence=div, detail=detail)
 
@@ -188,7 +187,7 @@ def service_corpus_outcomes(
     """Sweep the scripted-session replay across the golden corpus.
 
     Corpus specs differing only in algorithm share a world, so each
-    distinct ``(n, backend, faulted)`` cell is captured once and the
+    distinct ``(n, faulted)`` cell is captured once and the
     result is reported under every golden name it covers.  ``sample``
     keeps only every k-th distinct cell (for quick smoke passes).
     """
@@ -198,7 +197,7 @@ def service_corpus_outcomes(
     skipped: set[tuple] = set()
     index = 0
     for name, config, _algorithm in corpus_specs():
-        cell = (config.n_devices, config.backend, config.faults is not None)
+        cell = (config.n_devices, config.faults is not None)
         if cell in skipped:
             continue
         if cell not in seen:

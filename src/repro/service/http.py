@@ -26,7 +26,7 @@ import asyncio
 import threading
 from urllib.parse import parse_qsl, urlsplit
 
-from repro.service.app import DiscoveryApp, Request, Response
+from repro.service.app import DiscoveryApp, Request, Response, _error
 
 _STATUS_TEXT = {
     200: "OK",
@@ -101,6 +101,10 @@ class ServiceServer:
                 request = await self._read_request(reader)
                 if request is None:
                     break
+                if isinstance(request, Response):
+                    # the request's framing is unknown: answer, then close
+                    await self._write_response(writer, request, False)
+                    break
                 method, target, headers, body = request
                 path, query = _split_target(target)
                 if (
@@ -135,7 +139,9 @@ class ServiceServer:
 
     async def _read_request(
         self, reader: asyncio.StreamReader
-    ) -> tuple[str, str, dict[str, str], bytes] | None:
+    ) -> tuple[str, str, dict[str, str], bytes] | Response | None:
+        """The next request, an error :class:`Response` for a request
+        that cannot be framed, or ``None`` to close the connection."""
         line = await reader.readline()
         if not line or not line.strip():
             return None
@@ -150,7 +156,10 @@ class ServiceServer:
                 break
             name, _, value = raw.decode("latin-1").partition(":")
             headers[name.strip().lower()] = value.strip()
-        length = int(headers.get("content-length", "0") or "0")
+        raw_length = headers.get("content-length", "0") or "0"
+        if not (raw_length.isascii() and raw_length.isdigit()):
+            return _error(400, f"invalid Content-Length {raw_length!r}")
+        length = int(raw_length)
         if length > MAX_BODY_BYTES:
             return None
         body = await reader.readexactly(length) if length else b""
@@ -184,20 +193,27 @@ class ServiceServer:
         A reconnecting EventSource client sends ``Last-Event-ID`` — the
         id of the last frame it saw — so the resume cursor is that id
         plus one.  The header wins over ``since``: it is what the
-        browser machinery actually retransmits.
+        browser machinery actually retransmits.  Bad ``since`` or
+        ``max_frames`` values are answered with a 400 before any stream
+        byte is written.
         """
+        cursor = DiscoveryApp._int_param(query, "since", 0)
+        remaining = DiscoveryApp._int_param(query, "max_frames", None)
+        if remaining == 0:
+            remaining = _error(400, "max_frames must be >= 1")
+        for bad in (cursor, remaining):
+            if isinstance(bad, Response):
+                await self._write_response(writer, bad, False)
+                return
         writer.write(
             b"HTTP/1.1 200 OK\r\n"
             b"Content-Type: text/event-stream\r\n"
             b"Cache-Control: no-cache\r\n"
             b"Connection: close\r\n\r\n"
         )
-        cursor = int(query.get("since", "0") or "0")
         last_id = (headers or {}).get("last-event-id", "").strip()
-        if last_id.isdigit():
+        if last_id.isascii() and last_id.isdigit():
             cursor = int(last_id) + 1
-        budget = query.get("max_frames")
-        remaining = int(budget) if budget is not None else None
         sse = self.app.world.sse
         while not self._stopping.is_set():
             limit = remaining if remaining is not None else None

@@ -3,8 +3,7 @@
 The service's world is the PR 3 churn machinery promoted from a finite
 scenario to an open-ended process.  A :class:`PaperConfig` defines the
 *universe* — ``n_devices`` capacity slots with fixed positions and link
-structure, never densified on a sparse backend — and a subset is active
-at any moment.  Each call to :meth:`SteadyStateWorld.step` advances one
+structure, no dense views — and a subset is active at any moment.  Each call to :meth:`SteadyStateWorld.step` advances one
 epoch of ``step_ms`` simulated milliseconds:
 
 * arrival and departure **counts** are Poisson draws inverted from

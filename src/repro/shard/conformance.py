@@ -36,9 +36,7 @@ from repro.shard.runner import run_city
 from repro.shard.tiling import CityConfig
 
 #: Golden sections that are pure protocol content — independent of the
-#: config stamp (and therefore of the execution backend).  Per-shard
-#: payload hashes cover exactly these, so a sharded golden replays
-#: cleanly under a ``--backend`` override just like single-region ones.
+#: config stamp.  Per-shard payload hashes cover exactly these.
 PAYLOAD_SECTIONS = (
     "result",
     "bill",
@@ -53,7 +51,7 @@ PAYLOAD_SECTIONS = (
 
 
 def shard_payload_hash(doc: dict[str, Any]) -> str:
-    """Backend-invariant content hash of one shard's golden doc."""
+    """Stamp-independent content hash of one shard's golden doc."""
     return content_hash({k: doc[k] for k in PAYLOAD_SECTIONS})
 
 
@@ -174,21 +172,12 @@ def capture_city(
 # ----------------------------------------------------------------------
 # replay
 # ----------------------------------------------------------------------
-def replay_city(
-    golden: GoldenTrace, *, backend: str | None = None
-) -> tuple[GoldenTrace, Divergence | None]:
+def replay_city(golden: GoldenTrace) -> tuple[GoldenTrace, Divergence | None]:
     """Re-execute a sharded golden and locate the first divergence.
 
-    Mirrors :func:`~repro.conformance.golden.replay`; ``backend``
-    overrides the city-wide backend policy (each shard still resolves it
-    against its own population), which is the cross-backend conformance
-    check for the sharded tier.
+    Mirrors :func:`~repro.conformance.golden.replay`.
     """
     city = city_from_summary(golden.config)
-    if backend is not None:
-        city = CityConfig(
-            city.base.replace(backend=backend), city.rows, city.cols
-        )
     fresh = capture_city(city, golden.algorithm, name=golden.name)
     div = first_divergence(
         golden.doc(), fresh.doc(), pair=f"golden-vs-run:{golden.name}"

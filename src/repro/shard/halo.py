@@ -10,7 +10,7 @@ halo layer finds those **cross-tile** links deterministically:
   bands (the segment between them crosses the shared border), so bands
   are a lossless exchange set.
 * Candidate pairs come from the same :class:`~repro.radio.spatial.CellGrid`
-  machinery the sparse backend uses — cell side equal to the radius, the
+  machinery the network build uses — cell side equal to the radius, the
   half-neighbourhood offsets covering every adjacent cell pair exactly
   once — followed by the exact distance filter (:func:`cross_pairs`).
 * Every cross-tile pair is **owned by exactly one shard**: the one with

@@ -1,8 +1,8 @@
 """Sharded city execution: process pool, halo merge, canonical result.
 
 :func:`run_city` executes every shard of a :class:`~repro.shard.tiling.
-CityConfig` — each an independent single-region simulation on the
-backend the config resolves to — then runs the halo exchange
+CityConfig` — each an independent single-region simulation — then
+runs the halo exchange
 (:mod:`repro.shard.halo`) for the cross-tile links, and merges the
 per-shard message bills, observability snapshots and results into one
 :class:`CityResult`.
@@ -209,7 +209,6 @@ def _shard_payload(
         "shard_id": shard_id,
         "n": cfg.n_devices,
         "seed": cfg.seed,
-        "backend": cfg.resolved_backend,
         "origin": [ox, oy],
         "runs": runs,
         "band": band,
@@ -312,7 +311,6 @@ class CityResult:
                 "n_devices": base.n_devices,
                 "area_side_m": base.area_side_m,
                 "seed": base.seed,
-                "backend": base.backend,
                 "tiles": [self.city.rows, self.city.cols],
                 "faults": base.faults.to_spec() if base.faults else None,
             },
@@ -444,7 +442,6 @@ def run_city(
                 "shard_id": p["shard_id"],
                 "n": p["n"],
                 "seed": p["seed"],
-                "backend": p["backend"],
                 "origin": p["origin"],
                 "runs": p["runs"],
             }

@@ -150,13 +150,11 @@ class CityConfig:
 
     ``base`` describes the *whole* city — ``base.n_devices`` devices over
     a ``base.area_side_m`` square — and every other knob (channel,
-    protocol, faults, backend policy) applies uniformly to every shard.
+    protocol, faults) applies uniformly to every shard.
     Devices split across tiles as evenly as possible
     (:meth:`shard_counts`); each shard becomes an ordinary single-region
     :class:`~repro.core.config.PaperConfig` over its tile
-    (:meth:`shard_config`), with the backend selection
-    (``resolved_backend``) applying per tile size — an ``auto`` city
-    picks dense/sparse/batch from each shard's own population.
+    (:meth:`shard_config`).
     """
 
     base: PaperConfig

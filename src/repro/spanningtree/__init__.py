@@ -28,7 +28,6 @@ from repro.spanningtree.mst import (
 )
 from repro.spanningtree.repair import (
     RepairResult,
-    repair_after_failure,
     repair_after_failure_csr,
 )
 from repro.spanningtree.unionfind import UnionFind
@@ -45,7 +44,6 @@ __all__ = [
     "PhaseRecord",
     "RepairResult",
     "UnionFind",
-    "repair_after_failure",
     "repair_after_failure_csr",
     "distributed_boruvka",
     "distributed_ghs",

@@ -18,18 +18,16 @@ Message accounting per phase (see :mod:`repro.spanningtree.messages`):
 Ties are broken by node-id pair so the weight order is total even when
 two physical links produce identical RSSI values.
 
-Two entry points share one fully vectorized phase driver: per-node
-candidate scans and the per-fragment MWOE election are segment reductions
-(no per-node Python loops).  :func:`distributed_boruvka` scans a dense
-``(n, n)`` weight matrix; :func:`distributed_boruvka_csr` scans a CSR
-edge list in O(E) per phase.  Candidate selection is deterministic and
+Two entry points share one fully vectorized phase driver
+(:func:`_drive_phases`): per-node candidate scans, the per-fragment MWOE
+election and the message accounting are array passes (no per-node or
+per-fragment Python loops).  :func:`distributed_boruvka_csr` — what the
+simulations run — scans a CSR edge list in O(E) per phase;
+:func:`distributed_boruvka` scans a dense ``(n, n)`` weight matrix for
+the matrix callers (induced multiservice subgraphs, Fig. 2, mobility,
+the permutation relation).  Candidate selection is deterministic and
 identical in both (ties: higher weight, then lower ``(min, max)`` pair),
 so they produce the same phases, edges and message bill.
-
-A third entry point, :func:`distributed_boruvka_batch`, reuses the CSR
-candidate scan under :func:`_run_phases_batch` — an incremental
-component array plus bincount accounting instead of per-fragment Python
-loops — for the ``batch`` backend; it returns the identical result.
 """
 
 from __future__ import annotations
@@ -112,93 +110,25 @@ def _fragment_mwoe(
     return roots[sel], us[sel], vs[sel]
 
 
-def _run_phases(
+def _drive_phases(
     n: int,
     frags: FragmentSet,
     counter: MessageCounter,
     max_phases: int,
     candidate_fn,
 ) -> list[PhaseRecord]:
-    """Shared phase driver.
+    """The phase driver shared by both entry points.
 
     ``candidate_fn(comp)`` returns per-node candidates ``(us, vs, ws)``:
     for every node ``u`` with at least one outgoing edge, its heaviest
-    one (ties: lowest neighbour id, matching dense argmax).
-    """
-    obs = get_active()
-    phases: list[PhaseRecord] = []
-    for phase_idx in range(max_phases):
-        if frags.count == 1:
-            break
-        comp = np.fromiter(
-            (frags.fragment_of(i) for i in range(n)), dtype=np.int64, count=n
-        )
-        span = (
-            obs.span("mwoe_scan", phase=phase_idx, nodes=n)
-            if obs is not None
-            else nullcontext()
-        )
-        with span:
-            us, vs, ws = candidate_fn(comp)
-        if us.size == 0:
-            break  # disconnected: remaining fragments can never merge
-
-        phase_counter = MessageCounter()
-        phase_counter.add(MessageKind.TEST, int(us.size))
-        fragments_before = frags.count
-        roots_sel, u_sel, v_sel = _fragment_mwoe(comp, us, vs, ws, n)
-        mwoe_roots = set(int(r) for r in roots_sel)
-
-        # convergecast + broadcast + connect accounting; fragments with no
-        # outgoing edge (done, or isolated/dead nodes) stay silent
-        for frag in frags.fragments():
-            root = frags.fragment_of(frag.head)
-            if root in mwoe_roots:
-                phase_counter.add(MessageKind.REPORT, frag.size)
-                phase_counter.add(MessageKind.MERGE_ANNOUNCE, frag.size - 1)
-                phase_counter.add(MessageKind.CONNECT, 1)
-
-        chosen: list[tuple[int, int]] = []
-        for u, v in zip(u_sel.tolist(), v_sel.tolist()):
-            if frags.merge(u, v):
-                chosen.append((min(u, v), max(u, v)))
-        counter.merge(phase_counter)
-        phases.append(
-            PhaseRecord(
-                phase=phase_idx,
-                fragments_before=fragments_before,
-                fragments_after=frags.count,
-                chosen_edges=tuple(sorted(chosen)),
-                messages=phase_counter.as_dict(),
-            )
-        )
-    return phases
-
-
-def _run_phases_batch(
-    n: int,
-    frags: FragmentSet,
-    counter: MessageCounter,
-    max_phases: int,
-    candidate_fn,
-) -> list[PhaseRecord]:
-    """Batch-backend phase driver — same phases as :func:`_run_phases`.
-
-    Two per-phase Python bottlenecks of the shared driver are replaced
-    with array passes that compute the exact same integers:
-
-    * the component scan (``fromiter`` over ``fragment_of``) becomes an
-      incrementally maintained ``comp`` array, updated after each phase
-      by pointer-jumping a root remap until it reaches a fixpoint (one
-      phase's merges can chain, so a root may map through several hops);
-    * the per-fragment accounting loop (which snapshots every fragment
-      as a frozenset each phase) becomes a ``bincount`` over ``comp``:
-      a fragment whose root won an MWOE contributes REPORT = size,
-      MERGE_ANNOUNCE = size − 1 and CONNECT = 1 — summed in bulk.
-
-    Candidate selection, MWOE election and the merge sequence are the
-    shared code paths, so phases, chosen edges and message bills are
-    identical to the sparse driver's.
+    one (ties: lowest neighbour id).  ``comp`` maps every node to its
+    fragment root; it is maintained incrementally, updated after each
+    phase by pointer-jumping a root remap until it reaches a fixpoint
+    (one phase's merges can chain, so a root may map through several
+    hops).  Accounting is a ``bincount`` over ``comp``: a fragment whose
+    root won an MWOE contributes REPORT = size, MERGE_ANNOUNCE = size − 1
+    and CONNECT = 1; fragments with no outgoing edge (done, or
+    isolated/dead nodes) stay silent.
     """
     obs = get_active()
     phases: list[PhaseRecord] = []
@@ -333,7 +263,7 @@ def distributed_boruvka(
         us = np.nonzero(has_out)[0]
         return us, best_nbr[us], best_w[us]
 
-    phases = _run_phases(n, frags, counter, max_phases, candidates)
+    phases = _drive_phases(n, frags, counter, max_phases, candidates)
     return BoruvkaResult(
         edges=frags.all_tree_edges(),
         phases=phases,
@@ -359,57 +289,6 @@ def distributed_boruvka_csr(
     chosen edges and message bill as the dense function on the
     equivalent matrix inputs.
     """
-    return _boruvka_csr(
-        n,
-        indptr,
-        indices,
-        edge_weight,
-        _run_phases,
-        max_phases=max_phases,
-        initial_edges=initial_edges,
-    )
-
-
-def distributed_boruvka_batch(
-    n: int,
-    indptr: np.ndarray,
-    indices: np.ndarray,
-    edge_weight: np.ndarray,
-    *,
-    max_phases: int | None = None,
-    initial_edges: list[tuple[int, int]] | None = None,
-) -> BoruvkaResult:
-    """Batch-backend :func:`distributed_boruvka_csr` — identical result.
-
-    Same CSR candidate scan (one up-front presort, first surviving edge
-    per node per phase) driven by :func:`_run_phases_batch`, which keeps
-    the fragment-component array incrementally and accounts messages
-    with a ``bincount`` instead of per-fragment Python loops.  Phases,
-    chosen edges, message bills and final fragments are equal to the
-    CSR (and dense) functions' — verified edge-for-edge by
-    ``tests/test_batch_parity.py``.
-    """
-    return _boruvka_csr(
-        n,
-        indptr,
-        indices,
-        edge_weight,
-        _run_phases_batch,
-        max_phases=max_phases,
-        initial_edges=initial_edges,
-    )
-
-
-def _boruvka_csr(
-    n: int,
-    indptr: np.ndarray,
-    indices: np.ndarray,
-    edge_weight: np.ndarray,
-    phase_driver,
-    *,
-    max_phases: int | None = None,
-    initial_edges: list[tuple[int, int]] | None = None,
-) -> BoruvkaResult:
     indptr = np.asarray(indptr, dtype=np.int64)
     indices = np.asarray(indices, dtype=np.int64)
     edge_weight = np.asarray(edge_weight, dtype=float)
@@ -446,12 +325,12 @@ def _boruvka_csr(
             return empty, empty, np.empty(0, dtype=float)
         t = t_s[idx]
         # first surviving edge per node = its heaviest outgoing edge
-        # (ties → lowest neighbour id, matching dense argmax semantics)
+        # (ties → lowest neighbour id, as in the dense argmax scan)
         first = np.concatenate(([True], t[1:] != t[:-1]))
         sel = idx[first]
         return t_s[sel], r_s[sel], w_s[sel]
 
-    phases = phase_driver(n, frags, counter, max_phases, candidates)
+    phases = _drive_phases(n, frags, counter, max_phases, candidates)
     return BoruvkaResult(
         edges=frags.all_tree_edges(),
         phases=phases,

@@ -5,9 +5,9 @@ spanning tree splits into as many fragments as the dead device had tree
 neighbours.  Rebuilding from scratch costs the full Borůvka bill; the
 *repair* protocol instead keeps every surviving fragment intact and runs
 Borůvka seeded with those fragments — only the few re-merging phases are
-paid.  ``repair_after_failure`` implements this and reports both the
-repaired tree and the message cost, so the repair-vs-rebuild saving is
-measurable (see ``benchmarks/bench_extensions.py``).
+paid.  :func:`repair_after_failure_csr` implements this over the link
+CSR and reports both the repaired tree and the message cost, so the
+repair-vs-rebuild saving is measurable (see ``benchmarks/bench_extensions.py``).
 
 This addresses the paper's §VI "more realistic scenarios" future work:
 real D2D populations churn.
@@ -21,10 +21,7 @@ from typing import Iterable
 import numpy as np
 
 from repro.radio.sparse_link import csr_from_edges
-from repro.spanningtree.boruvka import (
-    distributed_boruvka,
-    distributed_boruvka_csr,
-)
+from repro.spanningtree.boruvka import distributed_boruvka_csr
 from repro.spanningtree.messages import MessageCounter
 from repro.spanningtree.unionfind import UnionFind
 
@@ -87,42 +84,12 @@ def _split_tree(
     return surviving_edges, removed_edges, fragments
 
 
-def _repair_result(
-    result,
-    surviving_edges: list[tuple[int, int]],
-    removed_edges: list[tuple[int, int]],
-    fragments: int,
-    failed_set: set[int],
-) -> RepairResult:
-    """Package a seeded Borůvka run as a :class:`RepairResult`."""
-    # repaired iff all survivors ended in one fragment (failed ids remain
-    # isolated singleton fragments by construction)
-    survivor_fragments = {
-        frag.head
-        for frag in result.fragments
-        if not frag.members <= failed_set
-    }
-    repaired = len(survivor_fragments) == 1
-    new_edges = sorted(set(result.edges) - set(surviving_edges))
-    return RepairResult(
-        tree_edges=result.edges,
-        new_edges=new_edges,
-        removed_edges=sorted(removed_edges),
-        fragments_after_failure=fragments,
-        messages=result.counter.total,
-        phases=result.phase_count,
-        repaired=repaired,
-        counter=result.counter,
-    )
-
-
-def repair_after_failure(
+def repair_after_failure_csr(
     tree_edges: Iterable[tuple[int, int]],
     failed: int | Iterable[int],
-    weights: np.ndarray,
-    adjacency: np.ndarray,
+    budget,
 ) -> RepairResult:
-    """Repair ``tree_edges`` after ``failed`` device(s) leave the network.
+    """Repair ``tree_edges`` after ``failed`` device(s) leave — O(E) work.
 
     Parameters
     ----------
@@ -130,48 +97,16 @@ def repair_after_failure(
         The spanning tree before the failure.
     failed:
         A device id or a collection of ids that left.
-    weights, adjacency:
-        The (current) PS-strength matrix and usable-link mask; rows and
-        columns of failed devices are ignored.
+    budget:
+        The :class:`~repro.radio.sparse_link.SparseLinkBudget`; links
+        touching failed devices are filtered out in CSR form and Borůvka
+        re-runs seeded with the surviving fragments (free — no
+        messages), so only the re-merging phases are paid.
 
     Raises
     ------
     ValueError
-        If every device failed, or inputs are inconsistent.
-    """
-    weights = np.asarray(weights, dtype=float)
-    adjacency = np.asarray(adjacency, dtype=bool)
-    n = weights.shape[0]
-    failed_set, survivors = _normalize_failed(failed, n)
-    surviving_edges, removed_edges, fragments = _split_tree(
-        tree_edges, failed_set, survivors, n
-    )
-
-    # mask out the failed devices and re-run Borůvka from the survivors'
-    # fragments; the pre-existing fragments are free
-    adj = adjacency.copy()
-    adj[list(failed_set), :] = False
-    adj[:, list(failed_set)] = False
-    result = distributed_boruvka(
-        weights, adj, initial_edges=surviving_edges
-    )
-    return _repair_result(
-        result, surviving_edges, removed_edges, fragments, failed_set
-    )
-
-
-def repair_after_failure_csr(
-    tree_edges: Iterable[tuple[int, int]],
-    failed: int | Iterable[int],
-    budget,
-) -> RepairResult:
-    """Sparse :func:`repair_after_failure` over a link CSR — O(E) work.
-
-    ``budget`` is a :class:`~repro.radio.sparse_link.SparseLinkBudget`;
-    the survivors' link graph is filtered in CSR form (no dense mask is
-    materialized) and Borůvka re-runs seeded with the surviving
-    fragments.  Produces the same tree, bill and phase count as the
-    dense function on the equivalent matrix inputs.
+        If every device failed, or an id is out of range.
     """
     n = budget.n
     failed_set, survivors = _normalize_failed(failed, n)
@@ -190,6 +125,20 @@ def repair_after_failure_csr(
     result = distributed_boruvka_csr(
         n, indptr, indices, weight, initial_edges=surviving_edges
     )
-    return _repair_result(
-        result, surviving_edges, removed_edges, fragments, failed_set
+    # repaired iff all survivors ended in one fragment (failed ids remain
+    # isolated singleton fragments by construction)
+    survivor_fragments = {
+        frag.head
+        for frag in result.fragments
+        if not frag.members <= failed_set
+    }
+    return RepairResult(
+        tree_edges=result.edges,
+        new_edges=sorted(set(result.edges) - set(surviving_edges)),
+        removed_edges=sorted(removed_edges),
+        fragments_after_failure=fragments,
+        messages=result.counter.total,
+        phases=result.phase_count,
+        repaired=len(survivor_fragments) == 1,
+        counter=result.counter,
     )

@@ -54,27 +54,6 @@ class TestSimulateFaults:
         assert "faults: crash=0.2" in out
         assert "faults injected" in out
 
-    def test_faults_flag_identical_across_backends(self, capsys):
-        argv = [
-            "simulate",
-            "-n",
-            "32",
-            "--seed",
-            "3",
-            "--algorithm",
-            "st",
-            "--faults",
-            "crash=0.2,collision=0.1,crash_window_ms=2000",
-        ]
-        assert main(argv + ["--backend", "dense"]) == 0
-        dense_out = capsys.readouterr().out
-        assert main(argv + ["--backend", "sparse"]) == 0
-        sparse_out = capsys.readouterr().out
-        assert dense_out == sparse_out
-        assert main(argv + ["--backend", "batch"]) == 0
-        batch_out = capsys.readouterr().out
-        assert batch_out == sparse_out
-
     def test_zero_fault_spec_matches_plain_run(self, capsys):
         argv = ["simulate", "-n", "20", "--area", "50", "--algorithm", "st"]
         assert main(argv) == 0
@@ -97,21 +76,30 @@ class TestSimulateFaults:
 
 
 class TestSimulateBackend:
-    def test_explicit_batch_backend_runs(self, capsys):
-        assert (
-            main(
-                ["simulate", "-n", "20", "--area", "50", "--algorithm", "st",
-                 "--backend", "batch"]
-            )
-            == 0
-        )
-        assert "converged" in capsys.readouterr().out
-
     def test_unknown_backend_is_a_usage_error(self, capsys):
-        assert main(["simulate", "-n", "20", "--backend", "cuda"]) == 2
+        """There is one execution path: ``--backend`` is not an option."""
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "-n", "20", "--backend", "cuda"])
+        assert exc.value.code == 2
         err = capsys.readouterr().err
-        assert "invalid configuration" in err
-        assert "cuda" in err
+        assert "unrecognized arguments" in err
+        assert "--backend" in err
+
+    def test_no_subcommand_accepts_backend(self):
+        import argparse
+
+        from repro.cli import _build_parser
+
+        def option_strings(parser):
+            for action in parser._actions:
+                yield from action.option_strings
+                if isinstance(action, argparse._SubParsersAction):
+                    for sub in action.choices.values():
+                        yield from option_strings(sub)
+
+        options = set(option_strings(_build_parser()))
+        assert "--faults" in options  # the walk does reach subcommands
+        assert "--backend" not in options
 
 
 class TestSimulateArtifacts:

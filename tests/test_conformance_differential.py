@@ -4,7 +4,6 @@ import pytest
 
 from repro.conformance import (
     capture_run,
-    diff_backends,
     diff_boruvka_oracle,
     diff_fault_noop,
     diff_ffa,
@@ -14,6 +13,11 @@ from repro.conformance import (
 )
 from repro.conformance.report import render_summary
 from repro.core.config import PaperConfig
+from repro.core.network import D2DNetwork
+from repro.core.st import STSimulation
+from repro.spanningtree.boruvka import distributed_boruvka
+from repro.spanningtree.mst import maximum_spanning_tree
+from tests.references import dense_mesh_sync
 
 
 class TestFirstDivergence:
@@ -79,10 +83,23 @@ class TestFirstDivergence:
 
 
 class TestBackendPair:
+    """The dense-matrix kernel replays the CSR kernel's captured mesh
+    sync bitwise (same stream, same counter-hashed channel)."""
+
     @pytest.mark.parametrize("seed", [1, 2])
     def test_dense_sparse_identical(self, seed):
-        out = diff_backends(PaperConfig(n_devices=16, seed=seed))
-        assert out.ok, out.divergence.describe()
+        config = PaperConfig(n_devices=16, seed=seed)
+        sparse = capture_run(config, "pulsesync").result
+        dense = dense_mesh_sync(config, "pulsesync")
+        assert sparse == {
+            "converged": dense.converged,
+            "time_ms": dense.time_ms,
+            "messages": dense.messages,
+            "fires": dense.fires,
+            "instants": dense.instants,
+            "final_spread_ms": dense.final_spread_ms,
+            "sync_time_ms": dense.sync_time_ms,
+        }
 
 
 class TestFaultNoopPair:
@@ -112,12 +129,24 @@ class TestFaultNoopPair:
 
 
 class TestBoruvkaOraclePair:
+    """Three distributed constructions vs the centralized Kruskal oracle:
+    the matrix Borůvka over the dense views, the CSR Borůvka the pair
+    runs, and the whole ST simulation on the batch kernels."""
+
     @pytest.mark.parametrize("backend", ["dense", "sparse", "batch"])
     def test_distributed_matches_oracle(self, backend):
-        out = diff_boruvka_oracle(
-            PaperConfig(n_devices=32, seed=4, backend=backend)
-        )
-        assert out.ok, out.divergence.describe()
+        config = PaperConfig(n_devices=32, seed=4)
+        if backend == "sparse":
+            out = diff_boruvka_oracle(config)
+            assert out.ok, out.divergence.describe()
+            return
+        net = D2DNetwork(config)
+        oracle = maximum_spanning_tree(net.weights, net.adjacency)
+        if backend == "dense":
+            edges = distributed_boruvka(net.weights, net.adjacency).edges
+        else:
+            edges = STSimulation(D2DNetwork(config)).run().tree_edges
+        assert sorted(edges) == oracle
 
 
 class TestFFAPair:
@@ -134,9 +163,8 @@ class TestFFAPair:
 class TestRegistry:
     def test_run_all_pairs(self):
         outcomes = run_pairs(PaperConfig(n_devices=16, seed=2))
-        # backends, batch, faults, boruvka, ffa, shard, service,
-        # service-ops
-        assert len(outcomes) == 8
+        # faults, boruvka, ffa, shard, service, service-ops
+        assert len(outcomes) == 6
         assert all(o.ok for o in outcomes), [
             o.divergence.describe() for o in outcomes if not o.ok
         ]

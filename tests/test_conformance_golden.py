@@ -48,12 +48,10 @@ class TestCapture:
             capture_run(PaperConfig(n_devices=8, seed=1), "dijkstra")
 
     def test_config_round_trips_through_summary(self):
-        cfg = PaperConfig(n_devices=16, seed=4, backend="sparse")
+        cfg = PaperConfig(n_devices=16, seed=4)
         g = capture_run(cfg, "st")
         rebuilt = config_from_summary(g.config)
-        assert rebuilt.n_devices == cfg.n_devices
-        assert rebuilt.seed == cfg.seed
-        assert rebuilt.backend == cfg.backend
+        assert rebuilt == cfg
 
 
 class TestGoldenFile:
@@ -86,13 +84,6 @@ class TestReplay:
         _, div = replay(g)
         assert div is None
 
-    def test_replay_cross_backend_matches(self):
-        g = capture_run(
-            PaperConfig(n_devices=12, seed=5, backend="dense"), "fst"
-        )
-        _, div = replay(g, backend="sparse")
-        assert div is None
-
     def test_corrupted_golden_names_first_event(self):
         """The canary property: a tampered golden yields a divergence
         that names the exact event index and simulated time."""
@@ -111,7 +102,7 @@ class TestReplay:
 class TestCommittedCorpus:
     def test_corpus_complete(self, goldens_dir):
         specs = list(corpus_specs())
-        assert len(specs) == 36
+        assert len(specs) == 18
         for name, _, _ in specs:
             assert golden_path(goldens_dir, name).exists(), name
 
@@ -134,10 +125,9 @@ class TestCommittedCorpus:
     def test_corpus_spans_matrix(self, goldens_dir):
         names = {name for name, _, _ in corpus_specs()}
         for algo in ("st", "fst", "pulsesync"):
-            for backend in ("dense", "sparse"):
-                for state in ("clean", "faulted"):
-                    for n in CORPUS_SIZES:
-                        assert f"{algo}-{backend}-{state}-n{n}" in names
+            for state in ("clean", "faulted"):
+                for n in CORPUS_SIZES:
+                    assert f"{algo}-sparse-{state}-n{n}" in names
 
 
 class TestMessageBillRegression:

@@ -41,7 +41,7 @@ def test_node_relabeling_across_seeds(seed):
 
 def test_seed_translation_on_sparse_backend():
     div = relation_seed_translation(
-        PaperConfig(n_devices=24, seed=3, backend="sparse")
+        PaperConfig(n_devices=24, seed=3)
     )
     assert div is None, div.describe()
 

@@ -6,6 +6,8 @@ import pytest
 from repro.core.churn import ChurnSession
 from repro.core.config import PaperConfig
 from repro.core.network import D2DNetwork
+from repro.spanningtree.boruvka import distributed_boruvka
+from repro.spanningtree.mst import maximum_spanning_tree, tree_weight
 
 
 @pytest.fixture(scope="module")
@@ -112,67 +114,84 @@ class TestRebuild:
         assert [e.active_count for e in session.events] == [31, 30, 30]
 
 
+def _kruskal(oracle_net, active):
+    """Kruskal max-ST over the dense views, restricted to ``active``."""
+    adj = oracle_net.adjacency.copy()
+    inactive = [i for i in range(oracle_net.n) if i not in active]
+    adj[inactive, :] = False
+    adj[:, inactive] = False
+    return maximum_spanning_tree(oracle_net.weights, adj), adj
+
+
 class TestSparseBackend:
-    """Churn runs entirely on the link CSR: parity with dense, no densify."""
+    """Churn runs entirely on the link CSR and never materializes the
+    dense views; trees, bills and ratios match Kruskal and matrix-Borůvka
+    oracles computed over a twin network's dense views."""
 
     @pytest.fixture(scope="class")
     def pair(self):
-        cfg = PaperConfig(n_devices=48, seed=11, backend="dense")
-        return (
-            D2DNetwork(cfg),
-            D2DNetwork(cfg.replace(backend="sparse")),
-        )
+        cfg = PaperConfig(n_devices=48, seed=11)
+        # (oracle twin with dense views, the network the sessions run on)
+        return D2DNetwork(cfg), D2DNetwork(cfg)
 
-    def _sessions(self, pair):
-        dense, sparse = pair
-        active = set(range(40))
-        return (
-            ChurnSession(dense, initially_active=set(active)),
-            ChurnSession(sparse, initially_active=set(active)),
-        )
+    def _session(self, pair):
+        return ChurnSession(pair[1], initially_active=set(range(40)))
+
+    def _expected_ratio(self, pair, session):
+        oracle_net = pair[0]
+        oracle, _ = _kruskal(oracle_net, session.active)
+        mine = tree_weight(oracle_net.weights, session.tree_edges)
+        return mine / tree_weight(oracle_net.weights, oracle)
 
     def test_initial_tree_and_ratio_match(self, pair):
-        sd, ss = self._sessions(pair)
-        assert sorted(sd.tree_edges) == sorted(ss.tree_edges)
-        assert ss._optimality_ratio() == pytest.approx(
-            sd._optimality_ratio(), rel=1e-12
-        )
+        ss = self._session(pair)
+        oracle, _ = _kruskal(pair[0], ss.active)
+        assert sorted(ss.tree_edges) == oracle
+        assert ss._optimality_ratio() == pytest.approx(1.0, rel=1e-12)
         assert ss.is_spanning
-        assert not pair[1].densified
+        assert pair[1]._link_budget is None
 
     def test_join_parity(self, pair):
-        sd, ss = self._sessions(pair)
+        ss = self._session(pair)
+        w, adj = pair[0].weights, pair[0].adjacency
         for device in (40, 41, 42):
-            ed, es = sd.join(device), ss.join(device)
-            assert (ed.messages, ed.succeeded) == (es.messages, es.succeeded)
-            assert sorted(sd.tree_edges) == sorted(ss.tree_edges)
+            row = np.where(adj[device], w[device], -np.inf)
+            active = np.zeros(pair[0].n, dtype=bool)
+            active[list(ss.active)] = True
+            best = int(np.argmax(np.where(active, row, -np.inf)))
+            es = ss.join(device)
+            assert es.succeeded
+            assert es.messages == pair[1].config.discovery_periods + 2
+            assert (min(device, best), max(device, best)) in ss.tree_edges
             assert es.optimality_ratio == pytest.approx(
-                ed.optimality_ratio, rel=1e-12
+                self._expected_ratio(pair, ss), rel=1e-12
             )
-        assert not pair[1].densified
+        assert pair[1]._link_budget is None
 
     def test_fail_parity_repairs_via_csr(self, pair):
-        sd, ss = self._sessions(pair)
+        ss = self._session(pair)
         for device in (3, 17, 21):
-            ed, es = sd.fail(device), ss.fail(device)
-            assert (ed.messages, ed.succeeded) == (es.messages, es.succeeded)
-            assert sorted(sd.tree_edges) == sorted(ss.tree_edges)
+            es = ss.fail(device)
+            assert es.succeeded
+            # repair from max-ST fragments yields the survivors' max-ST
+            oracle, _ = _kruskal(pair[0], ss.active)
+            assert sorted(ss.tree_edges) == oracle
         assert ss.is_spanning
-        assert not pair[1].densified
+        assert pair[1]._link_budget is None
 
     def test_rebuild_parity_and_optimality(self, pair):
-        sd, ss = self._sessions(pair)
+        ss = self._session(pair)
         for device in (40, 41, 42, 43):
-            sd.join(device)
             ss.join(device)
-        ed, es = sd.rebuild(), ss.rebuild()
-        assert ed.messages == es.messages
-        assert sorted(sd.tree_edges) == sorted(ss.tree_edges)
+        es = ss.rebuild()
+        oracle, adj = _kruskal(pair[0], ss.active)
+        assert es.messages == distributed_boruvka(pair[0].weights, adj).counter.total
+        assert sorted(ss.tree_edges) == oracle
         assert ss._optimality_ratio() == pytest.approx(1.0)
-        assert not pair[1].densified
+        assert pair[1]._link_budget is None
 
     def test_mixed_workload_event_log_parity(self, pair):
-        sd, ss = self._sessions(pair)
+        ss = self._session(pair)
         workload = [
             ("join", 44),
             ("fail", 7),
@@ -180,26 +199,21 @@ class TestSparseBackend:
             ("fail", 44),
             ("rebuild", None),
         ]
+        expected = []
         for kind, device in workload:
-            if kind == "join":
-                sd.join(device), ss.join(device)
-            elif kind == "fail":
-                sd.fail(device), ss.fail(device)
-            else:
-                sd.rebuild(), ss.rebuild()
-        assert [
-            (e.kind, e.device, e.messages, e.succeeded, e.active_count)
-            for e in sd.events
-        ] == [
-            (e.kind, e.device, e.messages, e.succeeded, e.active_count)
-            for e in ss.events
+            event = ss.rebuild() if kind == "rebuild" else getattr(ss, kind)(device)
+            expected.append(self._expected_ratio(pair, ss))
+            assert event.succeeded
+        assert [(e.kind, e.device, e.active_count) for e in ss.events] == [
+            ("join", 44, 41),
+            ("fail", 7, 40),
+            ("join", 45, 41),
+            ("fail", 44, 40),
+            ("rebuild", -1, 40),
         ]
-        assert np.allclose(
-            [e.optimality_ratio for e in sd.events],
-            [e.optimality_ratio for e in ss.events],
-        )
+        assert np.allclose([e.optimality_ratio for e in ss.events], expected)
         assert ss.is_spanning
-        assert not pair[1].densified, "churn must never densify a sparse net"
+        assert pair[1]._link_budget is None, "churn must never densify"
 
 
 class TestGreedyRepair:
@@ -243,7 +257,7 @@ class TestGreedyRepair:
 
     def test_sparse_backend_greedy(self):
         config = PaperConfig(n_devices=2048, seed=41)
-        network = D2DNetwork(config.replace(backend="sparse"))
+        network = D2DNetwork(config)
         session = ChurnSession(
             network,
             set(range(1500)),
@@ -255,7 +269,7 @@ class TestGreedyRepair:
             assert session.is_spanning
         session.join(1600)
         assert session.is_spanning
-        assert not network.densified
+        assert network._link_budget is None
 
     def test_tree_adj_matches_edges_after_churn(self, network):
         session = self._greedy(network)

@@ -4,7 +4,11 @@ import numpy as np
 import pytest
 
 from repro.core.config import PaperConfig
-from repro.core.fst import FSTSimulation, heavy_edge_forest, stitch_forest
+from repro.core.fst import (
+    FSTSimulation,
+    heavy_edge_forest_csr,
+    stitch_forest_csr,
+)
 from repro.core.network import D2DNetwork
 from repro.spanningtree.mst import is_spanning_tree, maximum_spanning_tree
 
@@ -18,29 +22,29 @@ def paper_run():
 class TestHeavyEdgeForest:
     def test_forest_is_acyclic(self):
         net = D2DNetwork(PaperConfig(seed=3))
-        forest = heavy_edge_forest(net.weights, net.adjacency)
+        forest = heavy_edge_forest_csr(net.sparse_budget)
         # subset of the unique maximum spanning tree → acyclic by theorem
         mst = set(maximum_spanning_tree(net.weights, net.adjacency))
         assert set(forest) <= mst
 
     def test_every_node_covered(self):
         net = D2DNetwork(PaperConfig(seed=3))
-        forest = heavy_edge_forest(net.weights, net.adjacency)
+        forest = heavy_edge_forest_csr(net.sparse_budget)
         touched = {u for e in forest for u in e}
         assert touched == set(range(net.n))
 
     def test_stitch_completes_tree(self):
         net = D2DNetwork(PaperConfig(seed=3))
-        forest = heavy_edge_forest(net.weights, net.adjacency)
-        tree, stitches = stitch_forest(forest, net.weights, net.adjacency)
+        forest = heavy_edge_forest_csr(net.sparse_budget)
+        tree, stitches = stitch_forest_csr(forest, net.sparse_budget)
         assert is_spanning_tree(tree, net.n)
         assert stitches == len(tree) - len(forest)
 
     def test_stitched_tree_is_maximum(self):
         """Heavy-edge forest + greedy completion = the Kruskal max-ST."""
         net = D2DNetwork(PaperConfig(seed=3))
-        forest = heavy_edge_forest(net.weights, net.adjacency)
-        tree, _ = stitch_forest(forest, net.weights, net.adjacency)
+        forest = heavy_edge_forest_csr(net.sparse_budget)
+        tree, _ = stitch_forest_csr(forest, net.sparse_budget)
         assert tree == maximum_spanning_tree(net.weights, net.adjacency)
 
 

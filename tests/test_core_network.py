@@ -20,20 +20,36 @@ class TestAssembly:
         assert np.all((network.positions >= 0) & (network.positions <= side))
 
     def test_adjacency_symmetric_no_selfloops(self, network):
-        assert np.array_equal(network.adjacency, network.adjacency.T)
-        assert not network.adjacency.diagonal().any()
+        sb = network.sparse_budget
+        pairs = set(zip(sb.link_row_ids.tolist(), sb.link_indices.tolist()))
+        assert pairs == {(v, u) for u, v in pairs}
+        assert all(u != v for u, v in pairs)
+        # the dense helper view is exactly the link CSR
+        dense = np.zeros((network.n, network.n), dtype=bool)
+        dense[sb.link_row_ids, sb.link_indices] = True
+        assert np.array_equal(network.adjacency, dense)
 
     def test_weights_symmetric(self, network):
-        assert np.allclose(network.weights, network.weights.T)
+        sb = network.sparse_budget
+        back = sb.edge_power_lookup(sb.link_indices, sb.link_row_ids)
+        assert np.array_equal(sb.link_power_dbm, back)
+        # dense helper weights carry the link powers bitwise
+        assert np.array_equal(
+            network.weights[sb.link_row_ids, sb.link_indices], sb.link_power_dbm
+        )
 
     def test_connected_by_construction(self, network):
         assert nx.is_connected(network.graph())
+        assert network.sparse_budget.is_connected()
 
     def test_weights_track_ps_strength(self, network):
         """Heavier edge ⇔ stronger mean received power (§IV)."""
-        iu, ju = np.nonzero(np.triu(network.adjacency, k=1))
-        w = network.weights[iu, ju]
-        d = network.true_distances()[iu, ju]
+        sb = network.sparse_budget
+        upper = sb.link_row_ids < sb.link_indices
+        iu, ju = sb.link_row_ids[upper], sb.link_indices[upper]
+        w = sb.link_power_dbm[upper]
+        delta = network.positions[iu] - network.positions[ju]
+        d = np.hypot(delta[:, 0], delta[:, 1])
         # correlation between weight and -distance should be strongly positive
         corr = np.corrcoef(w, -d)[0, 1]
         assert corr > 0.5
@@ -41,7 +57,9 @@ class TestAssembly:
     def test_graph_carries_weights(self, network):
         g = network.graph()
         u, v = next(iter(g.edges()))
-        assert g[u][v]["weight"] == pytest.approx(float(network.weights[u, v]))
+        sb = network.sparse_budget
+        assert g[u][v]["weight"] == float(sb.edge_power_lookup([u], [v])[0])
+        assert g[u][v]["weight"] == float(network.weights[u, v])
 
     def test_degree_stats(self, network):
         stats = network.degree_stats()
@@ -53,7 +71,10 @@ class TestDeterminism:
         a = D2DNetwork(PaperConfig(seed=5))
         b = D2DNetwork(PaperConfig(seed=5))
         assert np.array_equal(a.positions, b.positions)
-        assert np.array_equal(a.weights, b.weights)
+        sa, sb = a.sparse_budget, b.sparse_budget
+        assert np.array_equal(sa.link_indptr, sb.link_indptr)
+        assert np.array_equal(sa.link_indices, sb.link_indices)
+        assert np.array_equal(sa.link_power_dbm, sb.link_power_dbm)
 
     def test_different_seed_different_network(self):
         a = D2DNetwork(PaperConfig(seed=5))
@@ -76,10 +97,14 @@ class TestPathlossModes:
         net = D2DNetwork(PaperConfig(seed=1, shadowing_sigma_db=0.0))
         # without shadowing the weights are a pure function of distance:
         # strictly monotone in -d for the far segment
-        iu, ju = np.nonzero(np.triu(net.adjacency, k=1))
-        far = net.true_distances()[iu, ju] > 6.0
-        w = net.weights[iu, ju][far]
-        d = net.true_distances()[iu, ju][far]
+        sb = net.sparse_budget
+        upper = sb.link_row_ids < sb.link_indices
+        iu, ju = sb.link_row_ids[upper], sb.link_indices[upper]
+        delta = net.positions[iu] - net.positions[ju]
+        dist = np.hypot(delta[:, 0], delta[:, 1])
+        far = dist > 6.0
+        w = sb.link_power_dbm[upper][far]
+        d = dist[far]
         order = np.argsort(d)
         assert np.all(np.diff(w[order]) <= 1e-9)
 

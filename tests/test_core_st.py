@@ -5,7 +5,8 @@ import pytest
 
 from repro.core.config import PaperConfig
 from repro.core.network import D2DNetwork
-from repro.core.st import STSimulation, _tree_diameter
+from repro.core.replay import ReplayLedger
+from repro.core.st import STSimulation
 from repro.spanningtree.mst import is_spanning_tree, maximum_spanning_tree
 
 
@@ -15,17 +16,25 @@ def paper_run():
     return net, STSimulation(net).run()
 
 
+def _grown(n, edges):
+    """A replay ledger after merging ``edges`` in order."""
+    ledger = ReplayLedger(n, edges)
+    for u, v in edges:
+        assert ledger.merge(u, v)
+    return ledger
+
+
 class TestTreeDiameter:
     def test_singleton(self):
-        assert _tree_diameter(0, {}) == 0
+        assert _grown(1, []).diameter_of(0) == 0
 
     def test_chain(self):
-        adj = {0: [1], 1: [0, 2], 2: [1, 3], 3: [2]}
-        assert _tree_diameter(2, adj) == 3
+        ledger = _grown(4, [(0, 1), (1, 2), (2, 3)])
+        assert ledger.diameter_of(2) == 3
 
     def test_star(self):
-        adj = {0: [1, 2, 3], 1: [0], 2: [0], 3: [0]}
-        assert _tree_diameter(3, adj) == 2
+        ledger = _grown(4, [(0, 1), (0, 2), (0, 3)])
+        assert ledger.diameter_of(3) == 2
 
 
 class TestRun:

@@ -106,16 +106,17 @@ class TestCheckTree:
 
 class TestNetworkEdgeExists:
     def test_dense_and_sparse_agree(self):
+        """The CSR membership test agrees with a twin's dense adjacency
+        view and never materializes the dense views itself."""
         cfg = PaperConfig(n_devices=40, seed=9)
-        dense = D2DNetwork(cfg)
-        sparse = D2DNetwork(cfg.replace(backend="sparse"))
-        ed = network_edge_exists(dense)
+        dense = D2DNetwork(cfg).adjacency
+        sparse = D2DNetwork(cfg)
         es = network_edge_exists(sparse)
         for u in range(0, 40, 7):
             for v in range(40):
                 if u != v:
-                    assert ed(u, v) == es(u, v), (u, v)
-        assert not sparse.densified
+                    assert bool(dense[u, v]) == es(u, v), (u, v)
+        assert sparse._link_budget is None
 
 
 class TestCheckFragments:

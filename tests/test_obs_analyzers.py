@@ -199,7 +199,6 @@ class TestEndToEnd:
             PaperConfig(seed=2)
             .with_devices(48, keep_density=True)
             .replace(
-                backend="dense",
                 faults=FaultConfig.from_spec(
                     "collision=0.6,beacon_loss=0.3,"
                     "crash=0.1,crash_window_ms=4000"
@@ -213,11 +212,7 @@ class TestEndToEnd:
         assert any(a.analyzer == "stall" for a in obs.bus.alerts)
 
     def test_clean_small_run_fires_nothing(self):
-        config = (
-            PaperConfig(seed=1)
-            .with_devices(8, keep_density=True)
-            .replace(backend="dense")
-        )
+        config = PaperConfig(seed=1).with_devices(8, keep_density=True)
         obs = Observability(stream=True)
         sim = STSimulation(D2DNetwork(config), obs=obs)
         result = sim.run()

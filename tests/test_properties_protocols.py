@@ -5,13 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.beacon import top_k_required
+from repro.core.beacon import top_k_required_csr
 from repro.core.pulsesync import PulseSyncKernel
 from repro.discovery.aggregation import aggregate_interests, flood_interests
 from repro.oscillator.prc import LinearPRC
-from repro.spanningtree.repair import repair_after_failure
+from repro.spanningtree.repair import repair_after_failure_csr
 from repro.spanningtree.boruvka import distributed_boruvka
 from repro.spanningtree.mst import is_spanning_tree
+from tests.linkcsr import MatrixLinkBudget, edge_matrix
 
 
 @st.composite
@@ -84,10 +85,16 @@ class TestBeaconProperties:
         m, _ = instance
         n = m.shape[0]
         adj = ~np.eye(n, dtype=bool)
-        req = top_k_required(m, adj, k=k)
+        budget = MatrixLinkBudget(m, threshold_dbm=-95.0)
+        req = edge_matrix(budget, top_k_required_csr(budget, k=k))
         assert not req.diagonal().any()
         assert (req <= adj).all()
-        assert (req.sum(axis=1) <= k).all()
+        assert (req.sum(axis=1) == min(k, n - 1)).all()
+        if k == 1:
+            # the reduceat path picks each receiver's heaviest sender
+            # (np.argmax: ties to the lowest id)
+            heaviest = np.argmax(np.where(adj, m, -np.inf), axis=1)
+            assert req[np.arange(n), heaviest].all()
 
 
 class TestAggregationProperties:
@@ -130,7 +137,9 @@ class TestRepairProperties:
         adj = ~np.eye(n, dtype=bool)
         tree = distributed_boruvka(w, adj).edges
         failed = data.draw(st.integers(min_value=0, max_value=n - 1))
-        result = repair_after_failure(tree, failed, w, adj)
+        result = repair_after_failure_csr(
+            tree, failed, MatrixLinkBudget.from_graph(w, adj)
+        )
         assert result.repaired
         # remap survivors and verify the tree property
         alive = [i for i in range(n) if i != failed]

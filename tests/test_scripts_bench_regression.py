@@ -31,14 +31,14 @@ def _artifact(path: pathlib.Path, wall: float, rows=None) -> str:
     return str(path)
 
 
-def _row(n, backend, wall):
-    return {"n": n, "backend": backend, "wall_s": wall}
+def _row(n, wall):
+    return {"n": n, "wall_s": wall}
 
 
 class TestCompare:
     def test_within_tolerance_passes(self, tmp_path):
-        cur = _artifact(tmp_path / "cur.json", 1.1, [_row(300, "sparse", 1.1)])
-        base = _artifact(tmp_path / "base.json", 1.0, [_row(300, "sparse", 1.0)])
+        cur = _artifact(tmp_path / "cur.json", 1.1, [_row(300, 1.1)])
+        base = _artifact(tmp_path / "base.json", 1.0, [_row(300, 1.0)])
         assert (
             check_bench_regression.main(
                 ["--current", cur, "--baseline", base, "--tolerance", "0.2"]
@@ -57,27 +57,27 @@ class TestCompare:
         cur = _artifact(
             tmp_path / "cur.json",
             1.0,
-            [_row(300, "sparse", 0.9), _row(800, "sparse", 0.5)],
+            [_row(300, 0.9), _row(800, 0.5)],
         )
         base = _artifact(
             tmp_path / "base.json",
             1.0,
-            [_row(300, "sparse", 0.3), _row(800, "sparse", 0.7)],
+            [_row(300, 0.3), _row(800, 0.7)],
         )
         assert (
             check_bench_regression.main(["--current", cur, "--baseline", base]) == 1
         )
 
     def test_speedup_never_fails(self, tmp_path):
-        cur = _artifact(tmp_path / "cur.json", 0.1, [_row(300, "sparse", 0.1)])
-        base = _artifact(tmp_path / "base.json", 5.0, [_row(300, "sparse", 5.0)])
+        cur = _artifact(tmp_path / "cur.json", 0.1, [_row(300, 0.1)])
+        base = _artifact(tmp_path / "base.json", 5.0, [_row(300, 5.0)])
         assert (
             check_bench_regression.main(["--current", cur, "--baseline", base]) == 0
         )
 
     def test_rows_only_in_one_side_ignored(self, tmp_path):
-        cur = _artifact(tmp_path / "cur.json", 1.0, [_row(2000, "sparse", 9.0)])
-        base = _artifact(tmp_path / "base.json", 1.0, [_row(300, "sparse", 0.1)])
+        cur = _artifact(tmp_path / "cur.json", 1.0, [_row(2000, 9.0)])
+        base = _artifact(tmp_path / "base.json", 1.0, [_row(300, 0.1)])
         assert (
             check_bench_regression.main(["--current", cur, "--baseline", base]) == 0
         )
@@ -97,13 +97,13 @@ class TestEdgeCases:
         assert "not positive" in out
 
     def test_negative_baseline_row_is_skipped_explicitly(self, tmp_path, capsys):
-        cur = _artifact(tmp_path / "cur.json", 1.0, [_row(300, "sparse", 5.0)])
-        base = _artifact(tmp_path / "base.json", 1.0, [_row(300, "sparse", -0.5)])
+        cur = _artifact(tmp_path / "cur.json", 1.0, [_row(300, 5.0)])
+        base = _artifact(tmp_path / "base.json", 1.0, [_row(300, -0.5)])
         assert (
             check_bench_regression.main(["--current", cur, "--baseline", base]) == 0
         )
         out = capsys.readouterr().out
-        assert "n=300 backend=sparse: skipped" in out
+        assert "n=300: skipped" in out
 
     def test_missing_wall_key_is_reported(self, tmp_path, capsys):
         cur = tmp_path / "cur.json"
@@ -122,21 +122,21 @@ class TestEdgeCases:
 
     def test_baseline_only_row_is_reported(self, tmp_path, capsys):
         cur = _artifact(tmp_path / "cur.json", 1.0, [])
-        base = _artifact(tmp_path / "base.json", 1.0, [_row(800, "dense", 2.0)])
+        base = _artifact(tmp_path / "base.json", 1.0, [_row(800, 2.0)])
         assert (
             check_bench_regression.main(["--current", cur, "--baseline", base]) == 0
         )
         out = capsys.readouterr().out
-        assert "n=800 backend=dense: skipped (no matching row" in out
+        assert "n=800: skipped (no matching row" in out
 
     def test_zero_baseline_does_not_mask_real_row_regression(
         self, tmp_path, capsys
     ):
         cur = _artifact(
-            tmp_path / "cur.json", 9.0, [_row(300, "sparse", 9.0)]
+            tmp_path / "cur.json", 9.0, [_row(300, 9.0)]
         )
         base = _artifact(
-            tmp_path / "base.json", 0.0, [_row(300, "sparse", 1.0)]
+            tmp_path / "base.json", 0.0, [_row(300, 1.0)]
         )
         assert (
             check_bench_regression.main(["--current", cur, "--baseline", base]) == 1
@@ -414,18 +414,20 @@ class TestArtifactErrors:
         )
 
 
-def _tiles_row(n, backend, tiles, wall):
-    return {"n": n, "backend": backend, "tiles": tiles, "wall_s": wall}
+def _tiles_row(n, tiles, wall):
+    return {"n": n, "tiles": tiles, "wall_s": wall}
 
 
 class TestTilesRows:
-    """Merged multi-shard rows key on (n, backend, tiles) independently."""
+    """Merged multi-shard rows key on (n, tiles) independently."""
 
     def test_row_label_formats_tiles(self):
-        label = check_bench_regression._row_label((800, "sparse", "2x2"))
-        assert label == "n=800 backend=sparse tiles=2x2"
-        plain = check_bench_regression._row_label((800, "sparse", ""))
-        assert plain == "n=800 backend=sparse"
+        label = check_bench_regression._row_label((800, "2x2", ""))
+        assert label == "n=800 tiles=2x2"
+        plain = check_bench_regression._row_label((800, "", ""))
+        assert plain == "n=800"
+        obs = check_bench_regression._row_label((512, "", "on"))
+        assert obs == "n=512 obs=on"
 
     def test_tiles_row_regression_does_not_hide_behind_twin(
         self, tmp_path, capsys
@@ -434,30 +436,30 @@ class TestTilesRows:
         cur = _artifact(
             tmp_path / "cur.json",
             1.0,
-            [_row(800, "sparse", 1.0), _tiles_row(800, "sparse", "2x2", 5.0)],
+            [_row(800, 1.0), _tiles_row(800, "2x2", 5.0)],
         )
         base = _artifact(
             tmp_path / "base.json",
             1.0,
-            [_row(800, "sparse", 1.0), _tiles_row(800, "sparse", "2x2", 1.0)],
+            [_row(800, 1.0), _tiles_row(800, "2x2", 1.0)],
         )
         assert (
             check_bench_regression.main(["--current", cur, "--baseline", base])
             == 1
         )
         out = capsys.readouterr().out
-        assert "n=800 backend=sparse tiles=2x2" in out
-        assert "n=800 backend=sparse: current=1.000s" in out
+        assert "n=800 tiles=2x2" in out
+        assert "n=800: current=1.000s" in out
 
     def test_current_only_tiles_row_is_ignored(self, tmp_path):
         # adding a sharded row before the baseline refresh must not fail
         cur = _artifact(
             tmp_path / "cur.json",
             1.0,
-            [_row(800, "sparse", 1.0), _tiles_row(800, "sparse", "2x2", 9.0)],
+            [_row(800, 1.0), _tiles_row(800, "2x2", 9.0)],
         )
         base = _artifact(
-            tmp_path / "base.json", 1.0, [_row(800, "sparse", 1.0)]
+            tmp_path / "base.json", 1.0, [_row(800, 1.0)]
         )
         assert (
             check_bench_regression.main(["--current", cur, "--baseline", base])
@@ -465,11 +467,11 @@ class TestTilesRows:
         )
 
     def test_baseline_only_tiles_row_is_visible_skip(self, tmp_path, capsys):
-        cur = _artifact(tmp_path / "cur.json", 1.0, [_row(800, "sparse", 1.0)])
+        cur = _artifact(tmp_path / "cur.json", 1.0, [_row(800, 1.0)])
         base = _artifact(
             tmp_path / "base.json",
             1.0,
-            [_row(800, "sparse", 1.0), _tiles_row(800, "sparse", "2x2", 1.0)],
+            [_row(800, 1.0), _tiles_row(800, "2x2", 1.0)],
         )
         assert (
             check_bench_regression.main(["--current", cur, "--baseline", base])
@@ -477,6 +479,25 @@ class TestTilesRows:
         )
         out = capsys.readouterr().out
         assert "tiles=2x2: skipped (no matching row" in out
+
+    def test_obs_variant_rows_key_independently(self, tmp_path, capsys):
+        # the paired obs-off/obs-on rows share n; only obs=off regressed
+        def obs_row(obs, wall):
+            return {"n": 512, "obs": obs, "wall_s": wall}
+
+        cur = _artifact(
+            tmp_path / "cur.json", 1.0, [obs_row("off", 5.0), obs_row("on", 1.0)]
+        )
+        base = _artifact(
+            tmp_path / "base.json", 1.0, [obs_row("off", 1.0), obs_row("on", 1.0)]
+        )
+        assert (
+            check_bench_regression.main(["--current", cur, "--baseline", base])
+            == 1
+        )
+        out = capsys.readouterr().out
+        assert "n=512 obs=off: current=5.000s" in out
+        assert "n=512 obs=on: current=1.000s" in out
 
     def test_shard_overhead_budget_is_enforced(self, tmp_path, capsys):
         payload = {
@@ -621,7 +642,7 @@ def test_committed_baseline_is_valid():
     data = json.loads(baseline.read_text())
     assert data["schema"] == "repro.bench/1"
     rows = data["metrics"]["rows"]
-    assert any(r["backend"] == "sparse" for r in rows)
+    assert rows and all("backend" not in r for r in rows)
     with pytest.raises(SystemExit):
         check_bench_regression.main([])  # usage error without args
 
@@ -638,5 +659,5 @@ def test_committed_obs_overhead_baseline_is_valid():
     budgets = data["metrics"]["budgets"]
     assert budgets[0]["name"] == "obs_overhead_fraction"
     assert budgets[0]["value"] <= budgets[0]["limit"] == 0.05
-    backends = {r["backend"] for r in data["metrics"]["rows"]}
-    assert backends == {"sparse-obs-off", "sparse-obs-on"}
+    variants = {r["obs"] for r in data["metrics"]["rows"]}
+    assert variants == {"off", "on"}

@@ -110,3 +110,58 @@ class TestHttpFrontend:
     def test_os_assigned_port_is_reported(self, service):
         port = int(service.url.rsplit(":", 1)[1])
         assert port > 0
+
+
+def raw_exchange(svc, payload: bytes) -> bytes:
+    """Send raw bytes on a fresh connection; read until the server closes."""
+    host, port = svc.url.removeprefix("http://").split(":")
+    with socket.create_connection((host, int(port)), timeout=10) as sock:
+        sock.sendall(payload)
+        data = b""
+        while True:
+            chunk = sock.recv(4096)
+            if not chunk:
+                return data
+            data += chunk
+
+
+class TestMalformedInput:
+    """Unframeable requests and bad SSE parameters answer a JSON 400 —
+    never a dropped connection or a truncated 200 — and the server keeps
+    serving afterwards."""
+
+    def _assert_json_400(self, service, reply: bytes, needle: bytes) -> None:
+        head, _, body = reply.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 400 Bad Request"), reply
+        assert b"Content-Type: application/json" in head
+        assert b"Connection: close" in head
+        assert needle in json.dumps(json.loads(body)["error"]).encode()
+        status, _ = fetch(service, "/health")
+        assert status == 200
+
+    @pytest.mark.parametrize("length", [b"abc", b"-1", b"1.5", b"\xd9\xa3"])
+    def test_bad_content_length(self, service, length):
+        reply = raw_exchange(
+            service,
+            b"POST /world/step HTTP/1.1\r\nHost: x\r\nContent-Length: "
+            + length
+            + b"\r\n\r\n{}",
+        )
+        self._assert_json_400(service, reply, b"Content-Length")
+
+    @pytest.mark.parametrize(
+        "query,needle",
+        [
+            (b"since=abc", b"since"),
+            (b"since=-3", b"since"),
+            (b"max_frames=two", b"max_frames"),
+            (b"max_frames=0", b"max_frames"),
+        ],
+    )
+    def test_bad_sse_parameters(self, service, query, needle):
+        reply = raw_exchange(
+            service,
+            b"GET /events?follow=1&" + query + b" HTTP/1.1\r\nHost: x\r\n\r\n",
+        )
+        assert b"text/event-stream" not in reply  # no stream head first
+        self._assert_json_400(service, reply, needle)

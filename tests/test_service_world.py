@@ -217,7 +217,6 @@ class TestSparseWorld:
             n=2048, seed=2, arrival_rate=4.0, departure_rate=4.0,
             min_population=64,
         )
-        assert world.network.is_sparse
         world.step()
         world.step()
         assert world.network._adjacency is None  # still CSR-only

@@ -20,7 +20,7 @@ from repro.shard.conformance import shard_default_name
 
 class TestShardCorpus:
     def test_single_region_corpus_unchanged(self):
-        assert len(list(corpus_specs())) == 36
+        assert len(list(corpus_specs())) == 18
 
     def test_shard_specs_span_matrix(self):
         specs = list(shard_corpus_specs())

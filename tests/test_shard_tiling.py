@@ -80,7 +80,7 @@ class TestCityConfig:
         assert cfg.n_devices == 16
         assert cfg.area_side_m == pytest.approx(city.tile_side_m)
         assert cfg.seed == shard_seed(7, 3)
-        assert cfg.backend == city.base.backend
+        assert cfg.faults == city.base.faults
 
     def test_rectangular_tiles_rejected(self):
         with pytest.raises(ValueError, match="square"):

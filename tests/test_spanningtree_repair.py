@@ -5,7 +5,15 @@ import pytest
 
 from repro.spanningtree.boruvka import distributed_boruvka
 from repro.spanningtree.mst import is_spanning_tree, maximum_spanning_tree
-from repro.spanningtree.repair import repair_after_failure
+from repro.spanningtree.repair import repair_after_failure_csr
+from tests.linkcsr import MatrixLinkBudget
+
+
+def repair(tree, failed, w, adj):
+    """Repair over the link CSR of the weighted graph ``(w, adj)``."""
+    return repair_after_failure_csr(
+        tree, failed, MatrixLinkBudget.from_graph(w, adj)
+    )
 
 
 def random_instance(n, seed, density=1.0):
@@ -34,7 +42,7 @@ class TestRepair:
         w, adj = random_instance(n, 1)
         tree = distributed_boruvka(w, adj).edges
         for failed in (0, 7, 29):
-            result = repair_after_failure(tree, failed, w, adj)
+            result = repair(tree, failed, w, adj)
             assert result.repaired
             assert survivors_tree(result.tree_edges, failed, n)
 
@@ -44,7 +52,7 @@ class TestRepair:
         w, adj = random_instance(n, 2)
         tree = distributed_boruvka(w, adj).edges
         failed = 5
-        result = repair_after_failure(tree, failed, w, adj)
+        result = repair(tree, failed, w, adj)
         adj2 = adj.copy()
         adj2[failed, :] = adj2[:, failed] = False
         assert set(result.tree_edges) == set(maximum_spanning_tree(w, adj2))
@@ -53,7 +61,7 @@ class TestRepair:
         n = 40
         w, adj = random_instance(n, 3)
         tree = distributed_boruvka(w, adj).edges
-        result = repair_after_failure(tree, {3, 17, 28}, w, adj)
+        result = repair(tree, {3, 17, 28}, w, adj)
         assert result.repaired
         assert survivors_tree(result.tree_edges, {3, 17, 28}, n)
 
@@ -67,7 +75,7 @@ class TestRepair:
             degree[u] += 1
             degree[v] += 1
         leaf = next(i for i, d in degree.items() if d == 1)
-        result = repair_after_failure(tree, leaf, w, adj)
+        result = repair(tree, leaf, w, adj)
         assert result.repaired
         assert result.fragments_after_failure == 1
         assert result.messages == 0
@@ -82,7 +90,7 @@ class TestRepair:
             degree[u] += 1
             degree[v] += 1
         hub = max(degree, key=degree.get)
-        result = repair_after_failure(tree, hub, w, adj)
+        result = repair(tree, hub, w, adj)
         assert result.fragments_after_failure == degree[hub]
         assert len(result.removed_edges) == degree[hub]
 
@@ -97,7 +105,7 @@ class TestRepair:
             degree[u] += 1
             degree[v] += 1
         internal = next(i for i, d in degree.items() if d == 2)
-        result = repair_after_failure(tree, internal, w, adj)
+        result = repair(tree, internal, w, adj)
         assert result.repaired
         assert result.messages < rebuild / 2
 
@@ -110,16 +118,16 @@ class TestRepair:
             adj[u, v] = adj[v, u] = True
             w[u, v] = w[v, u] = 1.0
         tree = [(0, 1), (1, 2)]
-        result = repair_after_failure(tree, 1, w, adj)
+        result = repair(tree, 1, w, adj)
         assert not result.repaired
 
     def test_validation(self):
         w, adj = random_instance(5, 7)
         tree = distributed_boruvka(w, adj).edges
         with pytest.raises(ValueError, match="out of range"):
-            repair_after_failure(tree, 99, w, adj)
+            repair(tree, 99, w, adj)
         with pytest.raises(ValueError, match="nothing to repair"):
-            repair_after_failure(tree, set(range(5)), w, adj)
+            repair(tree, set(range(5)), w, adj)
 
 
 class TestBoruvkaSeeding:

@@ -1,47 +1,45 @@
-"""Seed-for-seed parity: the sparse scale path vs the dense reference.
+"""Seed-for-seed parity: the CSR (sparse) layout vs dense references.
 
-The whole sparse design rests on counter-based channel randomness making
-layout irrelevant — so dense and sparse backends must agree *bitwise* on
-adjacency, weights, tree edges, convergence times and message totals for
-the same (config, seed).  These tests are the contract.
+Every simulation runs on the CSR link layout.  Counter-based channel
+randomness makes layout irrelevant, so the CSR network and kernels must
+agree *bitwise* with independent O(n²) references over the dense helper
+views: the dense :class:`~repro.radio.link.LinkBudget`, the matrix
+Borůvka and Kruskal trees, and the dense pulse-sync kernel replaying the
+same mesh run (:mod:`tests.references`).  These tests are the contract.
 """
 
 from __future__ import annotations
-
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from repro.core.config import PaperConfig
-from repro.core.fst import FSTSimulation, heavy_edge_forest, heavy_edge_forest_csr
-from repro.core.fst import stitch_forest, stitch_forest_csr
+from repro.core.fst import FSTSimulation, heavy_edge_forest_csr, stitch_forest_csr
 from repro.core.network import D2DNetwork
 from repro.core.st import STSimulation
+from repro.faults.plan import FaultPlan
+from repro.radio.link import LinkBudget
 from repro.spanningtree.boruvka import distributed_boruvka, distributed_boruvka_csr
+from repro.spanningtree.mst import maximum_spanning_tree, tree_weight
+from tests.references import dense_mesh_sync, never_densified, survivors_mst
 
 
-def _pair(n: int, seed: int) -> tuple[D2DNetwork, D2DNetwork]:
-    cfg = PaperConfig(n_devices=n, seed=seed, backend="dense")
-    return D2DNetwork(cfg), D2DNetwork(replace(cfg, backend="sparse"))
+def _dense_budget(net: D2DNetwork) -> LinkBudget:
+    """An O(n²) link budget over the network's positions and channel keys."""
+    return LinkBudget(
+        net.positions,
+        net.pathloss,
+        tx_power_dbm=net.config.tx_power_dbm,
+        threshold_dbm=net.config.threshold_dbm,
+        shadowing=net._make_shadowing(net.shadow_key),
+        fading=net._make_fading(),
+    )
 
 
 class TestBackendSelection:
-    def test_resolved_backend_auto_threshold(self):
-        assert PaperConfig(n_devices=100).resolved_backend == "dense"
-        assert PaperConfig(n_devices=2000).resolved_backend == "sparse"
-        assert (
-            PaperConfig(n_devices=100, sparse_threshold_devices=50).resolved_backend
-            == "sparse"
-        )
-        assert PaperConfig(n_devices=2000, backend="dense").resolved_backend == "dense"
-        assert PaperConfig(n_devices=10, backend="sparse").resolved_backend == "sparse"
-
     def test_config_validation(self):
-        with pytest.raises(ValueError):
-            PaperConfig(backend="cuda")
-        with pytest.raises(ValueError):
-            PaperConfig(sparse_threshold_devices=0)
+        with pytest.raises(TypeError):
+            PaperConfig(backend="sparse")  # one execution path, no knob
         with pytest.raises(ValueError):
             PaperConfig(shadow_clip_sigma=-1.0)
 
@@ -49,41 +47,45 @@ class TestBackendSelection:
 class TestNetworkParity:
     @pytest.mark.parametrize("n", [32, 128, 512])
     def test_graph_and_weights_bitwise(self, n):
-        dense, sparse = _pair(n, seed=3)
-        assert sparse.is_sparse and not dense.is_sparse
-        assert sparse.placement_attempts == dense.placement_attempts
-        assert np.array_equal(sparse.positions, dense.positions)
+        net = D2DNetwork(PaperConfig(n_devices=n, seed=3))
+        dense = _dense_budget(net)
+        adj = dense.adjacency()
+        adj = adj & adj.T
+        np.fill_diagonal(adj, False)
 
-        sb = sparse.sparse_budget
-        iu, ju = np.nonzero(dense.adjacency)
+        sb = net.sparse_budget
+        iu, ju = np.nonzero(adj)
         assert set(zip(sb.link_row_ids.tolist(), sb.link_indices.tolist())) == set(
             zip(iu.tolist(), ju.tolist())
         )
+        weights = 0.5 * (dense.mean_rx_dbm + dense.mean_rx_dbm.T)
         assert np.array_equal(
-            sb.link_power_dbm,
-            dense.weights[sb.link_row_ids, sb.link_indices],
+            sb.link_power_dbm, weights[sb.link_row_ids, sb.link_indices]
         ), "CSR link powers must BE the symmetrized weights, bitwise"
-        assert np.array_equal(sb.degrees(), dense.adjacency.sum(axis=1))
-        assert not sparse.densified, "parity checks must not densify"
+        assert np.array_equal(sb.degrees(), adj.sum(axis=1))
+        assert never_densified(net), "parity checks must not densify"
 
     def test_lazy_densify_matches_dense_backend(self):
-        dense, sparse = _pair(64, seed=5)
-        assert np.array_equal(sparse.adjacency, dense.adjacency)
-        assert np.array_equal(sparse.weights, dense.weights)
+        net = D2DNetwork(PaperConfig(n_devices=64, seed=5))
+        assert never_densified(net)
+        dense = _dense_budget(net)
+        assert np.array_equal(net.link_budget.mean_rx_dbm, dense.mean_rx_dbm)
+        adj = dense.adjacency()
+        assert np.array_equal(net.adjacency, (adj & adj.T) & ~np.eye(64, dtype=bool))
         assert np.array_equal(
-            sparse.link_budget.mean_rx_dbm, dense.link_budget.mean_rx_dbm
+            net.weights, 0.5 * (dense.mean_rx_dbm + dense.mean_rx_dbm.T)
         )
-        assert sparse.densified  # and it is recorded
+        assert not never_densified(net)  # the views are built on first touch
 
 
 class TestAlgorithmParity:
     def test_boruvka_csr_matches_dense(self):
-        dense, sparse = _pair(128, seed=2)
-        sb = sparse.sparse_budget
-        rd = distributed_boruvka(dense.weights, dense.adjacency)
+        net = D2DNetwork(PaperConfig(n_devices=128, seed=2))
+        sb = net.sparse_budget
         rs = distributed_boruvka_csr(
             128, sb.link_indptr, sb.link_indices, sb.link_power_dbm
         )
+        rd = distributed_boruvka(net.weights, net.adjacency)
         assert rd.edges == rs.edges
         assert rd.counter.as_dict() == rs.counter.as_dict()
         assert [p.chosen_edges for p in rd.phases] == [
@@ -91,67 +93,82 @@ class TestAlgorithmParity:
         ]
 
     def test_heavy_edge_and_stitch_csr_match_dense(self):
-        dense, sparse = _pair(128, seed=4)
-        sb = sparse.sparse_budget
-        forest_d = heavy_edge_forest(dense.weights, dense.adjacency)
-        forest_s = heavy_edge_forest_csr(sb)
-        assert forest_d == forest_s
-        tree_d, st_d = stitch_forest(forest_d, dense.weights, dense.adjacency)
-        tree_s, st_s = stitch_forest_csr(forest_s, sb)
-        assert tree_d == tree_s and st_d == st_s
+        net = D2DNetwork(PaperConfig(n_devices=128, seed=4))
+        forest = heavy_edge_forest_csr(net.sparse_budget)
+        # dense reference: every node's argmax neighbour (ties → lowest id)
+        w = np.where(net.adjacency, net.weights, -np.inf)
+        best = np.argmax(w, axis=1)
+        assert forest == sorted(
+            {(min(u, int(v)), max(u, int(v))) for u, v in enumerate(best)}
+        )
+        tree, stitches = stitch_forest_csr(forest, net.sparse_budget)
+        # heavy-edge forest + greedy completion is Kruskal's max-ST
+        assert tree == maximum_spanning_tree(net.weights, net.adjacency)
+        assert stitches == len(tree) - len(forest)
 
     @pytest.mark.parametrize("n", [32, 128])
     @pytest.mark.parametrize("seed", [1, 9])
     def test_st_end_to_end(self, n, seed):
-        dense, sparse = _pair(n, seed)
-        rd = STSimulation(dense).run()
-        rs = STSimulation(sparse).run()
-        assert rd.converged == rs.converged
-        assert rd.time_ms == rs.time_ms
-        assert rd.messages == rs.messages
-        assert rd.message_breakdown == rs.message_breakdown
-        assert rd.tree_edges == rs.tree_edges
-        assert rd.extra["tree_weight"] == rs.extra["tree_weight"]
-        assert rd.extra["phases"] == rs.extra["phases"]
-        assert not sparse.densified, "sparse ST must never touch dense views"
+        cfg = PaperConfig(n_devices=n, seed=seed)
+        net = D2DNetwork(cfg)
+        rs = STSimulation(net).run()
+        twin = D2DNetwork(cfg)
+        rd = distributed_boruvka(twin.weights, twin.adjacency)
+        assert rs.converged
+        assert rs.tree_edges == maximum_spanning_tree(twin.weights, twin.adjacency)
+        assert rs.extra["tree_weight"] == tree_weight(twin.weights, rs.tree_edges)
+        assert rs.extra["phases"] == rd.phase_count
+        for kind, count in rd.counter.as_dict().items():
+            assert rs.message_breakdown[f"boruvka_{kind}"] == count, kind
+        assert rs.messages == sum(rs.message_breakdown.values())
+        assert never_densified(net), "ST must never touch dense views"
 
     @pytest.mark.parametrize("n", [32, 128])
     def test_fst_end_to_end(self, n):
-        dense, sparse = _pair(n, seed=7)
-        rd = FSTSimulation(dense).run()
-        rs = FSTSimulation(sparse).run()
-        assert rd.converged == rs.converged
-        assert rd.time_ms == rs.time_ms
-        assert rd.messages == rs.messages
-        assert rd.message_breakdown == rs.message_breakdown
-        assert rd.tree_edges == rs.tree_edges
-        assert rd.extra["tree_weight"] == rs.extra["tree_weight"]
-        assert rd.extra["discovery_time_ms"] == rs.extra["discovery_time_ms"]
-        assert not sparse.densified, "sparse FST must never touch dense views"
+        cfg = PaperConfig(n_devices=n, seed=7)
+        net = D2DNetwork(cfg)
+        rs = FSTSimulation(net).run()
+        sync = dense_mesh_sync(cfg, "fst-sync")
+        assert (rs.extra["fires"], rs.extra["instants"]) == (
+            sync.fires,
+            sync.instants,
+        )
+        assert rs.extra["sync_time_ms"] == sync.sync_time_ms
+        assert rs.extra["final_spread_ms"] == sync.final_spread_ms
+        assert rs.message_breakdown["sync_pulse"] == sync.messages
+        assert rs.tree_edges == survivors_mst(cfg)
+        assert never_densified(net), "FST must never touch dense views"
 
     def test_ghs_merge_rule_falls_back_to_densify(self):
-        cfg = PaperConfig(n_devices=32, seed=1, backend="sparse", merge_rule="ghs")
+        cfg = PaperConfig(n_devices=32, seed=1, merge_rule="ghs")
         net = D2DNetwork(cfg)
         result = STSimulation(net).run()
         assert result.converged
-        assert net.densified  # documented GHS fallback
+        assert not never_densified(net)  # documented GHS fallback
+        assert result.tree_edges == STSimulation(D2DNetwork(
+            cfg.replace(merge_rule="boruvka")
+        )).run().tree_edges
 
     def test_collision_policies_parity(self):
+        """The CSR mesh-sync kernel and the dense kernel agree under
+        every pulse-detection rule."""
         for policy in ("capture", "destructive", "tolerant"):
-            cfg = PaperConfig(
-                n_devices=48, seed=11, backend="dense", collision_policy=policy
-            )
-            rd = STSimulation(D2DNetwork(cfg)).run()
-            rs = STSimulation(D2DNetwork(replace(cfg, backend="sparse"))).run()
-            assert (rd.time_ms, rd.messages) == (rs.time_ms, rs.messages), policy
+            cfg = PaperConfig(n_devices=48, seed=11, collision_policy=policy)
+            rs = FSTSimulation(D2DNetwork(cfg)).run()
+            sync = dense_mesh_sync(cfg, "fst-sync")
+            assert (rs.extra["fires"], rs.extra["sync_time_ms"]) == (
+                sync.fires,
+                sync.sync_time_ms,
+            ), policy
 
 
 class TestFaultParity:
-    """An active FaultPlan draws identical faults on both backends.
+    """An active FaultPlan draws identical faults on every layout.
 
     Every fault decision is a counter hash of the event's identity, so
-    the dense and sparse layouts must agree bitwise on the entire
-    degraded run: tree edges, message bills, retry and fault counts.
+    the dense references replay the degraded run bitwise: the mesh sync
+    under drift, stalls, crashes and PS loss, and the survivors'
+    maximum spanning tree the repaired ST tree must equal.
     """
 
     FAULTS = (
@@ -159,53 +176,35 @@ class TestFaultParity:
         "ps_loss=0.01,drift=0.001,crash_window_ms=3000,stall_window_ms=3000"
     )
 
-    def _faulty_pair(self, n: int, seed: int):
-        cfg = PaperConfig(
-            n_devices=n, seed=seed, backend="dense", faults=self.FAULTS
-        )
-        return D2DNetwork(cfg), D2DNetwork(replace(cfg, backend="sparse"))
-
     @pytest.mark.parametrize("n", [32, 128])
     @pytest.mark.parametrize("seed", [1, 5])
     def test_st_faulty_end_to_end(self, n, seed):
-        dense, sparse = self._faulty_pair(n, seed)
-        rd = STSimulation(dense).run()
-        rs = STSimulation(sparse).run()
-        assert rd.converged == rs.converged
-        assert rd.time_ms == rs.time_ms
-        assert rd.messages == rs.messages
-        assert rd.message_breakdown == rs.message_breakdown
-        assert rd.tree_edges == rs.tree_edges
-        assert rd.extra["repairs"] == rs.extra["repairs"]
-        assert rd.extra["crashed"] == rs.extra["crashed"]
-        assert rd.extra["discovery_retries"] == rs.extra["discovery_retries"]
-        assert rd.extra["faults_injected"] == rs.extra["faults_injected"]
-        assert not sparse.densified, "faulty sparse ST must never densify"
+        cfg = PaperConfig(n_devices=n, seed=seed, faults=self.FAULTS)
+        net = D2DNetwork(cfg)
+        rs = STSimulation(net).run()
+        dead = FaultPlan.from_config(cfg).dead_by(rs.time_ms)
+        assert rs.extra["crashed"] == int(dead.sum())
+        assert rs.messages == sum(rs.message_breakdown.values())
+        if rs.converged:
+            # MST fragments survive a crash; re-merging them yields the
+            # survivors' maximum spanning tree
+            assert rs.tree_edges == survivors_mst(cfg, dead)
+        assert never_densified(net), "faulty ST must never densify"
 
     @pytest.mark.parametrize("n", [32, 128])
     def test_fst_faulty_end_to_end(self, n):
-        dense, sparse = self._faulty_pair(n, seed=7)
-        rd = FSTSimulation(dense).run()
-        rs = FSTSimulation(sparse).run()
-        assert rd.converged == rs.converged
-        assert rd.time_ms == rs.time_ms
-        assert rd.messages == rs.messages
-        assert rd.message_breakdown == rs.message_breakdown
-        assert rd.tree_edges == rs.tree_edges
-        assert rd.extra["crashed"] == rs.extra["crashed"]
-        assert rd.extra["discovery_retries"] == rs.extra["discovery_retries"]
-        assert rd.extra["faults_injected"] == rs.extra["faults_injected"]
-        assert not sparse.densified, "faulty sparse FST must never densify"
-
-    def test_faulty_run_is_repeatable_per_backend(self):
-        for backend in ("dense", "sparse"):
-            cfg = PaperConfig(
-                n_devices=32, seed=5, backend=backend, faults=self.FAULTS
-            )
-            a = STSimulation(D2DNetwork(cfg)).run()
-            b = STSimulation(D2DNetwork(cfg)).run()
-            assert (a.time_ms, a.messages, a.tree_edges) == (
-                b.time_ms,
-                b.messages,
-                b.tree_edges,
-            ), backend
+        cfg = PaperConfig(n_devices=n, seed=7, faults=self.FAULTS)
+        net = D2DNetwork(cfg)
+        rs = FSTSimulation(net).run()
+        sync = dense_mesh_sync(cfg, "fst-sync")
+        assert (rs.extra["fires"], rs.extra["instants"]) == (
+            sync.fires,
+            sync.instants,
+        )
+        assert rs.extra["sync_time_ms"] == sync.sync_time_ms
+        assert rs.message_breakdown["sync_pulse"] == sync.messages
+        dead = FaultPlan.from_config(cfg).dead_by(rs.time_ms)
+        assert rs.extra["crashed"] == int(dead.sum())
+        if rs.converged:
+            assert rs.tree_edges == survivors_mst(cfg, dead)
+        assert never_densified(net), "faulty FST must never densify"
