@@ -34,23 +34,19 @@ from typing import Any, Iterator
 
 from repro.obs.aggregate import (
     canonical_snapshot,
-    empty_snapshot,
     merge_snapshots,
     read_snapshot,
-    stitched_spans,
     to_registry,
     worker_snapshot,
     write_snapshot,
 )
 from repro.obs.exporters import (
-    metrics_document,
     read_jsonl_trace,
     render_prometheus,
-    trace_to_jsonl,
     write_jsonl_trace,
     write_metrics_json,
 )
-from repro.obs.flight import FlightRecorder, load_bundle, render_flight_html
+from repro.obs.flight import FlightRecorder, render_flight_html
 from repro.obs.metrics import (
     Counter,
     Gauge,
@@ -60,49 +56,27 @@ from repro.obs.metrics import (
 from repro.obs.ops import (
     OpsPlane,
     OpsSpan,
-    SLOBurnRate,
-    SLOObjective,
     TraceContext,
     default_ops,
     default_plane,
-    default_slos,
-    install_default,
     render_trace,
 )
-from repro.obs.probes import ProbeSample, ProbeSet
-from repro.obs.sse import SSEBridge, format_sse
-from repro.obs.spans import Span, SpanRecorder
-from repro.obs.stream import (
-    DEFAULT_CAPACITY,
-    EveryK,
-    KeepAll,
-    ReservoirSample,
-    SamplingPolicy,
-    TelemetryBus,
-    TelemetryEvent,
-)
+from repro.obs.probes import ProbeSet
+from repro.obs.sse import SSEBridge
+from repro.obs.spans import SpanRecorder
+from repro.obs.stream import TelemetryBus, TelemetryEvent
 from repro.sim.trace import TraceRecorder
 
 __all__ = [
     "Counter",
-    "EveryK",
     "FlightRecorder",
     "Gauge",
     "Histogram",
-    "KeepAll",
     "MetricsRegistry",
     "Observability",
     "OpsPlane",
     "OpsSpan",
-    "ProbeSample",
-    "ProbeSet",
-    "ReservoirSample",
-    "SLOBurnRate",
-    "SLOObjective",
     "SSEBridge",
-    "SamplingPolicy",
-    "Span",
-    "SpanRecorder",
     "TelemetryBus",
     "TelemetryEvent",
     "TraceContext",
@@ -110,22 +84,14 @@ __all__ = [
     "canonical_snapshot",
     "default_ops",
     "default_plane",
-    "default_slos",
-    "empty_snapshot",
-    "format_sse",
     "get_active",
-    "install_default",
-    "load_bundle",
     "merge_snapshots",
-    "metrics_document",
     "read_jsonl_trace",
     "read_snapshot",
     "render_flight_html",
     "render_prometheus",
     "render_trace",
-    "stitched_spans",
     "to_registry",
-    "trace_to_jsonl",
     "worker_snapshot",
     "write_jsonl_trace",
     "write_metrics_json",
@@ -145,23 +111,19 @@ class Observability:
     keep_trace:
         Retain per-event :class:`TraceRecord` objects for JSONL export.
         This is the only per-transmission cost, so it is opt-in.
-    probe_interval_ms:
-        Default spacing (simulated ms) between samples of each probe.
     stream:
         Attach a :class:`~repro.obs.stream.TelemetryBus` as ``self.bus``
         with the default analyzer set from
         :func:`repro.obs.analyzers.default_analyzers` subscribed.  Off
         by default; kernels guard every publish behind
         ``bus is not None``, so a bundle without a bus pays nothing.
-    stream_capacity:
-        Ring capacity of the attached bus (ignored without ``stream``).
 
     The bundle also carries ``self.ops`` — the non-canonical
     :class:`~repro.obs.ops.OpsPlane`, ``None`` unless one was installed
     process-wide (:func:`~repro.obs.ops.install_default`) or attached
     explicitly by the service wiring.  Everything above stays on the
     deterministic plane; the ops plane keeps its own sibling registry
-    and bus, and is excluded from every canonical export.
+    and alert list, and is excluded from every canonical export.
     """
 
     def __init__(
@@ -169,30 +131,21 @@ class Observability:
         *,
         enabled: bool = True,
         keep_trace: bool = False,
-        probe_interval_ms: float = 1_000.0,
         stream: bool = False,
-        stream_capacity: int | None = None,
     ) -> None:
         self.enabled = enabled
         self.ops: OpsPlane | None = default_plane()
         self.metrics = MetricsRegistry()
         self.spans = SpanRecorder(enabled=enabled)
         self.trace: TraceRecorder | None = (
-            TraceRecorder(keep_records=True) if keep_trace and enabled else None
+            TraceRecorder() if keep_trace and enabled else None
         )
-        self.probes = ProbeSet(interval_ms=probe_interval_ms)
+        self.probes = ProbeSet()
         self.bus: TelemetryBus | None = None
         if stream and enabled:
             from repro.obs.analyzers import default_analyzers
 
-            self.bus = TelemetryBus(
-                capacity=(
-                    stream_capacity
-                    if stream_capacity is not None
-                    else DEFAULT_CAPACITY
-                ),
-                metrics=self.metrics,
-            )
+            self.bus = TelemetryBus(metrics=self.metrics)
             # deterministic distribution sample of the convergence signal
             self.bus.add_reservoir("sync", "spread_ms", capacity=256, seed=0)
             for analyzer in default_analyzers():

@@ -15,8 +15,7 @@ workers were scheduled:
   carries the integer id of the worker that wrote it, and the sample
   from the highest worker id wins — a commutative, associative rule, so
   merge order never matters;
-* **span trees** are stitched under one synthetic ``merged`` root with
-  one ``worker:<id>`` child per worker, ordered by id;
+* **span trees** are kept per worker, keyed and ordered by worker id;
 * **telemetry drop ledgers** (and published counts, and alerts) merge by
   per-(topic, reason) summation; alerts sort by their content.
 
@@ -74,8 +73,8 @@ def worker_snapshot(source: Any, worker_id: int) -> dict[str, Any]:
     ``source`` is an :class:`~repro.obs.Observability` bundle or a bare
     :class:`~repro.obs.metrics.MetricsRegistry` (duck-typed on
     ``.metrics``).  ``worker_id`` must be a non-negative integer unique
-    within the fleet — it is the gauge last-writer tiebreak and the span
-    stitch key.
+    within the fleet — it is the gauge last-writer tiebreak and the key
+    of the worker's span trees.
     """
     worker_id = int(worker_id)
     if worker_id < 0:
@@ -406,32 +405,3 @@ def to_registry(snapshot: dict[str, Any]) -> MetricsRegistry:
         else:
             raise ValueError(f"metric {name!r}: unknown kind {kind!r}")
     return registry
-
-
-def stitched_spans(snapshot: dict[str, Any]) -> dict[str, Any]:
-    """All workers' span trees under one synthetic ``merged`` root.
-
-    Workers appear as ``worker:<id>`` children ordered by id; each
-    worker node's duration is the sum of its root spans, and the merged
-    root's duration is the fleet total (busy time, not wall time — the
-    workers ran concurrently).
-    """
-    children = []
-    for key in sorted(snapshot["spans"], key=int):
-        roots = snapshot["spans"][key]
-        duration = sum(r.get("duration_ms", 0.0) for r in roots)
-        children.append(
-            {
-                "name": f"worker:{key}",
-                "duration_ms": round(duration, 6),
-                "children": roots,
-            }
-        )
-    return {
-        "name": "merged",
-        "duration_ms": round(
-            sum(c["duration_ms"] for c in children), 6
-        ),
-        "attrs": {"workers": len(children)},
-        "children": children,
-    }

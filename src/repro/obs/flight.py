@@ -6,15 +6,15 @@ three bounded deterministic rings — recent requests, recent telemetry
 events, recent alerts — with explicit drop counters (never silent), and
 dumps a self-contained post-mortem **bundle** when something goes wrong:
 
-* an analyzer alert (SLO burn, stall, collision storm — the recorder is
-  an ordinary bus subscriber, so any ``bus.alert`` arms it),
+* an analyzer alert (SLO burn relayed by the ops plane; stall or
+  collision storm on the world's bus, which the recorder subscribes to),
 * a 5xx response, or
 * an :class:`~repro.faults.invariants.InvariantViolation` escaping a
   world step.
 
 Bundles are one JSON document (schema ``repro.obs.flight/1``) plus a
 PR 5-style single-file HTML rendering — inline CSS, no external assets —
-written under ``out_dir`` and bounded by ``max_bundles``.  ``repro
+written under ``out_dir`` and bounded by :data:`MAX_BUNDLES`.  ``repro
 flight dump`` captures one on demand from a running service's
 ``GET /ops/flight``.
 
@@ -33,11 +33,11 @@ from typing import Any
 
 FLIGHT_SCHEMA = "repro.obs.flight/1"
 
-#: Default ring size shared by the request/event/alert rings.
-DEFAULT_FLIGHT_CAPACITY = 256
+#: Ring size shared by the request/event/alert rings.
+FLIGHT_CAPACITY = 256
 
 #: Bundles retained on disk before the oldest is deleted.
-DEFAULT_MAX_BUNDLES = 8
+MAX_BUNDLES = 8
 
 
 class FlightRecorder:
@@ -46,24 +46,18 @@ class FlightRecorder:
     def __init__(
         self,
         *,
-        capacity: int = DEFAULT_FLIGHT_CAPACITY,
         out_dir: str | pathlib.Path | None = None,
-        max_bundles: int = DEFAULT_MAX_BUNDLES,
         clock=time.time,
     ) -> None:
-        if capacity < 1:
-            raise ValueError("capacity must be >= 1")
-        self.capacity = int(capacity)
         self.out_dir = pathlib.Path(out_dir) if out_dir is not None else None
-        self.max_bundles = int(max_bundles)
         self.clock = clock
         #: raw request records in the ops-plane tuple layout
-        #: ``(endpoint, method, status, elapsed_s, trace_id, path,
-        #: start_s)``; rendered to dicts only at bundle time so the
-        #: per-request feed stays allocation-light.
-        self.requests: deque[tuple] = deque(maxlen=self.capacity)
-        self.events: deque[dict[str, Any]] = deque(maxlen=self.capacity)
-        self.alerts: deque[dict[str, Any]] = deque(maxlen=self.capacity)
+        #: ``(endpoint, method, status, elapsed_s, ctx, path, start_s)``;
+        #: rendered to dicts only at bundle time so the per-request feed
+        #: stays allocation-light.
+        self.requests: deque[tuple] = deque(maxlen=FLIGHT_CAPACITY)
+        self.events: deque[dict[str, Any]] = deque(maxlen=FLIGHT_CAPACITY)
+        self.alerts: deque[dict[str, Any]] = deque(maxlen=FLIGHT_CAPACITY)
         #: ring -> evictions; the drop ledger (bounded is never silent)
         self.dropped: dict[str, int] = {"requests": 0, "events": 0, "alerts": 0}
         self.violations: list[dict[str, Any]] = []
@@ -73,10 +67,10 @@ class FlightRecorder:
         self.request_log: Any | None = None  # optional bounded RequestLog
 
     # ------------------------------------------------------------------
-    # ring feeds (bus subscriber contract + explicit request notes)
+    # ring feeds (bus subscriber contract + the plane's request batches)
     # ------------------------------------------------------------------
     def _append(self, ring: deque, name: str, item: dict[str, Any]) -> None:
-        if len(ring) == self.capacity:
+        if len(ring) == FLIGHT_CAPACITY:
             self.dropped[name] += 1
         ring.append(item)
 
@@ -100,43 +94,16 @@ class FlightRecorder:
         analyzer = doc.get("analyzer", "unknown")
         self.arm(f"alert:{analyzer}")
 
-    def note_request(
-        self,
-        *,
-        method: str,
-        endpoint: str,
-        path: str,
-        status: int,
-        elapsed_ms: float,
-        trace_id: str | None = None,
-    ) -> None:
-        """Record one served request; a 5xx arms an automatic dump."""
-        self.ingest_requests(
-            [
-                (
-                    endpoint,
-                    method,
-                    status,
-                    elapsed_ms / 1000.0,
-                    trace_id,
-                    path,
-                    self.clock(),
-                )
-            ]
-        )
-        if status >= 500:
-            self.arm(f"5xx:{endpoint}")
-
     def ingest_requests(self, records: list[tuple]) -> None:
         """Batched raw ring feed (ops-plane request-record tuples).
 
-        Deliberately does **not** inspect statuses — arming is the
-        caller's job (:meth:`note_request` and ``OpsPlane.flush`` both
-        do it), so this stays an O(1)-per-record ``extend`` with the
-        drop ledger kept by arithmetic instead of a per-item check.
+        Deliberately does **not** inspect statuses — arming on a 5xx is
+        ``OpsPlane.flush``'s job, so this stays an O(1)-per-record
+        ``extend`` with the drop ledger kept by arithmetic instead of a
+        per-item check.
         """
         ring = self.requests
-        overflow = len(ring) + len(records) - self.capacity
+        overflow = len(ring) + len(records) - FLIGHT_CAPACITY
         if overflow > 0:
             # len(ring) <= capacity always, so overflow <= len(records)
             self.dropped["requests"] += overflow
@@ -163,7 +130,7 @@ class FlightRecorder:
             "schema": FLIGHT_SCHEMA,
             "reason": reason,
             "captured_wall_s": self.clock(),
-            "capacity": self.capacity,
+            "capacity": FLIGHT_CAPACITY,
             "dropped": dict(self.dropped),
             "requests": [_request_doc(rec) for rec in self.requests],
             "events": list(self.events),
@@ -196,7 +163,7 @@ class FlightRecorder:
         self.dumps.extend([str(json_path), str(html_path)])
         # bound the on-disk bundle set (a flapping alert must not fill
         # the disk any more than a ring may grow without limit)
-        while len(self.dumps) > 2 * self.max_bundles:
+        while len(self.dumps) > 2 * MAX_BUNDLES:
             stale = self.dumps.pop(0)
             pathlib.Path(stale).unlink(missing_ok=True)
         return json_path, html_path
@@ -213,17 +180,13 @@ class FlightRecorder:
 
 def _request_doc(rec: tuple) -> dict[str, Any]:
     """One ring tuple rendered to the bundle's JSON request document."""
-    # rec[4] is a TraceContext when fed by the ops plane's batched path,
-    # or a plain trace-id string (or None) via note_request
-    trace = rec[4]
-    if trace is not None and not isinstance(trace, str):
-        trace = trace.trace_id
+    ctx = rec[4]
     return {
         "endpoint": rec[0],
         "method": rec[1],
         "status": rec[2],
         "elapsed_ms": round(rec[3] * 1000.0, 3),
-        "trace_id": trace,
+        "trace_id": None if ctx is None else ctx.trace_id,
         "path": rec[5],
         "stamp_s": rec[6],
     }

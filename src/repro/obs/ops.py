@@ -16,26 +16,26 @@ operator of ``repro serve`` needs:
   finished spans are queryable via ``GET /trace/{id}`` and ``repro
   trace``;
 * **latency SLOs** — per-endpoint wall-clock histograms with
-  :class:`SLOObjective` targets (e.g. p99 ≤ 10 ms for ``/near``), a
-  :class:`SLOBurnRate` analyzer on the plane's own PR 5 telemetry bus
-  emitting structured :class:`~repro.obs.analyzers.Alert` records, and
-  exemplar trace ids attached to slow histogram buckets;
-* a sibling :class:`~repro.obs.metrics.MetricsRegistry` and
-  :class:`~repro.obs.stream.TelemetryBus` that are **excluded** from
-  ``GET /metrics``, ``metrics_document`` and every conformance artifact.
+  :class:`SLOObjective` targets (e.g. p99 ≤ 10 ms for ``/near``), one
+  :class:`SLOBurnRate` detector per objective emitting structured
+  :class:`~repro.obs.analyzers.Alert` records, and exemplar trace ids
+  attached to slow histogram buckets;
+* a sibling :class:`~repro.obs.metrics.MetricsRegistry` that is
+  **excluded** from ``GET /metrics``, ``metrics_document`` and every
+  conformance artifact.
 
 The separation is load-bearing, not cosmetic: SLO alerts depend on the
 machine's clock, so they must not land in the world's ``alerts_total``
-counter or its SSE stream — the ops plane gets its own bus instead, and
-``tests/test_service_ops.py`` proves service responses and goldens stay
-byte-identical with the plane on and off.
+counter or its SSE stream — the plane keeps its own alert list and
+counter instead, and ``tests/test_service_ops.py`` proves service
+responses and goldens stay byte-identical with the plane on and off.
 
 The hot path is built for a ≤ 5% overhead budget on a ~100 µs request
 (``bench_service.py`` enforces ``ops_overhead_ratio``): requests are
-queued as tuples and drained in batches (``flush_interval``) into the
-histogram, the SLO windows and the flight recorder, span objects are
-only built for sampled requests (``trace_sample``, 1 = trace all), and
-a 5xx flushes immediately so post-mortem dumps stay timely.
+queued as tuples and drained in batches of :data:`FLUSH_INTERVAL` into
+the histogram, the SLO windows and the flight recorder, span objects
+are only built for 1-in-:data:`TRACE_SAMPLE` requests, and a 5xx
+flushes immediately so post-mortem dumps stay timely.
 """
 
 from __future__ import annotations
@@ -47,9 +47,8 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator
 
-from repro.obs.analyzers import Analyzer
+from repro.obs.analyzers import Alert, Analyzer
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.stream import TelemetryBus, TelemetryEvent
 
 #: Latency histogram bucket bounds in milliseconds (service request
 #: scale: sub-ms cache hits through a 1 s pathological tail).
@@ -60,21 +59,25 @@ LATENCY_BUCKETS_MS = (0.5, 1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0, 250.0, 1000.0
 _LE_LABELS = tuple(repr(b) for b in LATENCY_BUCKETS_MS)
 
 #: Retained finished traces (whole traces are evicted FIFO, counted).
-DEFAULT_TRACE_CAPACITY = 256
+TRACE_CAPACITY = 256
 
-#: Ring capacity of the plane's private telemetry bus.
-DEFAULT_OPS_BUS_CAPACITY = 2048
-
-#: Trace 1-in-N requests by default (1 = every request).  Span objects
-#: cost a few µs each; sampling keeps the ops plane inside its ≤ 5%
-#: overhead budget while exemplars still reach every latency bucket.
-DEFAULT_TRACE_SAMPLE = 16
+#: Trace 1-in-N requests.  Span objects cost a few µs each; sampling
+#: keeps the ops plane inside its ≤ 5% overhead budget while exemplars
+#: still reach every latency bucket.
+TRACE_SAMPLE = 16
 
 #: Queued request records drained per batch; bounds both the amortised
 #: per-request cost and how stale SLO windows may run between reads
 #: (readers always flush first, so staleness never reaches a scrape).
 #: Larger batches amortise the drain's cache warm-up over more records.
-DEFAULT_FLUSH_INTERVAL = 256
+FLUSH_INTERVAL = 256
+
+#: Burn-rate detector: sliding window (matching requests), the fewest
+#: requests in the window before it may alert, and the burn rate (bad
+#: fraction over the error budget) that fires an alert.
+BURN_WINDOW = 200
+BURN_MIN_EVENTS = 20
+BURN_LIMIT = 2.0
 
 
 @dataclass(frozen=True)
@@ -199,41 +202,28 @@ def default_slos() -> tuple[SLOObjective, ...]:
 
 
 class SLOBurnRate(Analyzer):
-    """Burn-rate analyzer over the ops plane's request stream.
+    """Burn-rate detector over the ops plane's request stream.
 
-    Maintains a sliding window of the last ``window`` matching requests
-    and fires one structured alert per episode when the burn rate —
-    observed bad fraction over the SLO's error budget — reaches
-    ``burn_limit`` with at least ``min_events`` in the window.  The
-    detector re-arms once the burn drops back under the limit, so a
-    sustained violation yields one alert, not one per request.
-    Availability violations are ``critical``; latency ones ``warning``.
+    Maintains a sliding window of the last :data:`BURN_WINDOW` matching
+    requests and fires one structured alert per episode when the burn
+    rate — observed bad fraction over the SLO's error budget — reaches
+    :data:`BURN_LIMIT` with at least :data:`BURN_MIN_EVENTS` in the
+    window.  The detector re-arms once the burn drops back under the
+    limit, so a sustained violation yields one alert, not one per
+    request.  Availability violations are ``critical``; latency ones
+    ``warning``.
 
-    Fed in batches through :meth:`ingest` by :meth:`OpsPlane.flush` (the
-    window count is maintained incrementally — no per-request window
-    scan); the :class:`~repro.obs.analyzers.Analyzer` ``observe`` hook
-    remains as a single-event adapter so the class still works as an
-    ordinary bus subscriber.
+    Fed in batches through :meth:`ingest` by :meth:`OpsPlane.flush`
+    (the window count is maintained incrementally — no per-request
+    window scan); fired alerts collect on :attr:`alerts`, from which the
+    plane relays them.
     """
 
     name = "slo_burn_rate"
-    topics = ("request",)
 
-    def __init__(
-        self,
-        slo: SLOObjective,
-        *,
-        window: int = 200,
-        min_events: int = 20,
-        burn_limit: float = 2.0,
-    ) -> None:
-        if window < 1:
-            raise ValueError("window must be >= 1")
+    def __init__(self, slo: SLOObjective) -> None:
         super().__init__()
         self.slo = slo
-        self.window = int(window)
-        self.min_events = int(min_events)
-        self.burn_limit = float(burn_limit)
         #: sequence numbers (per matching request) of *bad* requests —
         #: a sparse window: the healthy path never touches a ring at
         #: all, which is what keeps three analyzers inside the ops
@@ -283,14 +273,14 @@ class SLOBurnRate(Analyzer):
                 if matching:
                     self.seen += matching
                     self.burn = 0.0
-                    if min(self.seen, self.window) >= self.min_events:
+                    if min(self.seen, BURN_WINDOW) >= BURN_MIN_EVENTS:
                         self._armed = True
                 return
         budget = 1.0 - slo.objective
         bad_seq = self._bad_seq
-        window = self.window
-        min_events = self.min_events
-        burn_limit = self.burn_limit
+        window = BURN_WINDOW
+        min_events = BURN_MIN_EVENTS
+        burn_limit = BURN_LIMIT
         seen = self.seen
         for rec in records:
             if not match_all and rec[0] != endpoint_filter:
@@ -333,31 +323,8 @@ class SLOBurnRate(Analyzer):
                     self._armed = True
         self.seen = seen
 
-    def observe(self, event: TelemetryEvent) -> None:
-        """Bus-subscriber adapter: account one ``request`` event."""
-        self.ingest(
-            [
-                (
-                    event.labels.get("endpoint", ""),
-                    event.labels.get("method", ""),
-                    int(event.values.get("status", 0)),
-                    float(event.values.get("elapsed_ms", event.value))
-                    / 1000.0,
-                    event.labels.get("trace"),
-                    event.labels.get("endpoint", ""),
-                    event.time_ms / 1000.0,
-                )
-            ]
-        )
-
     def status(self) -> dict[str, Any]:
-        """JSON-safe snapshot for ``GET /ops/slo`` (updates the gauge —
-        deliberately here and not per request, which was measurable)."""
-        if self.bus is not None and self.bus.metrics is not None:
-            self.bus.metrics.gauge(
-                "slo_burn_rate",
-                help="observed bad fraction over the SLO error budget",
-            ).set(self.burn, slo=self.slo.name)
+        """JSON-safe snapshot for ``GET /ops/slo``."""
         return {
             "slo": self.slo.name,
             "endpoint": self.slo.endpoint,
@@ -365,7 +332,7 @@ class SLOBurnRate(Analyzer):
             "threshold_ms": self.slo.threshold_ms,
             "objective": self.slo.objective,
             "seen": self.seen,
-            "window": min(self.seen, self.window),
+            "window": min(self.seen, BURN_WINDOW),
             "bad_in_window": len(self._bad_seq),
             "burn_rate": self.burn,
             "alerts": len(self.alerts),
@@ -378,67 +345,38 @@ class SLOBurnRate(Analyzer):
 class OpsPlane:
     """Sibling registry + trace store + SLO machinery for one service.
 
-    Holds its own :class:`MetricsRegistry` and :class:`TelemetryBus`
-    (never the world's), a bounded store of finished traces, and one
-    :class:`SLOBurnRate` analyzer per objective.  ``clock`` is
-    injectable so tests can drive deterministic latencies.
+    Holds its own :class:`MetricsRegistry` (never the world's), a
+    bounded store of finished traces, one :class:`SLOBurnRate` detector
+    per :func:`default_slos` objective and the alerts they fired.
+    ``clock`` is injectable so tests can drive deterministic latencies.
 
     Request accounting is batched: :meth:`observe_request` appends one
     tuple (the ``_REQUEST_RECORD`` layout) and :meth:`flush` drains the
-    queue — every ``flush_interval`` records, immediately on a 5xx, and
-    before any reader (``slo_status``, the flight bundle) looks.  Spans
-    are only materialised for 1-in-``trace_sample`` requests (1 = all).
+    queue — every :data:`FLUSH_INTERVAL` records, immediately on a 5xx,
+    and before any reader (``slo_status``, the flight bundle) looks.
+    Spans are only materialised for the requests :meth:`sample_request`
+    picks (1 in :data:`TRACE_SAMPLE`).
     """
 
     def __init__(
         self,
         *,
-        slos: tuple[SLOObjective, ...] | None = None,
-        trace_capacity: int = DEFAULT_TRACE_CAPACITY,
-        bus_capacity: int = DEFAULT_OPS_BUS_CAPACITY,
         flight: Any | None = None,
         clock: Callable[[], float] = time.perf_counter,
-        burn_window: int = 200,
-        burn_min_events: int = 20,
-        burn_limit: float = 2.0,
-        trace_sample: int = DEFAULT_TRACE_SAMPLE,
-        flush_interval: int = DEFAULT_FLUSH_INTERVAL,
     ) -> None:
-        if trace_capacity < 1:
-            raise ValueError("trace_capacity must be >= 1")
-        if trace_sample < 1:
-            raise ValueError("trace_sample must be >= 1")
-        if flush_interval < 1:
-            raise ValueError("flush_interval must be >= 1")
         self.metrics = MetricsRegistry()
-        self.bus = TelemetryBus(capacity=bus_capacity, metrics=self.metrics)
-        self.trace_capacity = int(trace_capacity)
-        self.trace_sample = int(trace_sample)
-        self.flush_interval = int(flush_interval)
         self.clock = clock
         self._traces: OrderedDict[str, list[OpsSpan]] = OrderedDict()
         self.traces_evicted = 0
         self._trace_ids = itertools.count(1)
         self._span_ids = itertools.count(1)
-        #: monotone request counter driving trace sampling; public so
-        #: the app's inlined hot path can bump it without a method call
-        self.request_seq = 0
+        self._request_seq = 0
         self._raw: list[tuple] = []
         self.exemplars: dict[tuple[str, str], str] = {}
-        self.analyzers: list[SLOBurnRate] = [
-            SLOBurnRate(
-                slo,
-                window=burn_window,
-                min_events=burn_min_events,
-                burn_limit=burn_limit,
-            )
-            for slo in (slos if slos is not None else default_slos())
-        ]
-        for analyzer in self.analyzers:
-            self.bus.subscribe(analyzer)
+        self.analyzers = [SLOBurnRate(slo) for slo in default_slos()]
+        #: SLO alerts fired so far, oldest first (``GET /ops/slo``)
+        self.alerts: list[Alert] = []
         self.flight = flight
-        if flight is not None:
-            self.bus.subscribe(flight)
         # hot-path metric handles, resolved once (per-request registry
         # lookups were a measurable slice of the overhead budget)
         self._latency_hist = self.metrics.histogram(
@@ -463,28 +401,30 @@ class OpsPlane:
             help="finished traces evicted from the bounded store",
             unit="traces",
         )
+        self._alerts_counter = self.metrics.counter(
+            "alerts_total",
+            help="structured alerts fired by online analyzers",
+            unit="alerts",
+        )
 
     # ------------------------------------------------------------------
     # tracing
     # ------------------------------------------------------------------
-    def new_trace_id(self) -> str:
-        return f"t{next(self._trace_ids):08x}"
-
     def context(self, parent: TraceContext | None = None) -> TraceContext:
-        """Mint a context without opening a span.
+        """Mint a context without opening a span (``parent=None`` starts
+        a new trace).
 
-        For manual span recording across process boundaries: the shard
-        driver mints one context per ``run_city``, ships it to the pool
-        workers (who build span *documents* under it, ids prefixed by
-        shard so they cannot collide), then records the driver-side span
-        itself via :meth:`record_span`.
+        For spans recorded after the fact: ``DiscoveryApp`` mints one
+        per sampled request and hands it to :meth:`observe_request`,
+        which records the request span at the next flush; the shard
+        driver mints one per ``run_city``, ships it to the pool workers
+        (who build span *documents* under it, ids prefixed by shard so
+        they cannot collide), then records the driver-side span itself
+        via :meth:`record_span`.
         """
-        return self._new_context(parent)
-
-    def _new_context(self, parent: TraceContext | None) -> TraceContext:
         span_id = f"s{next(self._span_ids):x}"
         if parent is None:
-            return TraceContext(self.new_trace_id(), span_id, None)
+            return TraceContext(f"t{next(self._trace_ids):08x}", span_id, None)
         return parent.child(span_id)
 
     @contextmanager
@@ -496,7 +436,7 @@ class OpsPlane:
         With ``parent=None`` a fresh trace id is minted — that is the
         "per service request and per world step" generation point.
         """
-        ctx = self._new_context(parent)
+        ctx = self.context(parent)
         start = self.clock()
         status = "ok"
         try:
@@ -522,7 +462,7 @@ class OpsPlane:
         """Store one finished span, evicting whole old traces when full."""
         spans = self._traces.get(span.trace_id)
         if spans is None:
-            while len(self._traces) >= self.trace_capacity:
+            while len(self._traces) >= TRACE_CAPACITY:
                 self._traces.popitem(last=False)
                 self.traces_evicted += 1
                 self._evicted_counter.inc(1)
@@ -553,9 +493,10 @@ class OpsPlane:
     # request accounting
     # ------------------------------------------------------------------
     def sample_request(self) -> bool:
-        """True when the next request should carry a full trace span."""
-        seq = self.request_seq = self.request_seq + 1
-        return self.trace_sample == 1 or seq % self.trace_sample == 1
+        """True when the next request should carry a full trace span:
+        the first request, then every :data:`TRACE_SAMPLE`-th."""
+        seq = self._request_seq = self._request_seq + 1
+        return seq % TRACE_SAMPLE == 1
 
     def observe_request(
         self,
@@ -565,21 +506,27 @@ class OpsPlane:
         elapsed_s: float,
         trace: TraceContext | None = None,
         path: str | None = None,
+        *,
+        start_s: float,
     ) -> None:
         """Queue one served request for batched accounting.
 
+        ``start_s`` is the clock reading taken when the request arrived
+        (``elapsed_s`` is measured from it); the request span starts
+        there, so spans opened while it was served nest inside it.
+
         Record layout (``_REQUEST_RECORD``): ``(endpoint, method,
-        status, elapsed_s, ctx, path, start_s)`` where ``start_s`` is on
-        the plane's ``clock``, floats are stored raw (unit conversion
-        happens at flush/render time) and ``ctx`` is the request's
-        :class:`TraceContext` or ``None``.  For traced records
-        :meth:`flush` materialises the request span itself — callers
-        passing ``trace`` must not also wrap the request in
+        status, elapsed_s, ctx, path, start_s)`` where floats are stored
+        raw (unit conversion happens at flush/render time) and ``ctx``
+        is the request's :class:`TraceContext` or ``None``.  For traced
+        records :meth:`flush` materialises the request span itself —
+        callers passing ``trace`` must not also wrap the request in
         :meth:`span`, or the trace shows it twice.  A 5xx drains the
         queue right away so the flight recorder can dump while the
         evidence is fresh.
         """
-        self._raw.append(
+        raw = self._raw
+        raw.append(
             (
                 endpoint,
                 method,
@@ -587,17 +534,17 @@ class OpsPlane:
                 elapsed_s,
                 trace,
                 endpoint if path is None else path,
-                self.clock(),
+                start_s,
             )
         )
-        if status >= 500 or len(self._raw) >= self.flush_interval:
+        if status >= 500 or len(raw) >= FLUSH_INTERVAL:
             self.flush()
 
     def flush(self) -> int:
         """Drain queued request records into histogram/SLO/flight state.
 
         Also materialises queued request spans.  Called automatically
-        every ``flush_interval`` requests, on any 5xx, and by every
+        every :data:`FLUSH_INTERVAL` requests, on any 5xx, and by every
         reader (:meth:`slo_status`, :meth:`trace`, the app's ops
         endpoints) — so a scrape never sees a stale window.
         """
@@ -671,7 +618,10 @@ class OpsPlane:
             inc(n, endpoint=endpoint, method=method, status=str(status))
         summary = (counts, maxes, five_xx_endpoint)
         for analyzer in self.analyzers:
+            fired = len(analyzer.alerts)
             analyzer.ingest(raw, summary)
+            for alert in analyzer.alerts[fired:]:
+                self._relay_alert(alert)
         flight = self.flight
         if flight is not None:
             if five_xx_endpoint is not None:
@@ -680,15 +630,34 @@ class OpsPlane:
             flight.maybe_dump()
         return len(raw)
 
+    def _relay_alert(self, alert: Alert) -> None:
+        """Keep one SLO alert, count it, and hand it to the recorder."""
+        self.alerts.append(alert)
+        self._alerts_counter.inc(
+            1, analyzer=alert.analyzer, severity=alert.severity
+        )
+        if self.flight is not None:
+            self.flight.on_alert(alert)
+
     # ------------------------------------------------------------------
     # status
     # ------------------------------------------------------------------
     def slo_status(self) -> dict[str, Any]:
-        """The ``GET /ops/slo`` document: objectives, burn, exemplars."""
+        """The ``GET /ops/slo`` document: objectives, burn, exemplars.
+
+        Also refreshes the ``slo_burn_rate`` gauge — deliberately here
+        and not per request, which was measurable.
+        """
         self.flush()
+        gauge = self.metrics.gauge(
+            "slo_burn_rate",
+            help="observed bad fraction over the SLO error budget",
+        )
+        for analyzer in self.analyzers:
+            gauge.set(analyzer.burn, slo=analyzer.slo.name)
         return {
             "slos": [a.status() for a in self.analyzers],
-            "alerts": [a.to_dict() for a in self.bus.alerts],
+            "alerts": [a.to_dict() for a in self.alerts],
             "exemplars": [
                 {"endpoint": endpoint, "le": le, "trace_id": trace_id}
                 for (endpoint, le), trace_id in sorted(self.exemplars.items())

@@ -3,14 +3,10 @@
 A probe is a named time series of numeric observations taken at (at
 least) a configured simulated-time interval: sync-error spread during a
 pulse-coupled run, fragment sizes per Borůvka phase, neighbour-table fill
-during discovery.  Two feeding styles:
-
-* **pull** — :meth:`ProbeSet.register` a callable returning a value dict;
-  :meth:`ProbeSet.maybe_sample` invokes every due probe.
-* **push** — the protocol loop calls :meth:`ProbeSet.record` with values
-  it already has in hand (the common case inside vectorized kernels).
-  ``record`` honours the probe's interval, so a hot loop can call it
-  every instant and still produce a bounded series.
+during discovery.  The protocol loop calls :meth:`ProbeSet.record` with
+values it already has in hand (the common case inside vectorized
+kernels); ``record`` honours the interval, so a hot loop can call it
+every instant and still produce a bounded series.
 
 Time is *simulated* milliseconds, so probe series are deterministic for
 a given seed.
@@ -19,7 +15,7 @@ a given seed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Any
 
 #: Default spacing between samples of one probe (simulated ms).
 DEFAULT_INTERVAL_MS = 1_000.0
@@ -45,32 +41,12 @@ class ProbeSet:
             raise ValueError("interval_ms must be positive")
         self.interval_ms = float(interval_ms)
         self.samples: list[ProbeSample] = []
-        self._pull: dict[str, Callable[[], dict[str, float]]] = {}
-        self._intervals: dict[str, float] = {}
         self._next_due: dict[str, float] = {}
 
     # ------------------------------------------------------------------
-    def register(
-        self,
-        name: str,
-        fn: Callable[[], dict[str, float]] | None = None,
-        interval_ms: float | None = None,
-    ) -> None:
-        """Declare a probe; ``fn`` makes it pull-sampleable."""
-        if interval_ms is not None and interval_ms <= 0:
-            raise ValueError("interval_ms must be positive")
-        if fn is not None:
-            self._pull[name] = fn
-        if interval_ms is not None:
-            self._intervals[name] = float(interval_ms)
-
-    def _interval(self, name: str) -> float:
-        return self._intervals.get(name, self.interval_ms)
-
     def due(self, name: str, time_ms: float) -> bool:
         return time_ms >= self._next_due.get(name, -float("inf"))
 
-    # ------------------------------------------------------------------
     def record(
         self, time_ms: float, probe: str, *, force: bool = False, **values: float
     ) -> bool:
@@ -84,16 +60,8 @@ class ProbeSet:
         self.samples.append(
             ProbeSample(time_ms, probe, {k: float(v) for k, v in values.items()})
         )
-        self._next_due[probe] = time_ms + self._interval(probe)
+        self._next_due[probe] = time_ms + self.interval_ms
         return True
-
-    def maybe_sample(self, time_ms: float) -> int:
-        """Pull every registered-and-due probe; returns samples taken."""
-        taken = 0
-        for name, fn in self._pull.items():
-            if self.due(name, time_ms):
-                taken += int(self.record(time_ms, name, **fn()))
-        return taken
 
     # ------------------------------------------------------------------
     def series(self, probe: str, key: str) -> list[tuple[float, float]]:

@@ -1,4 +1,4 @@
-"""Streaming telemetry bus: bounded ring buffer, deterministic sampling.
+"""Streaming telemetry bus: bounded ring buffer, deterministic reservoirs.
 
 Post-hoc observability (metrics snapshots, span trees) tells you what a
 run *did*; the bus tells you what it is *doing*.  Protocol code
@@ -13,13 +13,10 @@ Three properties keep the bus safe on hot paths:
   publish would overflow, the oldest event is evicted and the eviction
   is *counted*, never silent (``telemetry_dropped_total`` with
   ``reason="evicted"``).
-* **deterministically sampled**: per-topic admission policies decide
-  which publishes become events.  :class:`EveryK` keeps every k-th
-  round; :class:`ReservoirSample` keeps a uniform sample of a value
-  stream using counter-hashed randomness (a pure function of the seed
-  and the item ordinal — no RNG state, so repeated runs sample
-  identically).  Sampled-out publishes are counted with
-  ``reason="sampled"``.
+* **deterministically sampled**: a :class:`ReservoirSample` attached to
+  a topic keeps a uniform sample of one value stream using
+  counter-hashed randomness (a pure function of the seed and the item
+  ordinal — no RNG state, so repeated runs sample identically).
 * **observation-only**: publishing draws no randomness and mutates no
   protocol state, so enabling the bus cannot perturb a run — the
   conformance goldens are the proof.
@@ -62,36 +59,6 @@ class TelemetryEvent:
 
     def __getitem__(self, key: str) -> float:
         return self.values[key]
-
-
-class SamplingPolicy:
-    """Admission rule for one topic; pure function of the publish ordinal."""
-
-    def admit(self, ordinal: int) -> bool:  # pragma: no cover - abstract
-        raise NotImplementedError
-
-
-class KeepAll(SamplingPolicy):
-    """Admit every publish (the default policy)."""
-
-    def admit(self, ordinal: int) -> bool:
-        return True
-
-
-class EveryK(SamplingPolicy):
-    """Admit every ``k``-th publish (ordinals 0, k, 2k, ...).
-
-    The workhorse policy for per-round topics: a kernel can publish every
-    avalanche instant and the bus keeps a bounded, evenly spaced series.
-    """
-
-    def __init__(self, k: int) -> None:
-        if k < 1:
-            raise ValueError("k must be >= 1")
-        self.k = int(k)
-
-    def admit(self, ordinal: int) -> bool:
-        return ordinal % self.k == 0
 
 
 class ReservoirSample:
@@ -161,8 +128,6 @@ class TelemetryBus:
         self._start = 0  # ring head (events[:_start] were evicted)
         self._seq = 0
         self._topic_counts: dict[str, int] = {}
-        self._policies: dict[str, SamplingPolicy] = {}
-        self._default_policy: SamplingPolicy = KeepAll()
         self._reservoirs: dict[tuple[str, str], ReservoirSample] = {}
         self._subscribers: list[Any] = []
         self.alerts: list[Any] = []
@@ -171,17 +136,13 @@ class TelemetryBus:
     # ------------------------------------------------------------------
     # configuration
     # ------------------------------------------------------------------
-    def set_policy(self, topic: str, policy: SamplingPolicy) -> None:
-        """Install an admission policy for one topic."""
-        self._policies[topic] = policy
-
     def add_reservoir(
         self, topic: str, key: str, capacity: int = 256, seed: int = 0
     ) -> ReservoirSample:
         """Attach a deterministic reservoir to ``values[key]`` of ``topic``.
 
-        Reservoirs are fed by *every* publish (before admission), so a
-        heavily sampled topic still yields an unbiased distribution.
+        Reservoirs are fed by *every* publish, so the distribution stays
+        unbiased even after the ring has evicted the events.
         """
         res = ReservoirSample(capacity, seed)
         self._reservoirs[(topic, key)] = res
@@ -210,23 +171,17 @@ class TelemetryBus:
         time_ms: float,
         labels: dict[str, str] | None = None,
         **values: float,
-    ) -> TelemetryEvent | None:
-        """Offer one sample; returns the admitted event or ``None``.
+    ) -> TelemetryEvent:
+        """Publish one sample; returns the event.
 
-        Reservoirs attached to the topic are fed regardless of the
-        admission outcome; a sampled-out or evicted publish increments
-        ``telemetry_dropped_total`` with ``reason`` ``"sampled"`` /
-        ``"evicted"``.
+        Reservoirs attached to the topic are fed with its value; when
+        the ring is full the oldest event is evicted and counted in
+        ``telemetry_dropped_total`` with ``reason="evicted"``.
         """
-        ordinal = self._topic_counts.get(topic, 0)
-        self._topic_counts[topic] = ordinal + 1
+        self._topic_counts[topic] = self._topic_counts.get(topic, 0) + 1
         for (res_topic, key), res in self._reservoirs.items():
             if res_topic == topic and key in values:
                 res.offer(values[key])
-        policy = self._policies.get(topic, self._default_policy)
-        if not policy.admit(ordinal):
-            self._drop(topic, "sampled")
-            return None
         event = TelemetryEvent(
             seq=self._seq,
             time_ms=float(time_ms),
@@ -312,7 +267,7 @@ class TelemetryBus:
         ]
 
     def published(self, topic: str | None = None) -> int:
-        """Publish attempts so far (admitted or not)."""
+        """Publishes so far (retained or evicted)."""
         if topic is None:
             return sum(self._topic_counts.values())
         return self._topic_counts.get(topic, 0)
@@ -339,7 +294,8 @@ class TelemetryBus:
         return len(self.events) - self._start
 
     def clear(self) -> None:
-        """Drop all retained events, counters and alerts (policies stay)."""
+        """Drop all retained events, counters and alerts (reservoirs
+        stay attached, emptied)."""
         self.events.clear()
         self._start = 0
         self._seq = 0

@@ -149,24 +149,16 @@ class DiscoveryApp:
         start = time.perf_counter()
         ops = self.ops
         ctx: TraceContext | None = None
-        if ops is None:
-            endpoint, response = self._route_guarded(request)
-        else:
-            # inlined ops.sample_request() — this path runs per request
-            # and is governed by the bench_service ops_overhead budget
-            seq = ops.request_seq = ops.request_seq + 1
-            sample = ops.trace_sample
-            if sample == 1 or seq % sample == 1:
-                # mint the context only; the span itself is queued after
-                # the route (below) and materialised at the next flush
-                ctx = ops._new_context(None)
-                self._current_trace = ctx
-                try:
-                    endpoint, response = self._route_guarded(request)
-                finally:
-                    self._current_trace = None
-            else:
+        if ops is not None and ops.sample_request():
+            # mint the context only: observe_request queues the request
+            # span and the plane materialises it at the next flush
+            ctx = self._current_trace = ops.context()
+            try:
                 endpoint, response = self._route_guarded(request)
+            finally:
+                self._current_trace = None
+        else:
+            endpoint, response = self._route_guarded(request)
         elapsed = time.perf_counter() - start
         bucket = self.latency.setdefault(endpoint, [0, 0.0])
         bucket[0] += 1
@@ -187,28 +179,15 @@ class DiscoveryApp:
                 url += "?" + urlencode(sorted(request.query.items()))
             self.request_log.record(request.method, url, request.body)
         if ops is not None:
-            # inlined ops.observe_request(): queue-and-batch — the
-            # plane drains this (and feeds the flight recorder) every
-            # flush_interval records or immediately on a 5xx
-            status = response.status
-            raw = ops._raw
-            # raw seconds, the readings already taken, and the context
-            # object itself — no float arithmetic, no attribute chasing;
-            # flush() converts units and materialises the request span
-            # for sampled records (ctx is not None)
-            raw.append(
-                (
-                    endpoint,
-                    request.method,
-                    status,
-                    elapsed,
-                    ctx,
-                    request.path,
-                    start,
-                )
+            ops.observe_request(
+                endpoint,
+                request.method,
+                response.status,
+                elapsed,
+                ctx,
+                request.path,
+                start_s=start,
             )
-            if status >= 500 or len(raw) >= ops.flush_interval:
-                ops.flush()
         return response
 
     def _route_guarded(self, request: Request) -> tuple[str, Response]:

@@ -34,12 +34,22 @@ _STATUS_TEXT = {
     404: "Not Found",
     405: "Method Not Allowed",
     409: "Conflict",
+    413: "Content Too Large",
+    414: "URI Too Long",
+    431: "Request Header Fields Too Large",
     500: "Internal Server Error",
     503: "Service Unavailable",
 }
 
-#: requests larger than this are rejected outright
+#: bodies larger than this are answered 413 without being read
 MAX_BODY_BYTES = 1 << 20
+
+#: header lines beyond this count are answered 431
+MAX_HEADER_LINES = 100
+
+#: longest request or header line (the ``StreamReader`` default limit);
+#: a longer request line is answered 414, a longer header line 431
+MAX_LINE_BYTES = 1 << 16
 
 
 class ServiceServer:
@@ -63,7 +73,7 @@ class ServiceServer:
     # ------------------------------------------------------------------
     async def start(self) -> None:
         self._server = await asyncio.start_server(
-            self._handle_connection, self.host, self.port
+            self._handle_connection, self.host, self.port, limit=MAX_LINE_BYTES
         )
         self.port = self._server.sockets[0].getsockname()[1]
 
@@ -142,26 +152,38 @@ class ServiceServer:
     ) -> tuple[str, str, dict[str, str], bytes] | Response | None:
         """The next request, an error :class:`Response` for a request
         that cannot be framed, or ``None`` to close the connection."""
-        line = await reader.readline()
+        try:
+            line = await reader.readline()
+        except ValueError:  # no newline within MAX_LINE_BYTES
+            return _error(414, f"request line over {MAX_LINE_BYTES} bytes")
         if not line or not line.strip():
             return None
         try:
-            method, target, _version = line.decode("latin-1").split(None, 2)
+            method, target, version = line.decode("latin-1").split()
         except ValueError:
-            return None
+            version = ""
+        if not version.startswith("HTTP/"):
+            return _error(400, "malformed request line")
         headers: dict[str, str] = {}
-        while True:
-            raw = await reader.readline()
+        for _ in range(MAX_HEADER_LINES + 1):
+            try:
+                raw = await reader.readline()
+            except ValueError:
+                return _error(
+                    431, f"header line over {MAX_LINE_BYTES} bytes"
+                )
             if raw in (b"\r\n", b"\n", b""):
                 break
             name, _, value = raw.decode("latin-1").partition(":")
             headers[name.strip().lower()] = value.strip()
+        else:
+            return _error(431, f"more than {MAX_HEADER_LINES} header lines")
         raw_length = headers.get("content-length", "0") or "0"
         if not (raw_length.isascii() and raw_length.isdigit()):
             return _error(400, f"invalid Content-Length {raw_length!r}")
         length = int(raw_length)
         if length > MAX_BODY_BYTES:
-            return None
+            return _error(413, f"body over {MAX_BODY_BYTES} bytes")
         body = await reader.readexactly(length) if length else b""
         return method.upper(), target, headers, body
 
@@ -186,34 +208,38 @@ class ServiceServer:
         self,
         writer: asyncio.StreamWriter,
         query: dict[str, str],
-        headers: dict[str, str] | None = None,
+        headers: dict[str, str],
     ) -> None:
         """Long-lived SSE: flush frames as the bridge retains them.
 
         A reconnecting EventSource client sends ``Last-Event-ID`` — the
         id of the last frame it saw — so the resume cursor is that id
         plus one.  The header wins over ``since``: it is what the
-        browser machinery actually retransmits.  Bad ``since`` or
-        ``max_frames`` values are answered with a 400 before any stream
-        byte is written.
+        browser machinery actually retransmits.  Bad ``since``,
+        ``max_frames`` or ``Last-Event-ID`` values are answered with a
+        400 before any stream byte is written.
         """
         cursor = DiscoveryApp._int_param(query, "since", 0)
         remaining = DiscoveryApp._int_param(query, "max_frames", None)
         if remaining == 0:
             remaining = _error(400, "max_frames must be >= 1")
-        for bad in (cursor, remaining):
+        last_id = headers.get("last-event-id", "")
+        if last_id and not (last_id.isascii() and last_id.isdigit()):
+            last_id = _error(
+                400, f"Last-Event-ID must be an event id, got {last_id!r}"
+            )
+        for bad in (cursor, remaining, last_id):
             if isinstance(bad, Response):
                 await self._write_response(writer, bad, False)
                 return
+        if last_id:
+            cursor = int(last_id) + 1
         writer.write(
             b"HTTP/1.1 200 OK\r\n"
             b"Content-Type: text/event-stream\r\n"
             b"Cache-Control: no-cache\r\n"
             b"Connection: close\r\n\r\n"
         )
-        last_id = (headers or {}).get("last-event-id", "").strip()
-        if last_id.isascii() and last_id.isdigit():
-            cursor = int(last_id) + 1
         sse = self.app.world.sse
         while not self._stopping.is_set():
             limit = remaining if remaining is not None else None

@@ -2,8 +2,7 @@
 
 Protocol implementations emit trace records (``recorder.emit(t, "ps_tx",
 node=3, codec=1)``); analysis code filters and counts them.  Counters are
-kept separately from the record list so message counting stays O(1) even
-when full record retention is disabled for big sweeps.
+kept alongside the record list so counting a category stays O(1).
 """
 
 from __future__ import annotations
@@ -39,17 +38,9 @@ class TraceRecord:
 
 
 class TraceRecorder:
-    """Collects :class:`TraceRecord` objects and per-category counters.
+    """Collects :class:`TraceRecord` objects and per-category counters."""
 
-    Parameters
-    ----------
-    keep_records:
-        When ``False`` only counters are maintained (constant memory); the
-        large fig3/fig4 sweeps run in this mode.
-    """
-
-    def __init__(self, keep_records: bool = True) -> None:
-        self.keep_records = keep_records
+    def __init__(self) -> None:
         self._records: list[TraceRecord] = []
         self._by_category: dict[str, list[TraceRecord]] = {}
         self._counts: Counter[str] = Counter()
@@ -58,10 +49,9 @@ class TraceRecorder:
     def emit(self, time: float, category: str, **data: Any) -> None:
         """Record one event in ``category`` at ``time``."""
         self._counts[category] += 1
-        if self.keep_records:
-            record = TraceRecord(time, category, data)
-            self._records.append(record)
-            self._by_category.setdefault(category, []).append(record)
+        record = TraceRecord(time, category, data)
+        self._records.append(record)
+        self._by_category.setdefault(category, []).append(record)
 
     def count(self, category: str) -> int:
         """Number of events emitted in ``category``."""
@@ -84,24 +74,12 @@ class TraceRecorder:
         Per-category lookup is O(k) in the matching records (an index is
         maintained at emit time), not a scan of the full record list.
         """
-        if not self.keep_records:
-            raise RuntimeError(
-                "record retention is disabled (keep_records=False); "
-                "only counters are available"
-            )
         if category is None:
             return list(self._records)
         return list(self._by_category.get(category, ()))
 
     def __iter__(self) -> Iterator[TraceRecord]:
-        """Iterate retained records.
-
-        In counters-only mode (``keep_records=False``) there are no
-        records to yield, so iteration is empty — ``len()`` still
-        reports the counter total.
-        """
-        if not self.keep_records:
-            return iter(())
+        """Iterate retained records in emit order."""
         return iter(self._records)
 
     def __len__(self) -> int:

@@ -148,6 +148,14 @@ class TestMessageBillRegression:
             fresh = capture_run(config, algorithm, name=name)
             assert dict(sorted(fresh.bill.items())) == committed[name], name
 
+    def test_fixture_keys_are_exactly_the_billed_goldens(self, goldens_dir):
+        billed = {
+            name
+            for name, config, algorithm in corpus_specs()
+            if algorithm in ("st", "fst") and config.n_devices in BILL_SIZES
+        }
+        assert set(load_bills(goldens_dir)) == billed
+
     def test_faulted_bills_include_repair_kind(self, goldens_dir):
         committed = load_bills(goldens_dir)
         faulted_st = [

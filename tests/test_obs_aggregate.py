@@ -12,7 +12,6 @@ from repro.obs.aggregate import (
     merge_snapshots,
     merge_two,
     read_snapshot,
-    stitched_spans,
     to_registry,
     worker_snapshot,
     write_snapshot,
@@ -20,6 +19,7 @@ from repro.obs.aggregate import (
 from repro.obs.analyzers import Alert
 from repro.obs.exporters import render_prometheus
 from repro.obs.metrics import MetricsRegistry
+from repro.obs.stream import DEFAULT_CAPACITY
 
 
 def _registry(messages: int, fill: float) -> MetricsRegistry:
@@ -160,7 +160,7 @@ class TestOrderIndependence:
 
 class TestTelemetryMerge:
     def _bundle(self, worker_id, publishes):
-        obs = Observability(stream=True, stream_capacity=2)
+        obs = Observability(stream=True)
         for i in range(publishes):
             obs.bus.publish("sync", float(i), spread_ms=1.0)
         obs.bus.alert(
@@ -174,11 +174,15 @@ class TestTelemetryMerge:
         return worker_snapshot(obs, worker_id=worker_id)
 
     def test_drop_ledger_sums(self):
-        a, b = self._bundle(0, publishes=5), self._bundle(1, publishes=4)
+        a = self._bundle(0, publishes=DEFAULT_CAPACITY + 3)
+        b = self._bundle(1, publishes=DEFAULT_CAPACITY + 2)
         merged = merge_two(a, b)
-        # capacity 2: 3 + 2 evictions
+        # each ring holds DEFAULT_CAPACITY events: 3 + 2 evictions
         assert merged["telemetry"]["dropped"]["sync/evicted"] == 5
-        assert merged["telemetry"]["published"]["sync"] == 9
+        assert (
+            merged["telemetry"]["published"]["sync"]
+            == 2 * DEFAULT_CAPACITY + 5
+        )
 
     def test_alerts_union_sorted_and_tagged(self):
         a, b = self._bundle(1, publishes=1), self._bundle(0, publishes=1)
@@ -224,37 +228,6 @@ class TestToRegistry:
         snap["metrics"]["x"] = {"kind": "summary", "samples": []}
         with pytest.raises(ValueError, match="unknown kind"):
             to_registry(snap)
-
-
-class TestStitchedSpans:
-    def test_workers_ordered_by_id(self):
-        obs_a, obs_b = Observability(), Observability()
-        with obs_a.span("fst_run"):
-            pass
-        with obs_b.span("st_run"):
-            pass
-        merged = merge_snapshots(
-            [
-                worker_snapshot(obs_b, worker_id=10),
-                worker_snapshot(obs_a, worker_id=2),
-            ]
-        )
-        tree = stitched_spans(merged)
-        assert tree["name"] == "merged"
-        assert [c["name"] for c in tree["children"]] == [
-            "worker:2",
-            "worker:10",
-        ]
-        assert tree["attrs"]["workers"] == 2
-
-    def test_durations_sum_up_the_tree(self):
-        snap = empty_snapshot()
-        snap["spans"] = {
-            "0": [{"name": "a", "duration_ms": 2.0, "children": []}],
-            "1": [{"name": "b", "duration_ms": 3.0, "children": []}],
-        }
-        tree = stitched_spans(snap)
-        assert tree["duration_ms"] == pytest.approx(5.0)
 
 
 class TestSnapshotIO:

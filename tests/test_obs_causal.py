@@ -12,7 +12,7 @@ from repro.sim.trace import TraceRecorder
 
 
 def _records(*events):
-    tr = TraceRecorder(keep_records=True)
+    tr = TraceRecorder()
     for time, category, data in events:
         tr.emit(time, category, **data)
     return tr.records()

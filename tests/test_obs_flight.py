@@ -17,12 +17,14 @@ import pytest
 from repro.faults.invariants import InvariantViolation
 from repro.obs.analyzers import Alert
 from repro.obs.flight import (
+    FLIGHT_CAPACITY,
     FLIGHT_SCHEMA,
+    MAX_BUNDLES,
     FlightRecorder,
     load_bundle,
     render_flight_html,
 )
-from repro.obs.ops import OpsPlane, TraceContext
+from repro.obs.ops import BURN_MIN_EVENTS, OpsPlane, TraceContext
 from repro.obs.stream import TelemetryEvent
 from repro.service.client import RequestLog
 
@@ -40,54 +42,45 @@ def make_recorder(**kwargs) -> FlightRecorder:
     return FlightRecorder(**kwargs)
 
 
+def record(status: int = 200, ue: int = 1) -> tuple:
+    """One request record in the ops-plane tuple layout."""
+    return ("/near/{ue}", "GET", status, 0.0015, None, f"/near/{ue}", 1.0)
+
+
 def note(rec: FlightRecorder, status: int = 200, ue: int = 1) -> None:
-    rec.note_request(
-        method="GET",
-        endpoint="/near/{ue}",
-        path=f"/near/{ue}",
-        status=status,
-        elapsed_ms=1.5,
-    )
+    rec.ingest_requests([record(status, ue)])
 
 
 class TestRings:
     def test_request_ring_is_bounded_with_drop_ledger(self):
-        rec = make_recorder(capacity=3)
-        for i in range(5):
+        rec = make_recorder()
+        for i in range(FLIGHT_CAPACITY + 2):
             note(rec, ue=i)
-        assert len(rec.requests) == 3
+        assert len(rec.requests) == FLIGHT_CAPACITY
         assert rec.dropped["requests"] == 2
-        # oldest two fell out: the ring holds ue 2, 3, 4
-        assert [r[5] for r in rec.requests] == ["/near/2", "/near/3", "/near/4"]
-
-    def test_note_request_stores_raw_seconds_and_stamp(self):
-        clock = FakeClock()
-        rec = FlightRecorder(clock=clock)
-        note(rec)
-        stored = rec.requests[0]
-        assert stored[3] == pytest.approx(0.0015)  # elapsed_ms / 1000
-        assert stored[6] == clock.now
+        # oldest two fell out: the ring starts at ue 2
+        assert rec.requests[0][5] == "/near/2"
+        assert rec.requests[-1][5] == f"/near/{FLIGHT_CAPACITY + 1}"
 
     def test_ingest_requests_overflow_arithmetic(self):
-        rec = make_recorder(capacity=4)
-        batch = [("/near/{ue}", "GET", 200, 0.001, None, f"/near/{i}", 1.0)
-                 for i in range(3)]
+        rec = make_recorder()
+        batch = [record(ue=i) for i in range(FLIGHT_CAPACITY - 1)]
         rec.ingest_requests(batch)
         assert rec.dropped["requests"] == 0
-        rec.ingest_requests(batch)  # 3 + 3 > 4: two evicted
+        rec.ingest_requests(batch[:3])  # one slot left, three records
         assert rec.dropped["requests"] == 2
-        assert len(rec.requests) == 4
+        assert len(rec.requests) == FLIGHT_CAPACITY
 
     def test_event_and_alert_rings_feed_from_bus_shapes(self):
-        rec = make_recorder(capacity=2)
-        for seq in range(3):
+        rec = make_recorder()
+        for seq in range(FLIGHT_CAPACITY + 1):
             rec.on_event(
                 TelemetryEvent(
                     seq=seq, time_ms=float(seq), topic="round",
                     values={"round": seq}, labels={},
                 )
             )
-        assert len(rec.events) == 2
+        assert len(rec.events) == FLIGHT_CAPACITY
         assert rec.dropped["events"] == 1
         assert rec.events[0]["seq"] == 1
 
@@ -95,12 +88,12 @@ class TestRings:
 class TestArming:
     def test_5xx_arms_a_dump(self, tmp_path):
         rec = make_recorder(out_dir=tmp_path)
-        note(rec, status=200)
-        assert rec.maybe_dump() is None  # healthy: never armed
-        note(rec, status=500)
-        paths = rec.maybe_dump()
-        assert paths is not None
-        doc = load_bundle(paths[0])
+        plane = OpsPlane(flight=rec)
+        plane.observe_request("/near/{ue}", "GET", 200, 0.001, start_s=1.0)
+        plane.flush()
+        assert rec.dumps == []  # healthy: never armed
+        plane.observe_request("/near/{ue}", "GET", 500, 0.001, start_s=2.0)
+        doc = load_bundle(tmp_path / "flight_0001.json")
         assert doc["reason"] == "5xx:/near/{ue}"
 
     def test_alert_arms_and_records(self, tmp_path):
@@ -145,11 +138,10 @@ class TestBundles:
         rec = FlightRecorder(clock=clock)
         ctx = TraceContext("tdead", "s1")
         rec.ingest_requests(
-            [("/near/{ue}", "GET", 200, 0.0042, ctx, "/near/9", 7.0)]
-        )
-        rec.note_request(
-            method="GET", endpoint="/sync", path="/sync",
-            status=200, elapsed_ms=0.8, trace_id="tbeef",
+            [
+                ("/near/{ue}", "GET", 200, 0.0042, ctx, "/near/9", 7.0),
+                ("/sync", "GET", 200, 0.0008, None, "/sync", 8.0),
+            ]
         )
         doc = rec.bundle("manual")
         assert doc["schema"] == FLIGHT_SCHEMA
@@ -161,7 +153,7 @@ class TestBundles:
         assert first["elapsed_ms"] == 4.2
         assert first["path"] == "/near/9"
         assert first["stamp_s"] == 7.0
-        assert second["trace_id"] == "tbeef"
+        assert second["trace_id"] is None  # an unsampled request
         assert second["elapsed_ms"] == 0.8
 
     def test_bundle_embeds_bounded_request_log(self):
@@ -188,15 +180,16 @@ class TestBundles:
         assert "/near/1" in html
 
     def test_dump_set_is_bounded_on_disk(self, tmp_path):
-        rec = make_recorder(out_dir=tmp_path, max_bundles=2)
-        for _ in range(5):
+        rec = make_recorder(out_dir=tmp_path)
+        for _ in range(MAX_BUNDLES + 3):
             rec.dump("manual")
         files = sorted(p.name for p in tmp_path.iterdir())
-        # 2 bundles x (json + html); the oldest six files were unlinked
-        assert files == [
-            "flight_0004.html", "flight_0004.json",
-            "flight_0005.html", "flight_0005.json",
-        ]
+        # MAX_BUNDLES x (json + html); the oldest three pairs were unlinked
+        assert files == sorted(
+            f"flight_{i:04d}.{ext}"
+            for i in range(4, MAX_BUNDLES + 4)
+            for ext in ("json", "html")
+        )
 
     def test_dump_without_out_dir_raises(self):
         with pytest.raises(ValueError, match="out_dir"):
@@ -219,10 +212,12 @@ class TestBundles:
 class TestPlaneIntegration:
     def test_flush_feeds_rings_and_5xx_dumps(self, tmp_path):
         flight = FlightRecorder(out_dir=tmp_path)
-        plane = OpsPlane(flight=flight, flush_interval=100)
-        plane.observe_request("/near/{ue}", "GET", 200, 0.001)
+        plane = OpsPlane(flight=flight)
+        plane.observe_request("/near/{ue}", "GET", 200, 0.001, start_s=1.0)
         assert len(flight.requests) == 0  # still queued on the plane
-        plane.observe_request("/sync", "GET", 500, 0.002)  # flushes now
+        plane.observe_request(  # a 5xx flushes now
+            "/sync", "GET", 500, 0.002, start_s=2.0
+        )
         assert [r[0] for r in flight.requests] == ["/near/{ue}", "/sync"]
         dumped = sorted(p.name for p in tmp_path.iterdir())
         assert dumped == ["flight_0001.html", "flight_0001.json"]
@@ -231,12 +226,12 @@ class TestPlaneIntegration:
 
     def test_burn_alert_reaches_recorder_and_dumps(self, tmp_path):
         flight = FlightRecorder(out_dir=tmp_path)
-        plane = OpsPlane(
-            flight=flight, flush_interval=1,
-            burn_window=50, burn_min_events=5,
-        )
-        for _ in range(10):
-            plane.observe_request("/near/{ue}", "GET", 200, 0.050)
+        plane = OpsPlane(flight=flight)
+        for i in range(BURN_MIN_EVENTS):
+            plane.observe_request(
+                "/near/{ue}", "GET", 200, 0.050, start_s=float(i)
+            )
+        plane.flush()
         assert any(
             a.get("analyzer") == "slo_burn_rate" for a in flight.alerts
         )

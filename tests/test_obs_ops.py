@@ -2,7 +2,7 @@
 
 The ops plane (:mod:`repro.obs.ops`) is the explicitly non-canonical
 sibling of the deterministic telemetry stack — it owns its own metrics
-registry and bus, observes wall-clock facts, and must never feed
+registry and alert list, observes wall-clock facts, and must never feed
 anything back.  These tests drive it directly with an injected clock so
 latencies (and therefore SLO verdicts) are exact.
 """
@@ -12,8 +12,12 @@ from __future__ import annotations
 import pytest
 
 from repro.obs.ops import (
-    DEFAULT_TRACE_SAMPLE,
+    BURN_MIN_EVENTS,
+    BURN_WINDOW,
+    FLUSH_INTERVAL,
     LATENCY_BUCKETS_MS,
+    TRACE_CAPACITY,
+    TRACE_SAMPLE,
     OpsPlane,
     OpsSpan,
     SLOBurnRate,
@@ -37,8 +41,16 @@ class FakeClock:
 
 def make_plane(**kwargs) -> OpsPlane:
     kwargs.setdefault("clock", FakeClock())
-    kwargs.setdefault("trace_sample", 1)
     return OpsPlane(**kwargs)
+
+
+def observe(plane: OpsPlane, status: int = 200, elapsed_s: float = 0.001,
+            **kwargs) -> None:
+    """One ``/near/{ue}`` request that started at the plane's clock."""
+    plane.observe_request(
+        "/near/{ue}", "GET", status, elapsed_s, start_s=plane.clock(),
+        **kwargs,
+    )
 
 
 class TestTraceContext:
@@ -121,9 +133,9 @@ class TestTracing:
         assert child.parent_id == root.span_id
 
     def test_whole_trace_fifo_eviction_is_counted(self):
-        plane = make_plane(trace_capacity=2)
+        plane = make_plane()
         ids = []
-        for i in range(3):
+        for i in range(TRACE_CAPACITY + 1):
             with plane.span(f"op{i}") as ctx:
                 pass
             ids.append(ctx.trace_id)
@@ -148,42 +160,37 @@ class TestTracing:
         assert plane.trace("tshard")[0].name == "shard.run_city"
 
     def test_sample_request_traces_first_then_one_in_n(self):
-        plane = OpsPlane(trace_sample=4)
-        decisions = [plane.sample_request() for _ in range(8)]
-        assert decisions == [True, False, False, False] * 2
-
-    def test_trace_sample_one_traces_everything(self):
-        plane = OpsPlane(trace_sample=1)
-        assert all(plane.sample_request() for _ in range(5))
+        plane = OpsPlane()
+        decisions = [plane.sample_request() for _ in range(2 * TRACE_SAMPLE)]
+        assert decisions == ([True] + [False] * (TRACE_SAMPLE - 1)) * 2
 
     def test_default_sample_is_a_sane_fraction(self):
-        assert 1 <= DEFAULT_TRACE_SAMPLE <= 100
+        assert 1 <= TRACE_SAMPLE <= 100
 
 
 class TestBatchedAccounting:
     def test_records_queue_until_flush_interval(self):
-        plane = make_plane(flush_interval=4)
-        for _ in range(3):
-            plane.observe_request("/near/{ue}", "GET", 200, 0.001)
-        assert len(plane._raw) == 3  # still queued
-        plane.observe_request("/near/{ue}", "GET", 200, 0.001)
-        assert plane._raw == []  # fourth record hit the interval
+        plane = make_plane()
         hist = plane.metrics.histogram(
             "request_latency_ms", buckets=LATENCY_BUCKETS_MS
         )
-        assert hist.count(endpoint="/near/{ue}") == 4
+        for _ in range(FLUSH_INTERVAL - 1):
+            observe(plane)
+        assert hist.count(endpoint="/near/{ue}") == 0  # still queued
+        observe(plane)  # the last record of the batch drains the queue
+        assert hist.count(endpoint="/near/{ue}") == FLUSH_INTERVAL
 
     def test_5xx_flushes_immediately(self):
-        plane = make_plane(flush_interval=1000)
-        plane.observe_request("/near/{ue}", "GET", 500, 0.001)
-        assert plane._raw == []
+        plane = make_plane()
+        observe(plane)
+        observe(plane, status=500)
+        counter = plane.metrics.counter("ops_requests_total")
+        assert counter.total() == 2  # both drained, no reader involved
 
     def test_readers_flush_first(self):
-        plane = make_plane(flush_interval=1000)
+        plane = make_plane()
         ctx = plane.context()
-        plane.observe_request(
-            "/near/{ue}", "GET", 200, 0.001, trace=ctx, path="/near/7"
-        )
+        observe(plane, trace=ctx, path="/near/7")
         status = plane.slo_status()
         assert status["slos"][0]["seen"] >= 1
         # the traced record materialised its request span at the flush
@@ -192,10 +199,11 @@ class TestBatchedAccounting:
         assert spans[0].attrs == {"path": "/near/7"}
 
     def test_histogram_buckets_and_counters_accumulate(self):
-        plane = make_plane(flush_interval=1)
-        plane.observe_request("/near/{ue}", "GET", 200, 0.0003)  # 0.3 ms
-        plane.observe_request("/near/{ue}", "GET", 200, 0.004)  # 4 ms
-        plane.observe_request("/near/{ue}", "GET", 404, 0.0002)
+        plane = make_plane()
+        observe(plane, elapsed_s=0.0003)  # 0.3 ms
+        observe(plane, elapsed_s=0.004)  # 4 ms
+        observe(plane, status=404, elapsed_s=0.0002)
+        assert plane.flush() == 3
         hist = plane.metrics.histogram(
             "request_latency_ms", buckets=LATENCY_BUCKETS_MS
         )
@@ -206,24 +214,15 @@ class TestBatchedAccounting:
         assert counter.total() == 3
 
     def test_exemplars_point_slow_buckets_at_traces(self):
-        plane = make_plane(flush_interval=1)
+        plane = make_plane()
         ctx = plane.context()
-        plane.observe_request("/near/{ue}", "GET", 200, 0.030, trace=ctx)
+        observe(plane, elapsed_s=0.030, trace=ctx)
         status = plane.slo_status()
         assert {
             "endpoint": "/near/{ue}",
             "le": "50.0",
             "trace_id": ctx.trace_id,
         } in status["exemplars"]
-
-    def test_validation_rejects_bad_knobs(self):
-        for kwargs in (
-            {"trace_capacity": 0},
-            {"trace_sample": 0},
-            {"flush_interval": 0},
-        ):
-            with pytest.raises(ValueError):
-                OpsPlane(**kwargs)
 
 
 def feed(analyzer: SLOBurnRate, records: list[tuple]) -> None:
@@ -240,20 +239,16 @@ def rec(
 
 
 class TestSLOBurnRate:
-    def make(self, **kwargs) -> SLOBurnRate:
-        slo = kwargs.pop(
-            "slo",
-            SLOObjective(
+    def make(self, slo: SLOObjective | None = None) -> SLOBurnRate:
+        return SLOBurnRate(
+            slo
+            or SLOObjective(
                 name="near-p99",
                 endpoint="/near/{ue}",
                 threshold_ms=10.0,
                 objective=0.99,
-            ),
+            )
         )
-        kwargs.setdefault("window", 100)
-        kwargs.setdefault("min_events", 10)
-        kwargs.setdefault("burn_limit", 2.0)
-        return SLOBurnRate(slo, **kwargs)
 
     def test_healthy_stream_never_alerts(self):
         analyzer = self.make()
@@ -264,23 +259,26 @@ class TestSLOBurnRate:
 
     def test_burning_stream_fires_once_per_episode(self):
         analyzer = self.make()
-        bad = [rec(elapsed_s=0.05) for _ in range(10)]
-        feed(analyzer, bad)
+        bad = [rec(elapsed_s=0.05) for _ in range(BURN_MIN_EVENTS)]
+        feed(analyzer, bad[:-1])
+        assert analyzer.alerts == []  # too few requests to judge yet
+        feed(analyzer, bad[-1:])
         assert len(analyzer.alerts) == 1
         alert = analyzer.alerts[0]
         assert alert.severity == "warning"
         assert alert.context["slo"] == "near-p99"
         assert alert.context["burn"] >= 2.0
         # still burning: no second alert until it re-arms
-        feed(analyzer, [rec(elapsed_s=0.05) for _ in range(10)])
+        feed(analyzer, [rec(elapsed_s=0.05) for _ in range(BURN_MIN_EVENTS)])
         assert len(analyzer.alerts) == 1
 
     def test_re_arms_after_recovery(self):
         analyzer = self.make()
-        feed(analyzer, [rec(elapsed_s=0.05) for _ in range(10)])
+        feed(analyzer, [rec(elapsed_s=0.05) for _ in range(BURN_MIN_EVENTS)])
         assert len(analyzer.alerts) == 1
-        feed(analyzer, [rec() for _ in range(300)])  # burn decays to 0
-        feed(analyzer, [rec(elapsed_s=0.05) for _ in range(10)])
+        # burn decays to 0 once the bad requests slide out of the window
+        feed(analyzer, [rec() for _ in range(BURN_WINDOW + 100)])
+        feed(analyzer, [rec(elapsed_s=0.05) for _ in range(BURN_MIN_EVENTS)])
         assert len(analyzer.alerts) == 2
 
     def test_availability_alerts_are_critical(self):
@@ -292,7 +290,7 @@ class TestSLOBurnRate:
                 objective=0.999,
             )
         )
-        feed(analyzer, [rec(status=500) for _ in range(10)])
+        feed(analyzer, [rec(status=500) for _ in range(BURN_MIN_EVENTS)])
         assert analyzer.alerts[0].severity == "critical"
 
     def test_endpoint_filter_ignores_other_endpoints(self):
@@ -302,10 +300,12 @@ class TestSLOBurnRate:
         assert analyzer.alerts == []
 
     def test_window_slides_bad_requests_out(self):
-        analyzer = self.make(window=20)
+        analyzer = self.make()
         feed(analyzer, [rec(elapsed_s=0.05) for _ in range(5)])
-        feed(analyzer, [rec() for _ in range(40)])
-        assert len(analyzer._bad_seq) == 0
+        feed(analyzer, [rec() for _ in range(BURN_WINDOW - 5)])
+        assert analyzer.status()["bad_in_window"] == 5  # not yet slid out
+        feed(analyzer, [rec() for _ in range(5)])
+        assert analyzer.status()["bad_in_window"] == 0
         assert analyzer.burn == 0.0
 
     def test_digest_fast_path_matches_slow_path(self):
@@ -337,8 +337,8 @@ class TestSLOBurnRate:
             ("/sync", "GET", 500): 10,
         }
         analyzer.ingest(records, (counts, {}, "/near/{ue}"))
-        assert len(analyzer._bad_seq) == 10
-        assert analyzer.alerts  # fired despite the digest
+        assert analyzer.status()["bad_in_window"] == 10
+        assert analyzer.burn > 0.0  # counted despite the digest
 
     def test_status_snapshot_shape(self):
         analyzer = self.make()
@@ -353,21 +353,44 @@ class TestSLOBurnRate:
 
 class TestPlaneAlertsOnBus:
     def test_burn_alert_reaches_the_plane_bus(self):
-        clock = FakeClock()
-        plane = OpsPlane(
-            clock=clock,
-            trace_sample=1,
-            flush_interval=1,
-            burn_window=50,
-            burn_min_events=5,
+        plane = make_plane()
+        for _ in range(BURN_MIN_EVENTS):
+            observe(plane, elapsed_s=0.050)
+        plane.flush()
+        # 50 ms breaks near-p99 (10 ms) but not all-p99 (50 ms)
+        assert [a.context["slo"] for a in plane.alerts] == ["near-p99"]
+        assert plane.slo_status()["alerts"] == [
+            a.to_dict() for a in plane.alerts
+        ]
+        # the alerts are ops-plane-only: counted in the plane's registry
+        counter = plane.metrics.counter("alerts_total")
+        assert counter.value(analyzer="slo_burn_rate", severity="warning") == 1
+
+
+class TestRequestSpanTiming:
+    def test_request_span_starts_at_the_start_reading(self):
+        """The request span starts at the reading taken on arrival, so
+        the spans opened while serving it nest inside it."""
+        plane = make_plane()
+        clock = plane.clock
+        ctx = plane.context()
+        start = clock()
+        clock.now += 0.001
+        with plane.span("world.step", parent=ctx):
+            clock.now += 0.002
+        clock.now += 0.001
+        plane.observe_request(
+            "/world/step", "POST", 200, clock() - start, ctx, start_s=start
         )
-        for _ in range(10):
-            plane.observe_request("/near/{ue}", "GET", 200, 0.050)
-        assert any(
-            a.analyzer == "slo_burn_rate" for a in plane.bus.alerts
+        request, step = plane.trace(ctx.trace_id)
+        assert request.name == "POST /world/step"
+        assert request.start_s == start
+        assert request.duration_ms == pytest.approx(4.0)
+        assert step.parent_id == request.span_id
+        assert request.start_s < step.start_s
+        assert step.start_s + step.duration_ms / 1000 < (
+            request.start_s + request.duration_ms / 1000
         )
-        # the alert is ops-plane-only: it lives on the plane's own bus
-        assert plane.bus.metrics is plane.metrics
 
 
 class TestDefaultPlane:

@@ -31,13 +31,6 @@ class TestRecord:
         assert ps.record(10.0, "fragments", count=4)
         assert ps.probes() == ["fragments", "sync"]
 
-    def test_per_probe_interval_override(self):
-        ps = ProbeSet(interval_ms=100.0)
-        ps.register("fast", interval_ms=10.0)
-        ps.record(0.0, "fast", v=1)
-        assert ps.record(10.0, "fast", v=2)
-        assert not ps.record(15.0, "fast", v=3)
-
     def test_values_coerced_to_float(self):
         ps = ProbeSet()
         ps.record(0.0, "sync", fires=7)
@@ -46,30 +39,12 @@ class TestRecord:
         assert isinstance(sample.values["fires"], float)
 
 
-class TestPullProbes:
-    def test_maybe_sample_invokes_due_probes(self):
-        ps = ProbeSet(interval_ms=100.0)
-        calls = []
-
-        def read():
-            calls.append(1)
-            return {"depth": float(len(calls))}
-
-        ps.register("heap", read)
-        assert ps.maybe_sample(0.0) == 1
-        assert ps.maybe_sample(50.0) == 0  # not due, fn not called
-        assert ps.maybe_sample(100.0) == 1
-        assert len(calls) == 2
-        assert ps.series("heap", "depth") == [(0.0, 1.0), (100.0, 2.0)]
-
-
 class TestValidationAndExport:
     def test_bad_interval_raises(self):
         with pytest.raises(ValueError, match="positive"):
             ProbeSet(interval_ms=0)
-        ps = ProbeSet()
         with pytest.raises(ValueError, match="positive"):
-            ps.register("x", interval_ms=-1)
+            ProbeSet(interval_ms=-1)
 
     def test_to_dicts_flat_and_json_safe(self):
         import json

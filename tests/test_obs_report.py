@@ -93,7 +93,7 @@ class TestRender:
         assert "&lt;script&gt;" in html
 
     def test_trace_section_counts_and_lamport_note(self):
-        tr = TraceRecorder(keep_records=True)
+        tr = TraceRecorder()
         tr.emit(1.0, "ps_tx", node=0, lc=1)
         tr.emit(2.0, "ps_tx", node=0, lc=2)
         tr.emit(3.0, "merge", u=0, v=1, lc=3)

@@ -1,15 +1,10 @@
-"""Telemetry bus: ring bounds, sampling policies, drop accounting."""
+"""Telemetry bus: ring bounds, reservoirs, drop accounting."""
 
 import pytest
 
 from repro.obs import Observability
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.stream import (
-    EveryK,
-    KeepAll,
-    ReservoirSample,
-    TelemetryBus,
-)
+from repro.obs.stream import DEFAULT_CAPACITY, ReservoirSample, TelemetryBus
 
 
 class TestPublish:
@@ -89,45 +84,37 @@ class TestRingEviction:
 
 
 class TestSamplingPolicies:
-    def test_every_k_admits_every_kth(self):
-        bus = TelemetryBus()
-        bus.set_policy("wave", EveryK(3))
-        admitted = [
-            bus.publish("wave", float(i), k=i) is not None for i in range(7)
-        ]
-        assert admitted == [True, False, False, True, False, False, True]
-        assert bus.dropped[("wave", "sampled")] == 4
-        assert bus.published("wave") == 7
+    """Every publish is admitted; the ring's evictions are the only drops."""
 
     def test_keep_all_is_default(self):
-        assert all(KeepAll().admit(i) for i in range(10))
-
-    def test_every_k_rejects_bad_k(self):
-        with pytest.raises(ValueError):
-            EveryK(0)
+        bus = TelemetryBus()
+        events = [bus.publish("wave", float(i), k=i) for i in range(7)]
+        assert [e.seq for e in events] == list(range(7))
+        assert bus.published("wave") == 7
+        assert not bus.dropped
 
     def test_stats_json_safe(self):
         import json
 
         bus = TelemetryBus(capacity=2)
-        bus.set_policy("w", EveryK(2))
         for i in range(5):
             bus.publish("w", float(i), x=i)
         stats = bus.stats()
         assert json.loads(json.dumps(stats)) == stats
         assert stats["published"] == {"w": 5}
-        assert stats["dropped"] == {"w/evicted": 1, "w/sampled": 2}
+        assert stats["dropped"] == {"w/evicted": 3}
 
     def test_clear_resets_accounting_but_keeps_policies(self):
-        bus = TelemetryBus()
-        bus.set_policy("w", EveryK(2))
+        bus = TelemetryBus(capacity=2)
+        res = bus.add_reservoir("w", "x", capacity=8)
         for i in range(4):
             bus.publish("w", float(i), x=i)
         bus.clear()
         assert len(bus) == 0 and bus.published() == 0 and not bus.dropped
-        # policy survives: ordinal restarts, so publish 0 admits again
-        assert bus.publish("w", 0.0, x=0) is not None
-        assert bus.publish("w", 1.0, x=1) is None
+        assert len(res) == 0 and res.seen == 0
+        # the reservoir stays attached: the next publish feeds it again
+        assert bus.publish("w", 0.0, x=7) is not None
+        assert bus.reservoir("w", "x") is res and res.values == [7.0]
 
 
 class TestReservoir:
@@ -158,12 +145,11 @@ class TestReservoir:
         assert sample(1) != sample(2)
 
     def test_fed_before_admission(self):
-        bus = TelemetryBus()
-        bus.set_policy("sync", EveryK(10))
+        bus = TelemetryBus(capacity=5)
         res = bus.add_reservoir("sync", "spread_ms", capacity=64, seed=0)
         for i in range(50):
             bus.publish("sync", float(i), spread_ms=float(i))
-        # only 5 events admitted, but every publish reached the reservoir
+        # the ring keeps 5 events, but every publish reached the reservoir
         assert len(bus.retained("sync")) == 5
         assert res.seen == 50
         assert len(res) == 50
@@ -190,5 +176,5 @@ class TestBundleContract:
         assert len(obs.bus) == 0
 
     def test_stream_capacity_respected(self):
-        obs = Observability(stream=True, stream_capacity=10)
-        assert obs.bus.capacity == 10
+        obs = Observability(stream=True)
+        assert obs.bus.capacity == DEFAULT_CAPACITY

@@ -1,6 +1,9 @@
-"""Public-API surface checks: exports resolve and stay importable."""
+"""Public-API surface checks: exports resolve, stay importable, and
+every ``repro.obs``/``repro.sim`` export has a caller in program code."""
 
+import ast
 import importlib
+import pathlib
 
 import pytest
 
@@ -60,3 +63,75 @@ def test_module_docstrings():
     for package in PACKAGES:
         mod = importlib.import_module(package)
         assert mod.__doc__ and mod.__doc__.strip(), f"{package} lacks a docstring"
+
+
+# ----------------------------------------------------------------------
+# every public obs/sim name has a caller in program code
+# ----------------------------------------------------------------------
+REPO = pathlib.Path(__file__).resolve().parent.parent
+#: Directories holding program code (tests are deliberately absent).
+PROGRAM_DIRS = ("src", "benchmarks", "scripts", "examples", "perfbench")
+GUARDED_PACKAGES = ("repro.obs", "repro.sim")
+
+
+def _module_file(module: str) -> pathlib.Path:
+    return pathlib.Path(importlib.import_module(module).__file__).resolve()
+
+
+def _references(path: pathlib.Path, modules: set[str]) -> set[str]:
+    """Names this file takes from any of ``modules``, found by AST.
+
+    A name counts when it is imported from one of the modules
+    (``from repro.obs import X``) or read as an attribute of one
+    (``repro.obs.X``, or ``m.X`` after ``import repro.obs as m`` /
+    ``from repro import obs as m``).  Comments and strings never count.
+    """
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    aliases: set[str] = set()
+    names: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module:
+            for alias in node.names:
+                if node.module in modules:
+                    names.add(alias.name)
+                elif f"{node.module}.{alias.name}" in modules:
+                    aliases.add(alias.asname or alias.name)
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name in modules and alias.asname:
+                    aliases.add(alias.asname)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            owner = ast.unparse(node.value)
+            if owner in aliases or owner in modules:
+                names.add(node.attr)
+    return names
+
+
+def _unreferenced(package: str) -> list[str]:
+    pkg = importlib.import_module(package)
+    program_files = [
+        path.resolve()
+        for directory in PROGRAM_DIRS
+        for path in sorted((REPO / directory).rglob("*.py"))
+    ]
+    missing = []
+    for name in pkg.__all__:
+        home = getattr(pkg, name).__module__
+        excluded = {_module_file(package), _module_file(home)}
+        modules = {package, home}
+        if not any(
+            name in _references(path, modules)
+            for path in program_files
+            if path not in excluded
+        ):
+            missing.append(name)
+    return missing
+
+
+@pytest.mark.parametrize("package", GUARDED_PACKAGES)
+def test_every_export_has_a_program_caller(package):
+    """A name in ``__all__`` must be used by program code outside its own
+    module and the package re-export; test-only names do not belong in
+    the public surface."""
+    assert _unreferenced(package) == []

@@ -16,6 +16,7 @@ from repro.service import (
     SteadyStateWorld,
     WorldConfig,
 )
+from repro.service.http import MAX_BODY_BYTES, MAX_HEADER_LINES, MAX_LINE_BYTES
 
 
 @pytest.fixture(scope="module")
@@ -126,13 +127,19 @@ def raw_exchange(svc, payload: bytes) -> bytes:
 
 
 class TestMalformedInput:
-    """Unframeable requests and bad SSE parameters answer a JSON 400 —
-    never a dropped connection or a truncated 200 — and the server keeps
-    serving afterwards."""
+    """Unframeable or oversized requests and bad SSE parameters answer a
+    JSON 4xx — never a dropped connection or a truncated 200 — and the
+    server keeps serving afterwards."""
 
-    def _assert_json_400(self, service, reply: bytes, needle: bytes) -> None:
+    def _assert_json_400(
+        self,
+        service,
+        reply: bytes,
+        needle: bytes,
+        status: bytes = b"400 Bad Request",
+    ) -> None:
         head, _, body = reply.partition(b"\r\n\r\n")
-        assert head.startswith(b"HTTP/1.1 400 Bad Request"), reply
+        assert head.startswith(b"HTTP/1.1 " + status), reply
         assert b"Content-Type: application/json" in head
         assert b"Connection: close" in head
         assert needle in json.dumps(json.loads(body)["error"]).encode()
@@ -165,3 +172,81 @@ class TestMalformedInput:
         )
         assert b"text/event-stream" not in reply  # no stream head first
         self._assert_json_400(service, reply, needle)
+
+    @pytest.mark.parametrize(
+        "line",
+        [b"GARBAGE", b"GET /health", b"GET /health FTP/1.0", b"GET / x HTTP/1.1"],
+    )
+    def test_malformed_request_line(self, service, line):
+        reply = raw_exchange(service, line + b"\r\nHost: x\r\n\r\n")
+        self._assert_json_400(service, reply, b"malformed request line")
+
+    def test_oversized_body_is_413(self, service):
+        reply = raw_exchange(
+            service,
+            b"POST /world/step HTTP/1.1\r\nHost: x\r\nContent-Length: "
+            + str(MAX_BODY_BYTES + 1).encode()
+            + b"\r\n\r\n{}",
+        )
+        self._assert_json_400(
+            service, reply, b"body over", status=b"413 Content Too Large"
+        )
+
+    def test_overlong_request_line_is_414(self, service):
+        target = b"/health?pad=" + b"a" * MAX_LINE_BYTES
+        reply = raw_exchange(
+            service, b"GET " + target + b" HTTP/1.1\r\nHost: x\r\n\r\n"
+        )
+        self._assert_json_400(
+            service, reply, b"request line over", status=b"414 URI Too Long"
+        )
+
+    def test_overlong_header_line_is_431(self, service):
+        reply = raw_exchange(
+            service,
+            b"GET /health HTTP/1.1\r\nX-Pad: "
+            + b"a" * MAX_LINE_BYTES
+            + b"\r\n\r\n",
+        )
+        self._assert_json_400(
+            service,
+            reply,
+            b"header line over",
+            status=b"431 Request Header Fields Too Large",
+        )
+
+    def test_too_many_header_lines_is_431(self, service):
+        headers = b"".join(
+            b"X-H%d: v\r\n" % i for i in range(MAX_HEADER_LINES + 1)
+        )
+        reply = raw_exchange(
+            service, b"GET /health HTTP/1.1\r\n" + headers + b"\r\n"
+        )
+        self._assert_json_400(
+            service,
+            reply,
+            b"header lines",
+            status=b"431 Request Header Fields Too Large",
+        )
+
+    def test_header_line_limit_is_inclusive(self, service):
+        headers = b"".join(
+            b"X-H%d: v\r\n" % i for i in range(MAX_HEADER_LINES - 1)
+        )
+        reply = raw_exchange(
+            service,
+            b"GET /health HTTP/1.1\r\nConnection: close\r\n"
+            + headers
+            + b"\r\n",
+        )
+        assert reply.startswith(b"HTTP/1.1 200 OK"), reply
+
+    @pytest.mark.parametrize("last_id", [b"abc", b"-1", b"1.5", b"\xd9\xa3"])
+    def test_non_digit_last_event_id(self, service, last_id):
+        reply = raw_exchange(
+            service,
+            b"GET /events?follow=1&max_frames=1 HTTP/1.1\r\nHost: x\r\n"
+            b"Last-Event-ID: " + last_id + b"\r\n\r\n",
+        )
+        assert b"text/event-stream" not in reply  # no stream head first
+        self._assert_json_400(service, reply, b"Last-Event-ID")

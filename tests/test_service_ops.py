@@ -12,9 +12,8 @@ response byte** on the canonical surface, including ``GET /metrics``.
 from __future__ import annotations
 
 import json
+import time
 import urllib.request
-
-import pytest
 
 from repro.core.config import PaperConfig
 from repro.faults.invariants import InvariantViolation
@@ -51,10 +50,21 @@ def make_client(
 
 
 def ops_client(**plane_kwargs) -> tuple[ServiceClient, OpsPlane]:
-    plane_kwargs.setdefault("trace_sample", 1)
     plane_kwargs.setdefault("flight", FlightRecorder())
     plane = OpsPlane(**plane_kwargs)
     return make_client(ops=plane), plane
+
+
+class TickingClock:
+    """A fake ``perf_counter``: every reading is 1 ms after the last."""
+
+    def __init__(self) -> None:
+        self.readings: list[float] = []
+
+    def __call__(self) -> float:
+        now = 100.0 + 0.001 * len(self.readings)
+        self.readings.append(now)
+        return now
 
 
 class TestOpsEndpoints:
@@ -127,11 +137,31 @@ class TestWorldStepTracing:
         )
 
     def test_unsampled_requests_mint_no_trace(self):
-        client, plane = ops_client(trace_sample=1000)
-        client.get("/health")  # seq 1: sampled (1 % 1000 == 1)
+        client, plane = ops_client()
+        client.get("/health")  # seq 1: sampled
         for _ in range(5):
             client.get("/health")  # seq 2..6: unsampled
         assert len(plane.trace_ids()) == 1
+
+    def test_request_span_encloses_world_step(self, monkeypatch):
+        """The request span starts at the app's arrival reading, so the
+        world step it caused sits inside it on one fake clock."""
+        clock = TickingClock()
+        monkeypatch.setattr(time, "perf_counter", clock)
+        client, plane = ops_client(clock=clock)
+        first = len(clock.readings)
+        assert client.post("/world/step", {"steps": 1}).status == 200
+        spans = {s.name: s for s in plane.trace(plane.trace_ids()[-1])}
+        request = spans["POST /world/step"]
+        step = spans["world.step"]
+        assert request.start_s == clock.readings[first]
+
+        def end(span):
+            return span.start_s + span.duration_ms / 1000.0
+
+        assert request.start_s < step.start_s
+        assert end(step) < end(request)
+        assert step.parent_id == request.span_id
 
 
 class TestFlightOnFailure:
@@ -228,10 +258,11 @@ class TestOpsPlaneIsNonCanonical:
 
     def test_scripted_session_is_byte_identical(self):
         plain = run_script(make_client())
-        client, plane = ops_client(flush_interval=4)
+        client, plane = ops_client()
         instrumented = run_script(client)
         assert plain == instrumented
         # the plane really was live, not accidentally detached
+        assert plane.flush() == len(SCRIPT)
         assert plane.metrics.counter("ops_requests_total").total() > 0
         assert plane.trace_ids()
 

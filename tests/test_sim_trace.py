@@ -44,20 +44,6 @@ class TestTraceRecorder:
         tr.emit(0.0, "alpha")
         assert tr.categories == ["alpha", "zeta"]
 
-    def test_counter_only_mode(self):
-        tr = TraceRecorder(keep_records=False)
-        for _ in range(100):
-            tr.emit(0.0, "tx")
-        assert tr.count("tx") == 100
-        with pytest.raises(RuntimeError, match="retention is disabled"):
-            tr.records()
-
-    def test_counter_only_iteration_yields_nothing(self):
-        tr = TraceRecorder(keep_records=False)
-        tr.emit(0.0, "tx")
-        assert list(tr) == []
-        assert len(tr) == 1  # counts still tracked
-
     def test_category_index_matches_linear_filter(self):
         tr = TraceRecorder()
         for i in range(30):
