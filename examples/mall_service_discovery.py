@@ -40,11 +40,11 @@ def main() -> None:
     tables: dict[int, NeighborTable] = {
         i: NeighborTable(i, stale_after_ms=2_000.0) for i in range(network.n)
     }
-    fade_rng = np.random.default_rng(99)
     for round_idx in range(5):
         now = 100.0 * (round_idx + 1)
         for tx in range(network.n):
-            power, detected = network.link_budget.broadcast_power(tx, fade_rng)
+            # the beacon round is the radio event: fresh fading per round
+            power, detected = network.link_budget.broadcast_power(tx, round_idx)
             for rx in np.nonzero(detected)[0]:
                 est = network.ranging.estimate(float(power[rx]))
                 tables[int(rx)].observe(

@@ -25,7 +25,6 @@ from repro.core import (
     Device,
     FSTSimulation,
     PaperConfig,
-    PulseSyncKernel,
     PulseSyncResult,
     RunResult,
     SparseBeaconDiscovery,
@@ -42,7 +41,6 @@ __all__ = [
     "Device",
     "FSTSimulation",
     "PaperConfig",
-    "PulseSyncKernel",
     "PulseSyncResult",
     "RunResult",
     "STSimulation",

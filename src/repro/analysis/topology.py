@@ -16,9 +16,7 @@ import numpy as np
 
 from repro.core.config import PaperConfig
 from repro.core.network import D2DNetwork
-from repro.radio.link import LinkBudget
-from repro.radio.pathloss import PaperPathLoss
-from repro.radio.shadowing import LogNormalShadowing, NoShadowing
+from repro.sim.random import RandomStreams
 
 
 @dataclass(frozen=True)
@@ -63,33 +61,18 @@ def connectivity_probability(
 ) -> float:
     """Fraction of random placements whose proximity graph is connected.
 
-    Draws ``attempts`` independent placements (and shadowing realizations)
-    of the scenario and tests connectivity — without the redraw loop, so
-    the estimate is unbiased.
+    Each attempt is one pass of ``D2DNetwork``'s redraw loop — the same
+    placement, path loss, clipped hashed shadowing and connectivity test
+    — on its own random streams, without re-drawing, so the estimate is
+    unbiased.
     """
     if attempts < 1:
         raise ValueError("attempts must be >= 1")
-    rng = np.random.default_rng(seed)
-    model = PaperPathLoss()
-    connected = 0
-    for _ in range(attempts):
-        positions = rng.uniform(
-            0.0, config.area_side_m, size=(config.n_devices, 2)
-        )
-        shadowing = (
-            LogNormalShadowing(config.shadowing_sigma_db, rng)
-            if config.shadowing_sigma_db > 0
-            else NoShadowing()
-        )
-        budget = LinkBudget(
-            positions,
-            model,
-            tx_power_dbm=config.tx_power_dbm,
-            threshold_dbm=config.threshold_dbm,
-            shadowing=shadowing,
-        )
-        adj = budget.adjacency()
-        adj = adj & adj.T
-        if nx.is_connected(nx.from_numpy_array(adj)):
-            connected += 1
+    seeds = np.random.default_rng(seed).integers(0, 2**63, size=attempts)
+    connected = sum(
+        D2DNetwork(
+            config, RandomStreams(int(s)), require_connected=False
+        ).sparse_budget.is_connected()
+        for s in seeds
+    )
     return connected / attempts

@@ -7,10 +7,9 @@
 * :class:`~repro.core.st.STSimulation` — the proposed tree-based
   distributed firefly algorithm (Algorithms 1–3);
 * :class:`~repro.core.fst.FSTSimulation` — the FST baseline [17];
-* :class:`~repro.core.pulsesync.SparsePulseSyncKernel` — the shared
-  vectorized pulse-coupled synchronization kernel over the link CSR
-  (:class:`~repro.core.pulsesync.PulseSyncKernel` is its dense-matrix
-  twin for stream fading).
+* :class:`~repro.core.pulsesync.SparsePulseSyncKernel` — the one
+  vectorized pulse-coupled synchronization kernel, run over the link
+  CSR by both algorithms and the mobility study.
 """
 
 from repro.core.beacon import (
@@ -28,7 +27,6 @@ from repro.core.fst import (
 )
 from repro.core.network import D2DNetwork
 from repro.core.pulsesync import (
-    PulseSyncKernel,
     PulseSyncResult,
     SparsePulseSyncKernel,
     TelemetrySample,
@@ -45,7 +43,6 @@ __all__ = [
     "FSTSimulation",
     "PAPER_DENSITY_PER_M2",
     "PaperConfig",
-    "PulseSyncKernel",
     "PulseSyncResult",
     "RunResult",
     "STSimulation",

@@ -17,6 +17,8 @@ the CSR directly.  Channel randomness is counter-based
 (:mod:`repro.radio.chanhash`) — shadowing a pure function of
 ``(key, link)``, fading of ``(key, event, tx, rx)`` — so the CSR link
 powers are bitwise the entries of the equivalent dense matrices.
+:func:`channel_budget` is the one place a config becomes a channel over
+positions.
 
 The dense-matrix views (``link_budget``, ``adjacency``, ``weights``) are
 the one explicit dense helper, for analysis, plotting and the matrix
@@ -66,6 +68,44 @@ def _pathloss_for(config: PaperConfig):
     raise ValueError(f"unknown pathloss model {config.pathloss_model!r}")
 
 
+def channel_budget(
+    config: PaperConfig,
+    positions: np.ndarray,
+    shadow_key: int,
+    fading_key: int,
+    budget_type: type = SparseLinkBudget,
+):
+    """The configured channel over ``positions``.
+
+    Path loss per ``config.pathloss_model``, hashed shadowing (σ and clip
+    from the config) keyed on ``shadow_key`` and hashed Rayleigh fading
+    keyed on ``fading_key``; ``NoShadowing``/``NoFading`` when the config
+    turns them off.  ``budget_type`` picks the CSR budget (default) or
+    the dense :class:`~repro.radio.link.LinkBudget` view; both hold the
+    same values for the same keys.
+    """
+    if config.shadowing_sigma_db > 0:
+        shadowing = HashedShadowing(
+            config.shadowing_sigma_db,
+            shadow_key,
+            clip_sigma=config.shadow_clip_sigma,
+        )
+    else:
+        shadowing = NoShadowing()
+    if config.fading_model == "rayleigh":
+        fading = HashedRayleighFading(fading_key)
+    else:
+        fading = NoFading()
+    return budget_type(
+        positions,
+        _pathloss_for(config),
+        tx_power_dbm=config.tx_power_dbm,
+        threshold_dbm=config.threshold_dbm,
+        shadowing=shadowing,
+        fading=fading,
+    )
+
+
 class D2DNetwork:
     """Concrete network instance for one (config, seed) pair.
 
@@ -89,7 +129,6 @@ class D2DNetwork:
     ) -> None:
         self.config = config
         self.streams = streams if streams is not None else RandomStreams(config.seed)
-        self.pathloss = _pathloss_for(config)
         self.placement_attempts = 0
 
         placement_rng = self.streams.stream("placement")
@@ -102,13 +141,8 @@ class D2DNetwork:
                 0.0, config.area_side_m, size=(config.n_devices, 2)
             )
             shadow_key = int(shadow_rng.integers(0, 2**63))
-            budget = SparseLinkBudget(
-                positions,
-                self.pathloss,
-                tx_power_dbm=config.tx_power_dbm,
-                threshold_dbm=config.threshold_dbm,
-                shadowing=self._make_shadowing(shadow_key),
-                fading=self._make_fading(),
+            budget = channel_budget(
+                config, positions, shadow_key, self.fading_key
             )
             if not require_connected or budget.is_connected():
                 break
@@ -136,34 +170,15 @@ class D2DNetwork:
         )
 
     # ------------------------------------------------------------------
-    def _make_shadowing(self, key: int):
-        if self.config.shadowing_sigma_db > 0:
-            return HashedShadowing(
-                self.config.shadowing_sigma_db,
-                key,
-                clip_sigma=self.config.shadow_clip_sigma,
-            )
-        return NoShadowing()
-
-    def _make_fading(self):
-        if self.config.fading_model == "rayleigh":
-            return HashedRayleighFading(self.fading_key)
-        return NoFading()
-
-    # ------------------------------------------------------------------
     def _densify(self) -> None:
         """Materialize the dense matrix views (O(n²) time and memory).
 
         Same positions, same hashed channel keys, so every entry equals
         the CSR value for the same link bitwise.
         """
-        budget = LinkBudget(
-            self.positions,
-            self.pathloss,
-            tx_power_dbm=self.config.tx_power_dbm,
-            threshold_dbm=self.config.threshold_dbm,
-            shadowing=self._make_shadowing(self.shadow_key),
-            fading=self._make_fading(),
+        budget = channel_budget(
+            self.config, self.positions, self.shadow_key, self.fading_key,
+            LinkBudget,
         )
         adjacency = budget.adjacency()
         self._link_budget = budget

@@ -46,6 +46,7 @@ from repro.faults.invariants import InvariantChecker
 from repro.faults.plan import FaultPlan
 from repro.obs import Observability, get_active
 from repro.oscillator.prc import LinearPRC
+from repro.radio.sparse_link import SparseLinkBudget
 from repro.spanningtree.boruvka import distributed_boruvka_csr
 from repro.spanningtree.ghs import distributed_ghs
 from repro.spanningtree.repair import repair_after_failure_csr
@@ -56,6 +57,38 @@ HANDSHAKE_SLOTS = 2
 
 #: Bucket bounds for fragment sizes along the Borůvka growth.
 FRAGMENT_SIZE_BUCKETS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0, 512.0)
+
+
+def tree_sync_kernel(
+    config: PaperConfig,
+    budget: SparseLinkBudget,
+    tree_edges: list[tuple[int, int]],
+    prc: LinearPRC,
+) -> SparsePulseSyncKernel:
+    """The pulse-sync kernel coupled over a spanning tree.
+
+    Both directions of each tree edge, with powers looked up from the
+    radio CSR — no (n, n) allocation.  ST's final trim and each mobility
+    epoch run it.
+    """
+    count = len(tree_edges)
+    eu = np.fromiter((u for u, _ in tree_edges), dtype=np.int64, count=count)
+    ev = np.fromiter((v for _, v in tree_edges), dtype=np.int64, count=count)
+    tx = np.concatenate((eu, ev))
+    rx = np.concatenate((ev, eu))
+    return SparsePulseSyncKernel.from_edges(
+        budget.n,
+        tx,
+        rx,
+        budget.edge_power_lookup(tx, rx),
+        prc,
+        period_ms=config.period_ms,
+        threshold_dbm=config.threshold_dbm,
+        refractory_ms=config.refractory_ms,
+        sync_window_ms=config.sync_window_ms,
+        fading=budget.fading,
+        collision_policy=config.collision_policy,
+    )
 
 
 class STSimulation:
@@ -291,36 +324,7 @@ class STSimulation:
                 base = float(phase_rng.uniform(0.0, 1.0 - window))
                 initial_phases = base + phase_rng.uniform(0.0, window, size=n)
 
-                kernel_opts = dict(
-                    period_ms=cfg.period_ms,
-                    threshold_dbm=cfg.threshold_dbm,
-                    refractory_ms=cfg.refractory_ms,
-                    sync_window_ms=cfg.sync_window_ms,
-                    collision_policy=cfg.collision_policy,
-                )
-                # both directions of each tree edge, powers looked up
-                # from the radio CSR — no (n, n) allocation
-                eu = np.fromiter(
-                    (u for u, _ in tree_edges),
-                    dtype=np.int64,
-                    count=len(tree_edges),
-                )
-                ev = np.fromiter(
-                    (v for _, v in tree_edges),
-                    dtype=np.int64,
-                    count=len(tree_edges),
-                )
-                tx = np.concatenate((eu, ev))
-                rx = np.concatenate((ev, eu))
-                kernel = SparsePulseSyncKernel.from_edges(
-                    n,
-                    tx,
-                    rx,
-                    budget.edge_power_lookup(tx, rx),
-                    self.prc,
-                    fading=budget.fading,
-                    **kernel_opts,
-                )
+                kernel = tree_sync_kernel(cfg, budget, tree_edges, self.prc)
                 if active_mask is not None and not active_mask.any():
                     # total extinction before the trim: nothing to sync
                     trim = PulseSyncResult(

@@ -7,6 +7,14 @@ re-synchronizes over the *new* maximum-PS spanning tree.  Per-epoch
 records capture the re-sync cost (time, messages), how much of the old
 tree survived, and the current phase coherence — the quantities a
 "realistic scenario" extension of the paper (its §VI) would plot.
+
+Each epoch runs the simulation path ST runs: a CSR
+:class:`~repro.radio.sparse_link.SparseLinkBudget` built by
+:func:`~repro.core.network.channel_budget`, CSR Borůvka for the tree and
+the pulse-sync kernel over the tree edges
+(:func:`~repro.core.st.tree_sync_kernel`).  Shadowing is keyed once per
+session, so the environment stays frozen while devices walk; fading is
+keyed per epoch from ``(seed, epoch)``.
 """
 
 from __future__ import annotations
@@ -16,31 +24,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.config import PaperConfig
-from repro.core.pulsesync import PulseSyncKernel
+from repro.core.network import channel_budget
+from repro.core.st import tree_sync_kernel
 from repro.oscillator.prc import LinearPRC
-from repro.radio.fading import NoFading, RayleighFading
-from repro.radio.link import LinkBudget
-from repro.radio.pathloss import PaperPathLoss
-from repro.radio.shadowing import LogNormalShadowing, NoShadowing
-from repro.spanningtree.boruvka import distributed_boruvka
-
-
-class _FrozenShadowing:
-    """Shadowing provider that replays one fixed link matrix."""
-
-    def __init__(self, matrix: np.ndarray) -> None:
-        self._matrix = matrix
-        self.sigma_db = float(matrix.std()) if matrix.size else 0.0
-
-    def link_matrix(self, n: int) -> np.ndarray:
-        if n != self._matrix.shape[0]:
-            raise ValueError(
-                f"frozen shadowing is {self._matrix.shape[0]}x..., asked for {n}"
-            )
-        return self._matrix
-
-    def sample(self, size=1) -> np.ndarray:
-        raise NotImplementedError("frozen shadowing only provides link_matrix")
+from repro.radio.chanhash import derive_key
+from repro.radio.sparse_link import SparseLinkBudget
+from repro.spanningtree.boruvka import distributed_boruvka_csr
 
 
 @dataclass(frozen=True)
@@ -67,7 +56,14 @@ class MobilitySession:
         Object exposing ``positions`` (``(n, 2)`` array) that the caller
         advances between :meth:`run_epoch` calls.
     seed:
-        Seed for the per-epoch channel and sync draws.
+        Seed for the channel keys and the per-epoch phase draws.
+
+    Attributes
+    ----------
+    budget:
+        The link budget of the latest epoch (``None`` before the first).
+    tree:
+        The latest epoch's spanning-tree edges.
     """
 
     def __init__(
@@ -75,72 +71,38 @@ class MobilitySession:
     ) -> None:
         self.config = config
         self.mover = mover
+        self.seed = int(seed)
         self.rng = np.random.default_rng(seed)
         self.prc = LinearPRC.from_dissipation(config.dissipation, config.epsilon)
         self.epochs: list[MobilityEpoch] = []
-        self._prev_tree: set[tuple[int, int]] = set()
-        # the per-link shadowing environment is drawn once and held fixed
-        # across epochs (buildings don't reshuffle when devices walk), so
-        # tree churn measures *geometry* change, not channel re-rolls
-        if config.shadowing_sigma_db > 0:
-            self._shadow = _FrozenShadowing(
-                LogNormalShadowing(
-                    config.shadowing_sigma_db, self.rng
-                ).link_matrix(config.n_devices)
-            )
-        else:
-            self._shadow = NoShadowing()
-
-    # ------------------------------------------------------------------
-    def _build_budget(self) -> LinkBudget:
-        cfg = self.config
-        shadowing = self._shadow
-        fading = (
-            RayleighFading(self.rng)
-            if cfg.fading_model == "rayleigh"
-            else NoFading()
-        )
-        return LinkBudget(
-            self.mover.positions,
-            PaperPathLoss(),
-            tx_power_dbm=cfg.tx_power_dbm,
-            threshold_dbm=cfg.threshold_dbm,
-            shadowing=shadowing,
-            fading=fading,
-        )
+        self.budget: SparseLinkBudget | None = None
+        self.tree: list[tuple[int, int]] = []
+        # one shadowing key per session: buildings don't reshuffle when
+        # devices walk, so tree churn measures *geometry* change, not
+        # channel re-rolls
+        self._shadow_key = int(self.rng.integers(0, 2**63))
 
     def run_epoch(self) -> MobilityEpoch:
         """Rebuild the channel at current positions, re-tree, re-sync."""
         cfg = self.config
-        budget = self._build_budget()
-        adjacency = budget.adjacency() & budget.adjacency().T
-        np.fill_diagonal(adjacency, False)
-        weights = 0.5 * (budget.mean_rx_dbm + budget.mean_rx_dbm.T)
+        n = cfg.n_devices
+        epoch = len(self.epochs)
+        positions = np.array(self.mover.positions, dtype=float)
+        fading_key = int(derive_key(self.seed, np.uint64(epoch)))
+        budget = channel_budget(cfg, positions, self._shadow_key, fading_key)
 
-        boruvka = distributed_boruvka(weights, adjacency)
-        tree = set(boruvka.edges)
-        if self._prev_tree:
-            stability = len(tree & self._prev_tree) / max(len(self._prev_tree), 1)
+        tree = distributed_boruvka_csr(
+            n, budget.link_indptr, budget.link_indices, budget.link_power_dbm
+        ).edges
+        if self.tree:
+            prev = set(self.tree)
+            stability = len(prev.intersection(tree)) / max(len(prev), 1)
         else:
             stability = 1.0
-        self._prev_tree = tree
+        self.budget = budget
+        self.tree = tree
 
-        n = cfg.n_devices
-        tree_adj = np.zeros((n, n), dtype=bool)
-        for u, v in tree:
-            tree_adj[u, v] = tree_adj[v, u] = True
-
-        kernel = PulseSyncKernel(
-            budget.mean_rx_dbm,
-            tree_adj,
-            self.prc,
-            period_ms=cfg.period_ms,
-            threshold_dbm=cfg.threshold_dbm,
-            refractory_ms=cfg.refractory_ms,
-            sync_window_ms=cfg.sync_window_ms,
-            fading=budget.fading,
-            collision_policy=cfg.collision_policy,
-        )
+        kernel = tree_sync_kernel(cfg, budget, tree, self.prc)
         # devices kept their clocks through the move: phases start nearly
         # aligned, perturbed by the inter-epoch drift (a few slots)
         base = float(self.rng.uniform(0.0, 0.9))
@@ -151,17 +113,15 @@ class MobilitySession:
             max_time_ms=cfg.max_time_ms,
         )
 
-        dist = budget.distance_m
-        edge_m = (
-            float(np.mean([dist[u, v] for u, v in tree])) if tree else 0.0
-        )
+        ends = np.array(tree, dtype=np.int64).reshape(-1, 2)
+        lengths = np.linalg.norm(positions[ends[:, 0]] - positions[ends[:, 1]], axis=1)
         record = MobilityEpoch(
-            epoch=len(self.epochs),
+            epoch=epoch,
             resync_time_ms=sync.time_ms,
             resync_messages=sync.messages,
             converged=sync.converged,
             tree_stability=stability,
-            mean_tree_edge_m=edge_m,
+            mean_tree_edge_m=float(lengths.mean()) if tree else 0.0,
         )
         self.epochs.append(record)
         return record

@@ -5,42 +5,39 @@ Table I:
 
 * piecewise path loss ``PL = 4.35 + 25·log10(d)`` (d < 6 m) /
   ``40.0 + 40·log10(d)`` (otherwise),
-* log-normal shadowing with 10 dB standard deviation,
+* log-normal shadowing with 10 dB standard deviation, clipped at 3σ,
 * UMi NLOS fast fading (Rayleigh magnitude, expressed in dB),
 * RSSI distance estimation with relative error ``ε = 10^{x/10n} − 1``,
 * two orthogonal RACH codecs used as the paper's PS carriers.
+
+Shadowing and fading are counter-hashed (:mod:`repro.radio.chanhash`),
+the one source of channel randomness.
 """
 
-from repro.radio.fading import NoFading, RayleighFading
-from repro.radio.interference import CollisionModel, SlotOutcome
-from repro.radio.link import LinkBudget, ReceivedSignal
+from repro.radio.fading import HashedRayleighFading, NoFading
+from repro.radio.link import LinkBudget
 from repro.radio.pathloss import (
     FreeSpacePathLoss,
     LogDistancePathLoss,
     PaperPathLoss,
     PathLossModel,
 )
-from repro.radio.rach import RACH_KEEP_ALIVE, RACH_MERGE, RACHCodec, RACHMessage
-from repro.radio.rssi import RSSIRanging, expected_ranging_error
-from repro.radio.shadowing import LogNormalShadowing, NoShadowing
+from repro.radio.rach import RACH_KEEP_ALIVE, RACH_MERGE, RACHCodec
+from repro.radio.rssi import RSSIRanging
+from repro.radio.shadowing import HashedShadowing, NoShadowing
 
 __all__ = [
-    "CollisionModel",
     "FreeSpacePathLoss",
+    "HashedRayleighFading",
+    "HashedShadowing",
     "LinkBudget",
     "LogDistancePathLoss",
-    "LogNormalShadowing",
     "NoFading",
     "NoShadowing",
     "PaperPathLoss",
     "PathLossModel",
     "RACHCodec",
-    "RACHMessage",
     "RACH_KEEP_ALIVE",
     "RACH_MERGE",
     "RSSIRanging",
-    "RayleighFading",
-    "ReceivedSignal",
-    "SlotOutcome",
-    "expected_ranging_error",
 ]

@@ -1,10 +1,9 @@
-"""Counter-based (hash) channel randomness.
+"""Counter-based (hash) channel randomness — the one source of it.
 
-The dense channel pipeline draws shadowing as a sequential ``(n, n)``
-matrix and fading as per-wave ``(k, n)`` blocks, which couples the random
-values to *how many* links happen to be materialized.  A sparse execution
+A channel drawn from a sequential generator couples the random values to
+*how many* links happen to be materialized and in which order: a sparse
 path that only touches O(E) links would consume the stream differently
-and diverge from the dense path on the very first draw.
+from a dense one and diverge on the very first draw.
 
 The fix is the standard one from parallel/distributed simulation:
 **counter-based randomness**.  Every draw is a pure function of a run key
@@ -16,8 +15,8 @@ and the *identity* of the thing being drawn —
 
 so any subset of links can be evaluated in any order, in any layout
 (dense matrix or CSR edge list), and produce bitwise-identical values.
-This is what makes the sparse scale path seed-for-seed equal to the dense
-reference (see ``tests/test_sparse_parity.py``).
+This is what makes the CSR simulations seed-for-seed equal to the dense
+references (see ``tests/test_sparse_parity.py``).
 
 The generator is a SplitMix64 finalizer over a 64-bit pair code
 (``min << 32 | max`` for symmetric links, ``tx << 32 | rx`` for directed
@@ -75,10 +74,6 @@ def hashed_uniform(codes: np.ndarray, subkey: np.uint64) -> np.ndarray:
     return ((h >> _U64(11)).astype(np.float64) + 0.5) * _INV_2_53
 
 
-#: Backwards-compatible private alias (pre-existing internal callers).
-_uniform = hashed_uniform
-
-
 def pair_code(i: np.ndarray, j: np.ndarray) -> np.ndarray:
     """Symmetric 64-bit code for an unordered node pair (broadcasts)."""
     i = np.asarray(i, dtype=np.uint64)
@@ -102,8 +97,8 @@ def link_normal(key: int, i: np.ndarray, j: np.ndarray) -> np.ndarray:
     ``(key, {i, j})`` only — independent of array layout or call order.
     """
     code = pair_code(i, j)
-    u1 = _uniform(code, derive_key(key, SALT_SHADOW_U1))
-    u2 = _uniform(code, derive_key(key, SALT_SHADOW_U2))
+    u1 = hashed_uniform(code, derive_key(key, SALT_SHADOW_U1))
+    u2 = hashed_uniform(code, derive_key(key, SALT_SHADOW_U2))
     return np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)
 
 
@@ -118,5 +113,5 @@ def event_exponential(
     """
     events = np.asarray(event, dtype=np.uint64)
     subkey = splitmix64(derive_key(key, SALT_FADING) ^ events)
-    u = _uniform(directed_code(tx, rx), subkey)
+    u = hashed_uniform(directed_code(tx, rx), subkey)
     return -np.log1p(-u)

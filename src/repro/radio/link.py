@@ -1,30 +1,21 @@
-"""Link budget: composes path loss, shadowing and fading into received power.
+"""Dense link budget: path loss, shadowing and fading over all pairs.
 
-The :class:`LinkBudget` precomputes the *mean* received-power matrix for a
-static topology once (O(n²), vectorized), then answers per-broadcast
-queries ("who detects this PS, and at what power?") with a single fading
-draw per receiver.  This keeps a 1000-node fig3/fig4 sweep tractable in
-pure NumPy, per the HPC guide's vectorize-don't-loop rule.
+:class:`LinkBudget` computes the *mean* received-power matrix for a
+static topology once (O(n²), vectorized).  It is the dense helper view:
+analysis, plotting, the matrix spanning-tree functions at small n and
+the dense test references use it, while the simulations run on the CSR
+:class:`~repro.radio.sparse_link.SparseLinkBudget`.  Both take the same
+counter-hashed channel models, so every dense entry equals the CSR value
+for the same link bitwise.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from repro.radio.fading import NoFading
 from repro.radio.pathloss import PathLossModel
 from repro.radio.shadowing import NoShadowing
-
-
-@dataclass(frozen=True)
-class ReceivedSignal:
-    """Result of one receiver hearing one transmission."""
-
-    receiver: int
-    power_dbm: float
-    detected: bool
 
 
 class LinkBudget:
@@ -90,44 +81,24 @@ class LinkBudget:
         """
         return self.mean_rx_dbm >= (self.threshold_dbm + margin_db)
 
-    def broadcast(self, tx: int, rng: np.random.Generator) -> list[ReceivedSignal]:
-        """One PS broadcast from ``tx``: per-receiver power with fresh fading.
+    def broadcast_power(
+        self, tx: int, event: int
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """One PS broadcast from ``tx`` at radio event ``event``.
 
-        .. deprecated::
-            Analysis/example use only — the per-receiver object list is
-            O(n) allocation per call.  Hot paths (kernels, beaconing) use
-            :meth:`broadcast_power` or precomputed matrices/CSR instead;
-            do not add new simulation call sites.
-
-        Returns a record per *detecting* receiver, sorted by id.  Fading is
-        drawn independently per receiver for this transmission.
+        Returns ``(power_dbm[n], detected[n])``: the mean power plus the
+        fading draw ``fading.link_db(event, tx, rx)`` per receiver, and
+        whether it clears the threshold.  The sender never detects
+        itself.  The same event replays the same draws bitwise.
         """
         if not 0 <= tx < self.n:
             raise IndexError(f"tx index {tx} out of range [0, {self.n})")
-        fade = self._fade_row(rng)
-        power = self.mean_rx_dbm[tx] + fade
-        detected = power >= self.threshold_dbm
-        detected[tx] = False
-        return [
-            ReceivedSignal(int(i), float(power[i]), True)
-            for i in np.nonzero(detected)[0]
-        ]
-
-    def broadcast_power(
-        self, tx: int, rng: np.random.Generator
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Vector form of :meth:`broadcast`: (power_dbm[n], detected[n])."""
-        if not 0 <= tx < self.n:
-            raise IndexError(f"tx index {tx} out of range [0, {self.n})")
-        power = self.mean_rx_dbm[tx] + self._fade_row(rng)
+        power = self.mean_rx_dbm[tx].copy()
+        if not isinstance(self.fading, NoFading):
+            power += self.fading.link_db(event, tx, np.arange(self.n))
         detected = power >= self.threshold_dbm
         detected[tx] = False
         return power, detected
-
-    def _fade_row(self, rng: np.random.Generator) -> np.ndarray:
-        if isinstance(self.fading, NoFading):
-            return np.zeros(self.n)
-        return self.fading.sample_db(self.n)
 
     def __repr__(self) -> str:
         return (

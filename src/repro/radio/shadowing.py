@@ -5,6 +5,11 @@ a Gaussian zero-mean random variable ``x`` with variance σ² in dB
 (Table I: σ = 10 dB).  Shadowing is a property of the *environment between
 two positions*, so we model it per-link, symmetric, and static for the
 duration of a run — the standard assumption for stationary devices.
+
+Every draw is counter-hashed (:mod:`repro.radio.chanhash`): a pure
+function of the run key and the unordered link, clipped to
+``±clip_sigma`` standard deviations.  :class:`NoShadowing` is the
+oracle channel.
 """
 
 from __future__ import annotations
@@ -12,45 +17,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.radio.chanhash import link_normal
-
-
-class LogNormalShadowing:
-    """Per-link symmetric log-normal shadowing.
-
-    Parameters
-    ----------
-    sigma_db:
-        Standard deviation in dB (Table I uses 10 dB).
-    rng:
-        NumPy generator for the link draws.
-    """
-
-    def __init__(self, sigma_db: float, rng: np.random.Generator) -> None:
-        if sigma_db < 0:
-            raise ValueError(f"sigma_db must be >= 0, got {sigma_db}")
-        self.sigma_db = float(sigma_db)
-        self._rng = rng
-
-    def link_matrix(self, n: int) -> np.ndarray:
-        """Symmetric ``n×n`` matrix of shadowing values (dB), zero diagonal.
-
-        Entry [i, j] is *added to the loss* on link i↔j (a positive draw
-        means extra attenuation).
-        """
-        if n < 0:
-            raise ValueError("n must be >= 0")
-        draws = self._rng.normal(0.0, self.sigma_db, size=(n, n))
-        upper = np.triu(draws, k=1)
-        sym = upper + upper.T
-        np.fill_diagonal(sym, 0.0)
-        return sym
-
-    def sample(self, size: int | tuple[int, ...] = 1) -> np.ndarray:
-        """Raw i.i.d. shadowing draws (dB) — used by the RSSI error model."""
-        return self._rng.normal(0.0, self.sigma_db, size=size)
-
-    def __repr__(self) -> str:
-        return f"LogNormalShadowing(sigma_db={self.sigma_db})"
 
 
 class HashedShadowing:
@@ -129,9 +95,6 @@ class NoShadowing:
 
     def link_db(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
         return np.zeros(np.broadcast(i, j).shape)
-
-    def sample(self, size: int | tuple[int, ...] = 1) -> np.ndarray:
-        return np.zeros(size if isinstance(size, tuple) else (size,))
 
     def __repr__(self) -> str:
         return "NoShadowing()"

@@ -24,8 +24,8 @@ election and the message accounting are array passes (no per-node or
 per-fragment Python loops).  :func:`distributed_boruvka_csr` — what the
 simulations run — scans a CSR edge list in O(E) per phase;
 :func:`distributed_boruvka` scans a dense ``(n, n)`` weight matrix for
-the matrix callers (induced multiservice subgraphs, Fig. 2, mobility,
-the permutation relation).  Candidate selection is deterministic and
+the matrix callers (induced multiservice subgraphs, Fig. 2, the
+permutation relation).  Candidate selection is deterministic and
 identical in both (ties: higher weight, then lower ``(min, max)`` pair),
 so they produce the same phases, edges and message bill.
 """

@@ -5,15 +5,24 @@ SparseLinkBudget`, which is built from device positions.  Unit tests
 that want a hand-made radio environment (arbitrary powers, forced
 isolations, tiny path graphs) describe it as an ``(n, n)`` matrix
 instead; :class:`MatrixLinkBudget` turns that matrix into the same CSR
-layout so the tests drive the real kernels.
+layout so the tests drive the real kernels, and
+:func:`matrix_sync_kernel` builds the CSR pulse-sync kernel over such a
+matrix and a coupling mask.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from repro.core.pulsesync import SparsePulseSyncKernel
+from repro.oscillator.prc import LinearPRC
 from repro.radio.fading import FADE_CAP_DB, HashedRayleighFading, NoFading
 from repro.radio.sparse_link import SparseLinkBudget, csr_from_edges
+
+
+class StreamModel:
+    """A channel model without ``link_db``: draws that cannot be keyed
+    per edge, which every CSR consumer must reject."""
 
 
 class MatrixLinkBudget(SparseLinkBudget):
@@ -84,3 +93,29 @@ def edge_matrix(budget: SparseLinkBudget, mask: np.ndarray) -> np.ndarray:
 def edge_mask(budget: SparseLinkBudget, matrix: np.ndarray) -> np.ndarray:
     """``(n, n)`` ``[receiver, sender]`` matrix → radio-edge mask."""
     return np.asarray(matrix, dtype=bool)[budget.indices, budget.row_ids]
+
+
+def matrix_sync_kernel(
+    mean_rx_dbm: np.ndarray,
+    adjacency: np.ndarray | None = None,
+    prc: LinearPRC | None = None,
+    **kwargs,
+) -> SparsePulseSyncKernel:
+    """CSR pulse-sync kernel over a mean-power matrix and coupling mask.
+
+    Every adjacent off-diagonal pair (every pair when ``adjacency`` is
+    omitted) becomes one directed edge carrying ``mean_rx_dbm[tx, rx]``.
+    Defaults are the paper PRC (a = 3, ε = 0.08), a 100 ms period and a
+    −95 dBm threshold; keyword arguments go to the kernel.
+    """
+    m = np.asarray(mean_rx_dbm, dtype=float)
+    n = m.shape[0]
+    coupled = ~np.eye(n, dtype=bool)
+    if adjacency is not None:
+        coupled &= np.asarray(adjacency, dtype=bool)
+    tx, rx = np.nonzero(coupled)
+    kwargs.setdefault("period_ms", 100.0)
+    kwargs.setdefault("threshold_dbm", -95.0)
+    return SparsePulseSyncKernel.from_edges(
+        n, tx, rx, m[tx, rx], prc or LinearPRC.from_dissipation(3.0, 0.08), **kwargs
+    )

@@ -10,9 +10,8 @@ from repro.analysis.timeline import (
     locking_summary,
     peak_concurrency,
 )
-from repro.core.pulsesync import PulseSyncKernel
-from repro.oscillator.prc import LinearPRC
 from repro.sim.trace import TraceRecorder
+from tests.linkcsr import matrix_sync_kernel
 
 
 @pytest.fixture(scope="module")
@@ -20,15 +19,8 @@ def traced_run():
     n = 12
     m = np.full((n, n), -60.0)
     np.fill_diagonal(m, -np.inf)
-    kernel = PulseSyncKernel(
-        m,
-        ~np.eye(n, dtype=bool),
-        LinearPRC.from_dissipation(3.0, 0.08),
-        period_ms=100.0,
-        threshold_dbm=-95.0,
-    )
     trace = TraceRecorder()
-    result = kernel.run(np.random.default_rng(5), trace=trace)
+    result = matrix_sync_kernel(m).run(np.random.default_rng(5), trace=trace)
     return trace, result, n
 
 

@@ -62,6 +62,16 @@ class TestConnectivityProbability:
         b = connectivity_probability(cfg, attempts=10, seed=3)
         assert a == b
 
+    def test_uses_configured_channel(self):
+        """A free-space scenario whose every build is connected reports
+        1.0: the estimate runs the configured path loss and shadow clip,
+        not a fixed channel of its own."""
+        cfg = PaperConfig(n_devices=10, area_side_m=500.0, pathloss_model="freespace")
+        for seed in range(20):
+            net = D2DNetwork(cfg.with_seed(seed), require_connected=False)
+            assert net.sparse_budget.is_connected()
+        assert connectivity_probability(cfg, attempts=20, seed=1) == 1.0
+
     def test_validation(self):
         with pytest.raises(ValueError):
             connectivity_probability(PaperConfig(), attempts=0)

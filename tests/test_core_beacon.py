@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from repro.core.beacon import SparseBeaconDiscovery, top_k_required_csr
-from repro.radio.fading import HashedRayleighFading, RayleighFading
-from tests.linkcsr import MatrixLinkBudget, edge_mask, edge_matrix
+from repro.radio.fading import HashedRayleighFading
+from tests.linkcsr import MatrixLinkBudget, StreamModel, edge_mask, edge_matrix
 
 
 def varied_radio(n, seed=0, base_dbm=-60.0, spread_db=25.0):
@@ -286,5 +286,5 @@ class TestValidation:
                 budget,
                 threshold_dbm=-95.0,
                 period_slots=10,
-                fading=RayleighFading(np.random.default_rng(0)),
+                fading=StreamModel(),
             )

@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.core.pulsesync import PulseSyncKernel
+from repro.core.pulsesync import SparsePulseSyncKernel
 from repro.oscillator.prc import LinearPRC
-from repro.radio.fading import RayleighFading
+from repro.radio.fading import HashedRayleighFading
+from tests.linkcsr import StreamModel, matrix_sync_kernel
 
 
 def perfect_radio(n, power_dbm=-60.0):
@@ -36,18 +37,13 @@ def kernel_for(
     prc=None,
     fading=None,
     policy="tolerant",
+    radio=None,
     **kwargs,
 ):
-    if adjacency is None:
-        adjacency = ~np.eye(n, dtype=bool)
-    return PulseSyncKernel(
-        perfect_radio(n),
+    return matrix_sync_kernel(
+        perfect_radio(n) if radio is None else radio,
         adjacency,
-        prc or LinearPRC.from_dissipation(3.0, 0.08),
-        period_ms=100.0,
-        threshold_dbm=-95.0,
-        refractory_ms=1.0,
-        sync_window_ms=2.0,
+        prc,
         fading=fading,
         collision_policy=policy,
         **kwargs,
@@ -136,17 +132,11 @@ class TestCollisionPolicies:
     def test_capture_converges_with_power_diversity_and_fading(self):
         """Capture-policy sync needs *variation* — fading rotates which copy
         of a group superposition captures, letting groups merge."""
-        n = 8
-        kernel = PulseSyncKernel(
-            varied_radio(n, seed=11),
-            ~np.eye(n, dtype=bool),
-            LinearPRC.from_dissipation(3.0, 0.08),
-            period_ms=100.0,
-            threshold_dbm=-95.0,
-            refractory_ms=1.0,
-            sync_window_ms=2.0,
-            collision_policy="capture",
-            fading=RayleighFading(np.random.default_rng(1)),
+        kernel = kernel_for(
+            8,
+            radio=varied_radio(8, seed=11),
+            policy="capture",
+            fading=HashedRayleighFading(1),
         )
         result = kernel.run(np.random.default_rng(11), max_time_ms=120_000.0)
         assert result.converged
@@ -154,17 +144,7 @@ class TestCollisionPolicies:
     def test_capture_without_fading_stalls_in_group_mute_plateau(self):
         """Without fading, synchronized groups are permanently undecodable
         superpositions under capture — the near-sync plateau persists."""
-        n = 8
-        kernel = PulseSyncKernel(
-            varied_radio(n, seed=11),
-            ~np.eye(n, dtype=bool),
-            LinearPRC.from_dissipation(3.0, 0.08),
-            period_ms=100.0,
-            threshold_dbm=-95.0,
-            refractory_ms=1.0,
-            sync_window_ms=2.0,
-            collision_policy="capture",
-        )
+        kernel = kernel_for(8, radio=varied_radio(8, seed=11), policy="capture")
         result = kernel.run(np.random.default_rng(11), max_time_ms=30_000.0)
         assert not result.converged
         # ... but it got close: a small residual spread, not chaos
@@ -192,15 +172,10 @@ class TestDecodingTracking:
     def _decode_kernel(self, n, seed):
         """Varied powers + fading: both are needed for the capture rule to
         rotate decode winners once the population synchronizes."""
-        return PulseSyncKernel(
-            varied_radio(n, seed=seed),
-            ~np.eye(n, dtype=bool),
-            LinearPRC.from_dissipation(3.0, 0.08),
-            period_ms=100.0,
-            threshold_dbm=-95.0,
-            refractory_ms=1.0,
-            sync_window_ms=2.0,
-            fading=RayleighFading(np.random.default_rng(seed + 100)),
+        return kernel_for(
+            n,
+            radio=varied_radio(n, seed=seed),
+            fading=HashedRayleighFading(seed + 100),
         )
 
     def test_decoding_stalls_after_synchronization(self):
@@ -257,17 +232,18 @@ class TestDecodingTracking:
 class TestFading:
     def test_fading_runs_still_converge(self):
         result = kernel_for(
-            15, fading=RayleighFading(np.random.default_rng(17))
+            15, fading=HashedRayleighFading(17)
         ).run(np.random.default_rng(18), max_time_ms=120_000.0)
         assert result.converged
 
 
 class TestValidation:
     def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            PulseSyncKernel(
-                perfect_radio(3),
-                np.zeros((2, 2), dtype=bool),
+        with pytest.raises(ValueError, match="align"):
+            SparsePulseSyncKernel(
+                np.array([0, 1, 2]),
+                np.array([1, 0]),
+                np.array([-60.0]),
                 LinearPRC(1.1, 0.01),
                 period_ms=100.0,
                 threshold_dbm=-95.0,
@@ -292,3 +268,7 @@ class TestValidation:
     def test_bad_policy_rejected(self):
         with pytest.raises(ValueError):
             kernel_for(3, policy="bogus")
+
+    def test_stream_fading_rejected(self):
+        with pytest.raises(TypeError, match="counter-based"):
+            kernel_for(3, fading=StreamModel())

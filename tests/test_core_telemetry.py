@@ -3,22 +3,13 @@
 import numpy as np
 import pytest
 
-from repro.core.pulsesync import PulseSyncKernel
-from repro.oscillator.prc import LinearPRC
+from tests.linkcsr import matrix_sync_kernel
 
 
 def kernel_for(n):
     m = np.full((n, n), -60.0)
     np.fill_diagonal(m, -np.inf)
-    return PulseSyncKernel(
-        m,
-        ~np.eye(n, dtype=bool),
-        LinearPRC.from_dissipation(3.0, 0.08),
-        period_ms=100.0,
-        threshold_dbm=-95.0,
-        refractory_ms=1.0,
-        sync_window_ms=2.0,
-    )
+    return matrix_sync_kernel(m)
 
 
 class TestTelemetry:

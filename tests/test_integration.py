@@ -14,16 +14,15 @@ from repro import (
     PaperConfig,
     STSimulation,
 )
-from repro.core.pulsesync import PulseSyncKernel
 from repro.faults import InvariantChecker
 from repro.oscillator.integrate_fire import IntegrateFireNetwork
 from repro.oscillator.coupling import all_to_all_coupling
-from repro.oscillator.prc import LinearPRC
 from repro.spanningtree.mst import (
     is_spanning_tree,
     maximum_spanning_tree,
     tree_weight,
 )
+from tests.linkcsr import matrix_sync_kernel
 
 
 def _run_checked(sim_cls, net):
@@ -83,13 +82,7 @@ class TestPhaseModelVsIntegrateFire:
         # slotted kernel on a perfect radio
         mean_rx = np.full((n, n), -50.0)
         np.fill_diagonal(mean_rx, -np.inf)
-        kernel = PulseSyncKernel(
-            mean_rx,
-            ~np.eye(n, dtype=bool),
-            LinearPRC.from_dissipation(3.0, 0.08),
-            period_ms=100.0,
-            threshold_dbm=-95.0,
-        )
+        kernel = matrix_sync_kernel(mean_rx)
         converged_kernel = kernel.run(np.random.default_rng(30)).converged
         assert converged_ref and converged_kernel
 

@@ -1,18 +1,15 @@
 """Property-based tests on the protocol layers (kernel, beacon, aggregation)."""
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.beacon import top_k_required_csr
-from repro.core.pulsesync import PulseSyncKernel
 from repro.discovery.aggregation import aggregate_interests, flood_interests
-from repro.oscillator.prc import LinearPRC
 from repro.spanningtree.repair import repair_after_failure_csr
 from repro.spanningtree.boruvka import distributed_boruvka
 from repro.spanningtree.mst import is_spanning_tree
-from tests.linkcsr import MatrixLinkBudget, edge_matrix
+from tests.linkcsr import MatrixLinkBudget, edge_matrix, matrix_sync_kernel
 
 
 @st.composite
@@ -45,17 +42,9 @@ class TestKernelProperties:
     def test_mesh_sync_always_converges(self, instance):
         """Mirollo–Strogatz regime + full audibility ⇒ convergence."""
         m, seed = instance
-        n = m.shape[0]
-        kernel = PulseSyncKernel(
-            m,
-            ~np.eye(n, dtype=bool),
-            LinearPRC.from_dissipation(3.0, 0.08),
-            period_ms=100.0,
-            threshold_dbm=-95.0,
-            refractory_ms=1.0,
-            sync_window_ms=2.0,
+        result = matrix_sync_kernel(m).run(
+            np.random.default_rng(seed), max_time_ms=120_000.0
         )
-        result = kernel.run(np.random.default_rng(seed), max_time_ms=120_000.0)
         assert result.converged
         assert result.messages == result.fires
         assert result.final_spread_ms <= 2.0
@@ -64,15 +53,9 @@ class TestKernelProperties:
     @given(radio_instances())
     def test_time_and_counts_nonnegative_consistent(self, instance):
         m, seed = instance
-        n = m.shape[0]
-        kernel = PulseSyncKernel(
-            m,
-            ~np.eye(n, dtype=bool),
-            LinearPRC.from_dissipation(3.0, 0.08),
-            period_ms=100.0,
-            threshold_dbm=-95.0,
+        result = matrix_sync_kernel(m).run(
+            np.random.default_rng(seed), max_time_ms=60_000.0
         )
-        result = kernel.run(np.random.default_rng(seed), max_time_ms=60_000.0)
         assert result.time_ms >= 0
         assert result.fires >= result.instants  # every instant ≥ 1 fire
         assert np.isnan(result.final_phase).sum() == 0

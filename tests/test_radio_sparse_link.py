@@ -5,16 +5,17 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.radio.fading import FADE_CAP_DB, HashedRayleighFading, NoFading, RayleighFading
+from repro.radio.fading import FADE_CAP_DB, HashedRayleighFading, NoFading
 from repro.radio.link import LinkBudget
 from repro.radio.pathloss import PaperPathLoss
-from repro.radio.shadowing import HashedShadowing, LogNormalShadowing, NoShadowing
+from repro.radio.shadowing import HashedShadowing, NoShadowing
 from repro.radio.sparse_link import (
     SparseLinkBudget,
     csr_from_edges,
     csr_is_connected,
     gather_rows,
 )
+from tests.linkcsr import StreamModel
 
 
 def _make_pair(n=120, seed=0, sigma=8.0, fading=True):
@@ -147,7 +148,7 @@ class TestGuards:
                 PaperPathLoss(),
                 tx_power_dbm=23.0,
                 threshold_dbm=-95.0,
-                shadowing=LogNormalShadowing(8.0, rng),
+                shadowing=StreamModel(),
                 fading=NoFading(),
             )
         with pytest.raises(TypeError):
@@ -157,7 +158,7 @@ class TestGuards:
                 tx_power_dbm=23.0,
                 threshold_dbm=-95.0,
                 shadowing=NoShadowing(),
-                fading=RayleighFading(rng),
+                fading=StreamModel(),
             )
 
     def test_chunked_equals_unchunked(self):

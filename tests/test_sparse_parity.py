@@ -4,8 +4,8 @@ Every simulation runs on the CSR link layout.  Counter-based channel
 randomness makes layout irrelevant, so the CSR network and kernels must
 agree *bitwise* with independent O(n²) references over the dense helper
 views: the dense :class:`~repro.radio.link.LinkBudget`, the matrix
-Borůvka and Kruskal trees, and the dense pulse-sync kernel replaying the
-same mesh run (:mod:`tests.references`).  These tests are the contract.
+Borůvka and Kruskal trees, and the dense pulse-sync reception replaying
+the same mesh run (:mod:`tests.references`).  These tests are the contract.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import pytest
 
 from repro.core.config import PaperConfig
 from repro.core.fst import FSTSimulation, heavy_edge_forest_csr, stitch_forest_csr
-from repro.core.network import D2DNetwork
+from repro.core.network import D2DNetwork, channel_budget
 from repro.core.st import STSimulation
 from repro.faults.plan import FaultPlan
 from repro.radio.link import LinkBudget
@@ -26,13 +26,8 @@ from tests.references import dense_mesh_sync, never_densified, survivors_mst
 
 def _dense_budget(net: D2DNetwork) -> LinkBudget:
     """An O(n²) link budget over the network's positions and channel keys."""
-    return LinkBudget(
-        net.positions,
-        net.pathloss,
-        tx_power_dbm=net.config.tx_power_dbm,
-        threshold_dbm=net.config.threshold_dbm,
-        shadowing=net._make_shadowing(net.shadow_key),
-        fading=net._make_fading(),
+    return channel_budget(
+        net.config, net.positions, net.shadow_key, net.fading_key, LinkBudget
     )
 
 
