@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.faults.invariants import InvariantChecker
 from repro.faults.plan import FaultPlan
 from repro.obs import Observability
 from repro.radio.fading import NoFading
@@ -190,13 +191,15 @@ class SparseBeaconDiscovery:
         self.preambles = int(preambles)
         self.listen_duty = float(listen_duty)
         self.fading = fading if fading is not None else budget.fading
-        self._hashed_fading = hasattr(self.fading, "link_db")
+        self._hashed_fading = hasattr(self.fading, "keyed_db")
         if not self._hashed_fading and not isinstance(self.fading, NoFading):
             raise TypeError(
                 "SparseBeaconDiscovery needs counter-based fading "
                 f"(got {type(self.fading).__name__})"
             )
-        self._is_tx = np.zeros(self.n, dtype=bool)  # scratch, reused
+        # (n,) scratch masks, reused across cohorts
+        self._is_tx = np.zeros(self.n, dtype=bool)
+        self._unsettled = np.zeros(self.n, dtype=bool)
 
     # ------------------------------------------------------------------
     def run(
@@ -209,6 +212,7 @@ class SparseBeaconDiscovery:
         obs: Observability | None = None,
         obs_labels: dict[str, str] | None = None,
         faults: FaultPlan | None = None,
+        invariants: InvariantChecker | None = None,
     ) -> BeaconResult:
         """Beacon until every required radio-graph edge has been decoded.
 
@@ -233,6 +237,10 @@ class SparseBeaconDiscovery:
             bounded exponential backoff and retry accounting), and
             crash/stall silence; required pairs touching crashed devices
             are dropped so the loop cannot spin on the unreachable.
+        invariants:
+            Optional :class:`~repro.faults.invariants.InvariantChecker`;
+            checks half-duplex after every period (no receiver decodes a
+            beacon sent on the channel it transmitted on itself).
 
         The returned :class:`BeaconResult` carries the decoded edge mask
         in its ``decoded`` field.
@@ -304,14 +312,26 @@ class SparseBeaconDiscovery:
                     required &= ~(dead[budget.row_ids] | dead[budget.indices])
                 live = np.flatnonzero(ok_mask)
                 order = live[np.argsort(chan[live], kind="stable")]
+            if invariants is not None:
+                before = decoded.copy()
             if order.size:
                 event += self._process_period(
                     order, chan, awake, receiving, event, decoded, fstate,
                     occ_hist,
                 )
+            if invariants is not None:
+                channel = np.full(n, -1, dtype=np.int64)
+                channel[order] = chan[order]
+                new = np.flatnonzero(decoded & ~before)
+                invariants.check_half_duplex(
+                    period,
+                    channel,
+                    self.budget.row_ids[new],
+                    self.budget.indices[new],
+                )
             remaining = int((required & ~decoded).sum())
             if obs is not None:
-                tx_counter.inc(n, **labels)
+                tx_counter.inc(period_tx, **labels)
                 period_end_ms = period * self.period_slots * self.slot_ms
                 obs.probes.record(
                     period_end_ms,
@@ -384,73 +404,137 @@ class SparseBeaconDiscovery:
 
         ``order`` lists this period's live transmitters sorted (stably)
         by channel; cohorts are its channel groups in ascending channel
-        order, and cohort ``c`` uses radio event ``event + c``.
+        order, and cohort ``c`` uses radio event ``event + c``.  The
+        period does only the work whose outcome is still open:
 
-        A whole-period decode (every transmitter's edges gathered at
-        once, all capture races resolved by one global lexsort) was
-        measured ~3× slower at n = 20 000: at the paper's density a
-        period has few occupied channels and therefore large cohorts, so
-        the per-cohort numpy calls are already amortized, while the
-        whole-period variant pays per-edge event-id hashing and an
-        E log E sort (docs/performance.md).
+        * the fading subkey of every cohort's event is derived once;
+        * all singleton cohorts decode in one vectorized pass — with one
+          transmitter there is no capture race, and the receiver is never
+          the transmitter, so half-duplex is vacuous;
+        * a multi-transmitter cohort races only the receivers that still
+          have an undecoded edge from it.
+
+        This is bitwise the full per-cohort decode: a race's only effect
+        is ``decoded[winner] = True`` and decoding is monotone, so racing
+        a settled receiver changes nothing; fading is counter-hashed, so
+        a skipped draw shifts no other; and a receiver that is raced
+        keeps every edge it had, so its segment's order and sums are
+        unchanged.  The exception is a plan with ``beacon_loss > 0``: it
+        counts every winner's erasure draw, settled or not, so such runs
+        race every receiver.
+
+        One global lexsort over the whole period (all cohorts' edges
+        keyed by cohort, receiver, power and sender) was measured too:
+        faster at the paper sweep's small n, but slower at n = 4096 and
+        n = 20 000, where the 4-key sort over ~10⁶ edges outweighs the
+        per-cohort calls it saves (docs/performance.md).
         """
         sorted_chan = chan[order]
-        boundaries = np.nonzero(np.diff(sorted_chan))[0] + 1
-        cohorts = np.split(order, boundaries)
-        starts = np.concatenate(([0], boundaries))
-        for offset, (cohort, start) in enumerate(zip(cohorts, starts)):
-            slot = int(sorted_chan[start]) // self.preambles
-            awake_row = awake[slot] if awake is not None else None
+        starts = np.flatnonzero(
+            np.concatenate(([True], sorted_chan[1:] != sorted_chan[:-1]))
+        )
+        sizes = np.diff(np.append(starts, order.size))
+        n_cohorts = starts.size
+        if occ_hist is not None:
+            for size in sizes.tolist():
+                occ_hist.observe(size)
+        slots = sorted_chan[starts] // self.preambles
+        subkeys = (
+            self.fading.event_subkeys(event + np.arange(n_cohorts))
+            if self._hashed_fading
+            else None
+        )
+        # beacon loss counts every winner's erasure draw, settled or not
+        skip_settled = fstate is None or fstate.plan.config.beacon_loss <= 0
+        single = np.flatnonzero(sizes == 1)
+        if single.size:
+            self._decode_singletons(
+                order[starts[single]], single, slots, subkeys, awake,
+                receiving, event, decoded, fstate, skip_settled,
+            )
+        for c in np.flatnonzero(sizes > 1).tolist():
+            awake_row = awake[slots[c]] if awake is not None else None
             if receiving is not None:
                 awake_row = (
                     receiving if awake_row is None else awake_row & receiving
                 )
-            if occ_hist is not None:
-                occ_hist.observe(cohort.size)
-            self._decode_cohort(
-                cohort, decoded, awake_row, event + offset, fstate
+            self._race_cohort(
+                order[starts[c] : starts[c] + sizes[c]],
+                subkeys[c] if subkeys is not None else None,
+                awake_row, event + c, decoded, fstate, skip_settled,
             )
-        return len(cohorts)
+        return n_cohorts
 
     # ------------------------------------------------------------------
-    def _decode_cohort(
+    def _decode_singletons(
+        self,
+        tx: np.ndarray,
+        cohort_ids: np.ndarray,
+        slots: np.ndarray,
+        subkeys: np.ndarray | None,
+        awake: np.ndarray | None,
+        receiving: np.ndarray | None,
+        event: int,
+        decoded: np.ndarray,
+        fstate: _BeaconFaultState | None,
+        skip_settled: bool,
+    ) -> None:
+        """Every lone transmitter of the period at once: each of its
+        edges decodes when the faded power clears the threshold."""
+        budget = self.budget
+        indptr = budget.indptr
+        epos, tx_e = gather_rows(indptr, tx)
+        c_e = np.repeat(cohort_ids, indptr[tx + 1] - indptr[tx])
+        if skip_settled:
+            open_ = ~decoded[epos]
+            epos, tx_e, c_e = epos[open_], tx_e[open_], c_e[open_]
+        rx_e = budget.indices[epos]
+        power = budget.power_dbm[epos]
+        if subkeys is not None:
+            power = power + self.fading.keyed_db(subkeys[c_e], tx_e, rx_e)
+        det = power >= self.threshold_dbm
+        if awake is not None:
+            det &= awake[slots[c_e], rx_e]
+        if receiving is not None:
+            det &= receiving[rx_e]
+        pos = np.flatnonzero(det)
+        if fstate is not None and pos.size:
+            lost = fstate.lose_beacons(event + c_e[pos], tx_e[pos], rx_e[pos])
+            pos = pos[~lost]
+        decoded[epos[pos]] = True
+
+    # ------------------------------------------------------------------
+    def _race_cohort(
         self,
         cohort: np.ndarray,
-        decoded: np.ndarray,
+        subkey: np.uint64 | None,
         awake: np.ndarray | None,
         event: int,
-        fstate: _BeaconFaultState | None = None,
+        decoded: np.ndarray,
+        fstate: _BeaconFaultState | None,
+        skip_settled: bool,
     ) -> None:
-        """One slot: cohort members transmit simultaneously; decode.
-
-        A receiver decodes the strongest detected beacon when it is alone
-        or clears the capture margin over the superposed rest.
-        """
+        """One slot shared by several transmitters: each receiver decodes
+        the strongest detected beacon when it is alone or clears the
+        capture margin over the superposed rest."""
         budget = self.budget
-        if cohort.size == 1:
-            tx = int(cohort[0])
-            lo = budget.indptr[tx]
-            hi = budget.indptr[tx + 1]
-            rx = budget.indices[lo:hi]
-            power = budget.power_dbm[lo:hi]
-            if self._hashed_fading:
-                power = power + self.fading.link_db(event, np.int64(tx), rx)
-            det = power >= self.threshold_dbm
-            if awake is not None:
-                det &= awake[rx]
-            if fstate is None:
-                decoded[lo + np.flatnonzero(det)] = True
-            else:
-                pos = np.flatnonzero(det)
-                if pos.size:
-                    lost = fstate.lose_beacons(event, np.int64(tx), rx[pos])
-                    decoded[lo + pos[~lost]] = True
-            return
         epos, tx_e = gather_rows(budget.indptr, cohort)
         rx_e = budget.indices[epos]
+        if skip_settled:
+            open_ = ~decoded[epos]
+            if not open_.any():
+                return
+            if not open_.all():
+                # race only receivers with an undecoded edge from the cohort
+                unsettled = self._unsettled
+                open_rx = rx_e[open_]
+                unsettled[open_rx] = True
+                keep = unsettled[rx_e]
+                unsettled[open_rx] = False
+                epos, tx_e, rx_e = epos[keep], tx_e[keep], rx_e[keep]
         power_e = budget.power_dbm[epos]
-        if self._hashed_fading:
-            power_e = power_e + self.fading.link_db(event, tx_e, rx_e)
+        if subkey is not None:
+            power_e = power_e + self.fading.keyed_db(subkey, tx_e, rx_e)
         det = power_e >= self.threshold_dbm
         epos = epos[det]
         tx_e = tx_e[det]
@@ -482,14 +566,11 @@ class SparseBeaconDiscovery:
         is_tx[cohort] = False
         if awake is not None:
             decodable &= awake[seg_rx]
-        if fstate is None:
-            decoded[epos_s[seg_starts[decodable]]] = True
-        else:
-            win = seg_starts[decodable]
-            if win.size:
-                tx_s = tx_e[order]
-                lost = fstate.lose_beacons(event, tx_s[win], rx_s[win])
-                decoded[epos_s[win[~lost]]] = True
+        win = seg_starts[decodable]
+        if fstate is not None and win.size:
+            lost = fstate.lose_beacons(event, tx_e[order[win]], rx_s[win])
+            win = win[~lost]
+        decoded[epos_s[win]] = True
 
 
 def top_k_required_csr(budget: SparseLinkBudget, k: int = 1) -> np.ndarray:

@@ -210,6 +210,7 @@ class FSTSimulation:
                     obs=kobs,
                     obs_labels={"algorithm": "fst", "stage": "discovery"},
                     faults=plan,
+                    invariants=self.invariants,
                 )
 
             time_ms = max(sync.time_ms, beacons.time_ms)

@@ -170,6 +170,7 @@ class STSimulation:
                     obs=kobs,
                     obs_labels={"algorithm": "st", "stage": "discovery"},
                     faults=plan,
+                    invariants=self.invariants,
                 )
             discovery_periods = max(disc.periods, cfg.discovery_periods)
             discovery_ms = discovery_periods * cfg.period_ms

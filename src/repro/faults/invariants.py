@@ -6,6 +6,8 @@ cyclic "tree" or by double-billing repair messages is worse than one
 that aborts.  :class:`InvariantChecker` encodes the properties every run
 must preserve, faults or not:
 
+* **half-duplex** — no device decodes a beacon sent on the slot and
+  preamble it transmitted on itself that period;
 * **phases** — every active oscillator phase lies in ``[0, 1)`` after
   each avalanche instant (devices whose clock is frozen by a stall are
   excluded while frozen);
@@ -117,6 +119,36 @@ class InvariantChecker:
                 f"t={t_ms:.3f} ms (first offender {worst:.6f})",
                 round_index=round_index,
                 context={"time_ms": float(t_ms), "offenders": int(bad.sum())},
+            )
+
+    # ------------------------------------------------------------------
+    def check_half_duplex(
+        self,
+        period: int,
+        channel: np.ndarray,
+        tx: np.ndarray,
+        rx: np.ndarray,
+    ) -> None:
+        """No receiver decodes in a slot-cohort it transmits in.
+
+        ``channel[d]`` is the beacon channel (slot × preamble) device
+        ``d`` transmitted on in ``period``, −1 when it stayed silent;
+        ``tx → rx`` are the edges newly decoded in that period.  A
+        receiver that transmitted on its sender's channel was on air
+        during the very beacon it claims to have heard.
+        """
+        channel = np.asarray(channel)
+        rx_chan = channel[np.asarray(rx, dtype=np.int64)]
+        bad = (rx_chan >= 0) & (rx_chan == channel[np.asarray(tx, dtype=np.int64)])
+        if bad.any():
+            first = int(np.flatnonzero(bad)[0])
+            raise InvariantViolation(
+                "half_duplex",
+                f"{int(bad.sum())} decode(s) by a receiver transmitting on "
+                f"the sender's channel (first {int(tx[first])} → "
+                f"{int(rx[first])} on channel {int(rx_chan[first])})",
+                round_index=period,
+                context={"period": int(period), "offenders": int(bad.sum())},
             )
 
     # ------------------------------------------------------------------

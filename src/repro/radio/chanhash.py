@@ -102,6 +102,26 @@ def link_normal(key: int, i: np.ndarray, j: np.ndarray) -> np.ndarray:
     return np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)
 
 
+def event_subkeys(key: int, event: int | np.ndarray) -> np.ndarray | np.uint64:
+    """Fading subkey per radio event: the event half of the fading hash.
+
+    A kernel that draws many pairs per event derives each event's subkey
+    once and passes it to :func:`keyed_exponential`; the pair is bitwise
+    :func:`event_exponential`.
+    """
+    events = np.asarray(event, dtype=np.uint64)
+    return splitmix64(derive_key(key, SALT_FADING) ^ events)
+
+
+def keyed_exponential(
+    subkey: np.uint64 | np.ndarray, tx: np.ndarray, rx: np.ndarray
+) -> np.ndarray:
+    """Exp(1) draw per (subkey, tx, rx); ``subkey`` from :func:`event_subkeys`
+    (a scalar, or an array broadcasting against ``tx`` / ``rx``)."""
+    u = hashed_uniform(directed_code(tx, rx), subkey)
+    return -np.log1p(-u)
+
+
 def event_exponential(
     key: int, event: int | np.ndarray, tx: np.ndarray, rx: np.ndarray
 ) -> np.ndarray:
@@ -111,7 +131,4 @@ def event_exponential(
     ``rx``; every element hashes independently, so a batched call over
     per-edge event ids is bitwise what per-event scalar calls produce.
     """
-    events = np.asarray(event, dtype=np.uint64)
-    subkey = splitmix64(derive_key(key, SALT_FADING) ^ events)
-    u = hashed_uniform(directed_code(tx, rx), subkey)
-    return -np.log1p(-u)
+    return keyed_exponential(event_subkeys(key, event), tx, rx)

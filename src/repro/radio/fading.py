@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.radio.chanhash import event_exponential
+from repro.radio.chanhash import event_subkeys, keyed_exponential
 
 #: Hashed Rayleigh fading clips the dB gain to this cap.  An Exp(1) power
 #: gain exceeds +6 dB (g ≈ 4) with probability e⁻⁴ ≈ 1.8 %; the cap bounds
@@ -53,7 +53,19 @@ class HashedRayleighFading:
         ``event`` may be a per-edge array (batch kernels); each element
         hashes independently, so batched draws equal scalar ones bitwise.
         """
-        gain = event_exponential(self.key, event, tx, rx)
+        return self.keyed_db(self.event_subkeys(event), tx, rx)
+
+    def event_subkeys(self, event: int | np.ndarray) -> np.ndarray | np.uint64:
+        """Per-event hash subkeys for :meth:`keyed_db` (derive once per
+        event, reuse for every pair drawn at it)."""
+        return event_subkeys(self.key, event)
+
+    def keyed_db(
+        self, subkey: np.uint64 | np.ndarray, tx: np.ndarray, rx: np.ndarray
+    ) -> np.ndarray:
+        """:meth:`link_db` with the event already reduced to its subkey
+        (scalar or per-pair array); bitwise equal to ``link_db``."""
+        gain = keyed_exponential(subkey, tx, rx)
         db = 10.0 * np.log10(np.maximum(gain, 1e-12))
         return np.minimum(db, FADE_CAP_DB)
 

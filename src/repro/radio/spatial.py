@@ -23,8 +23,12 @@ from typing import Iterator
 
 import numpy as np
 
-#: Default chunk bound (pairs) for the streamed generator.
-DEFAULT_CHUNK_PAIRS = 1 << 21
+#: Default chunk bound (pairs) for the streamed generator, shared by the
+#: link-budget build and the shard halo.  Small enough that a chunk's
+#: per-pair float64 temporaries (256 KiB each) stay in cache: 2¹⁴–2¹⁶
+#: build alike, 2²¹ builds 1.5–1.7× slower at n = 4096 and 20 000
+#: (docs/performance.md).  The output does not depend on it.
+DEFAULT_CHUNK_PAIRS = 1 << 15
 
 #: Half-neighbourhood offsets: together with the in-cell scan they cover
 #: every adjacent cell pair exactly once.

@@ -33,6 +33,7 @@ import numpy as np
 from repro.core.config import PaperConfig
 from repro.radio.pathloss import max_range_m
 from repro.radio.shadowing import HashedShadowing
+from repro.radio.spatial import DEFAULT_CHUNK_PAIRS, CellGrid
 from repro.shard.tiling import CityConfig, Tiling
 
 
@@ -99,7 +100,7 @@ def cross_pairs(
     radius_m: float,
     *,
     owner: int | None = None,
-    max_chunk_pairs: int = 1 << 21,
+    max_chunk_pairs: int = DEFAULT_CHUNK_PAIRS,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """All cross-tile pairs within ``radius_m``, as global-id arrays.
 
@@ -120,8 +121,6 @@ def cross_pairs(
     ``(gi, gj)`` — a canonical order independent of input permutation
     and chunking.
     """
-    from repro.radio.spatial import CellGrid
-
     positions = np.asarray(positions_city, dtype=float)
     ids = np.asarray(ids, dtype=np.int64)
     tiles = np.asarray(tile_ids, dtype=np.int64)
@@ -197,7 +196,7 @@ def cross_links(
     radius_m: float,
     *,
     owner: int | None = None,
-    max_chunk_pairs: int = 1 << 21,
+    max_chunk_pairs: int = DEFAULT_CHUNK_PAIRS,
 ) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
     """Streaming cross-tile link evaluation: candidates never materialize.
 
@@ -209,8 +208,6 @@ def cross_links(
     link arrays in the canonical ``(gi, gj)`` order; values are bitwise
     identical to the unfused path (elementwise float ops, order-free).
     """
-    from repro.radio.spatial import CellGrid
-
     cfg = city.base
     positions = np.asarray(positions_city, dtype=float)
     ids = np.asarray(ids, dtype=np.int64)

@@ -1,11 +1,18 @@
 """Tests for slotted beacon discovery."""
 
+import dataclasses
+import itertools
+
 import numpy as np
 import pytest
 
 from repro.core.beacon import SparseBeaconDiscovery, top_k_required_csr
+from repro.faults.invariants import InvariantChecker, InvariantViolation
+from repro.faults.plan import FaultConfig, FaultPlan
+from repro.obs import Observability
 from repro.radio.fading import HashedRayleighFading
 from tests.linkcsr import MatrixLinkBudget, StreamModel, edge_mask, edge_matrix
+from tests.references import PerCohortBeaconDiscovery
 
 
 def varied_radio(n, seed=0, base_dbm=-60.0, spread_db=25.0):
@@ -182,6 +189,150 @@ class TestCollisionPhysics:
         assert not result.complete
         assert not result.decoded.any()
         assert result.missing_pairs == n * (n - 1)
+
+
+def _fault_plan(kind, n, period_slots):
+    window_ms = 8.0 * period_slots  # faults fire within the first periods
+    config = {
+        "none": None,
+        "beacon_loss": FaultConfig(beacon_loss=0.3),
+        "rach_collision": FaultConfig(rach_collision=0.3),
+        "crash_stall": FaultConfig(
+            crash=0.2,
+            crash_window_ms=window_ms,
+            stall=0.3,
+            stall_window_ms=window_ms,
+            stall_duration_ms=2.0 * period_slots,
+        ),
+    }[kind]
+    return None if config is None else FaultPlan(17, config, n)
+
+
+def _run_with_metrics(cls, budget, kwargs, required, decoded, faults):
+    disc = cls(budget, threshold_dbm=-95.0, slot_ms=1.0, **kwargs)
+    obs = Observability()
+    result = disc.run(
+        np.random.default_rng(5),
+        required,
+        max_periods=12,
+        decoded=None if decoded is None else decoded.copy(),
+        obs=obs,
+        obs_labels={"algorithm": "x"},
+        faults=faults,
+    )
+    return result, obs.metrics.snapshot()
+
+
+class TestDecodeMatchesPerCohortReference:
+    """The kernel's period decode (singleton pass, per-period fading
+    subkeys, settled-receiver skip) is bitwise the per-cohort decode of
+    :class:`~tests.references.PerCohortBeaconDiscovery`."""
+
+    N = 30
+
+    @pytest.fixture(scope="class")
+    def radios(self):
+        # sub-threshold means within the fade cap stay in the radio graph,
+        # so fading decides both detection and the capture race
+        mean_rx = varied_radio(self.N, 31, base_dbm=-78.0, spread_db=25.0)
+        return {
+            "none": MatrixLinkBudget(mean_rx, threshold_dbm=-95.0),
+            "hashed": MatrixLinkBudget(
+                mean_rx, threshold_dbm=-95.0, fading=HashedRayleighFading(31)
+            ),
+        }
+
+    @pytest.mark.parametrize(
+        "preambles,period_slots,listen_duty",
+        list(itertools.product((1, 8), (1, 100), (1.0, 0.4))),
+    )
+    @pytest.mark.parametrize("fading", ["none", "hashed"])
+    @pytest.mark.parametrize(
+        "faults", ["none", "beacon_loss", "rach_collision", "crash_stall"]
+    )
+    @pytest.mark.parametrize("seeded", [False, True])
+    def test_bitwise_equal(
+        self, radios, preambles, period_slots, listen_duty, fading, faults, seeded
+    ):
+        budget = radios[fading]
+        kwargs = dict(
+            period_slots=period_slots,
+            preambles=preambles,
+            listen_duty=listen_duty,
+        )
+        required = budget.edge_is_link.copy()
+        decoded = None
+        if seeded:  # half the edges settled before period 1
+            decoded = np.random.default_rng(7).random(budget.edge_count) < 0.5
+        plan = _fault_plan(faults, self.N, period_slots)
+        got, got_metrics = _run_with_metrics(
+            SparseBeaconDiscovery, budget, kwargs, required, decoded, plan
+        )
+        want, want_metrics = _run_with_metrics(
+            PerCohortBeaconDiscovery, budget, kwargs, required, decoded, plan
+        )
+        assert got.decoded.tobytes() == want.decoded.tobytes()
+        for f in dataclasses.fields(want):
+            if f.name != "decoded":
+                assert getattr(got, f.name) == getattr(want, f.name), f.name
+        assert (
+            got_metrics["beacon_slot_occupancy"]
+            == want_metrics["beacon_slot_occupancy"]
+        )
+        assert got_metrics == want_metrics
+
+
+class TestHalfDuplexInvariant:
+    def test_crafted_violation_raises(self):
+        # devices 0 and 1 both beaconed on channel 5; 0 → 1 "decoded"
+        channel = np.array([5, 5, -1])
+        with pytest.raises(InvariantViolation) as info:
+            InvariantChecker().check_half_duplex(
+                3, channel, np.array([0]), np.array([1])
+            )
+        assert info.value.invariant == "half_duplex"
+        assert info.value.round_index == 3
+
+    def test_other_channels_and_silent_receivers_pass(self):
+        channel = np.array([5, 6, -1])
+        InvariantChecker().check_half_duplex(
+            1, channel, np.array([0, 0, 1]), np.array([1, 2, 2])
+        )
+
+    def test_kernel_without_is_tx_mask_is_caught(self):
+        """Defeat the kernel's half-duplex mask: the checker names it."""
+
+        class NeverTransmitting:
+            def __setitem__(self, devices, value):
+                pass
+
+            def __getitem__(self, devices):
+                return np.zeros(len(devices), dtype=bool)
+
+        disc = make_discovery(varied_radio(3, 12), preambles=1, period_slots=1)
+        disc._is_tx = NeverTransmitting()
+        required = edge_mask(disc.budget, ~np.eye(3, dtype=bool))
+        with pytest.raises(InvariantViolation) as info:
+            disc.run(
+                np.random.default_rng(12),
+                required,
+                max_periods=20,
+                invariants=InvariantChecker(),
+            )
+        assert info.value.invariant == "half_duplex"
+
+    def test_kernel_passes_with_checker(self):
+        disc = make_discovery(
+            varied_radio(40, 13), preambles=2, period_slots=10,
+            fading=HashedRayleighFading(13),
+        )
+        result = disc.run(
+            np.random.default_rng(13),
+            disc.budget.edge_is_link.copy(),
+            max_periods=300,
+            invariants=InvariantChecker(),
+        )
+        assert result.complete
 
 
 class TestDutyCycling:

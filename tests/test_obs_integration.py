@@ -13,6 +13,7 @@ from repro.core.config import PaperConfig
 from repro.core.fst import FSTSimulation
 from repro.core.network import D2DNetwork
 from repro.core.st import STSimulation
+from repro.faults.plan import FaultConfig
 from repro.obs import Observability, activate, get_active
 from repro.sim.engine import Engine
 
@@ -69,6 +70,23 @@ class TestSingleSourceOfTruth:
             == fst.message_breakdown["sync_pulse"]
         )
         # FST bills the beacon run's own message count verbatim
+        beacon = obs.metrics.get("beacon_tx_total")
+        assert (
+            beacon.total(algorithm="fst", stage="discovery")
+            == fst.message_breakdown["discovery"]
+        )
+
+    @pytest.mark.parametrize(
+        "faults", [FaultConfig(rach_collision=0.3), FaultConfig(crash=0.2)]
+    )
+    def test_fst_beacon_counter_matches_bill_under_faults(self, faults):
+        """Backed-off, collided and crashed devices stay silent: the
+        counter bills only the beacons actually sent."""
+        config = PaperConfig(seed=4, faults=faults).with_devices(
+            64, keep_density=False
+        )
+        obs = Observability()
+        fst = FSTSimulation(D2DNetwork(config), obs=obs).run()
         beacon = obs.metrics.get("beacon_tx_total")
         assert (
             beacon.total(algorithm="fst", stage="discovery")

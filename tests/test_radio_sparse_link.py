@@ -5,6 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core.config import PaperConfig
+from repro.core.network import D2DNetwork
 from repro.radio.fading import FADE_CAP_DB, HashedRayleighFading, NoFading
 from repro.radio.link import LinkBudget
 from repro.radio.pathloss import PaperPathLoss
@@ -177,3 +179,21 @@ class TestGuards:
         assert np.array_equal(a.indptr, b.indptr)
         assert np.array_equal(a.indices, b.indices)
         assert np.array_equal(a.power_dbm, b.power_dbm)
+
+    def test_default_chunk_equals_large_chunk_at_scale(self):
+        """n = 4096 at constant density spans many default-size chunks;
+        a 64× larger chunk builds the same CSR bytes."""
+        sb = D2DNetwork(
+            PaperConfig(seed=2).with_devices(4096, keep_density=True)
+        ).sparse_budget
+        big = SparseLinkBudget(
+            sb.positions,
+            sb.pathloss,
+            tx_power_dbm=sb.tx_power_dbm,
+            threshold_dbm=sb.threshold_dbm,
+            shadowing=sb.shadowing,
+            fading=sb.fading,
+            max_chunk_pairs=1 << 21,
+        )
+        for name in ("indptr", "indices", "power_dbm"):
+            assert getattr(sb, name).tobytes() == getattr(big, name).tobytes()

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core.config import PaperConfig
+from repro.radio.spatial import DEFAULT_CHUNK_PAIRS
 from repro.shard.halo import (
     cross_link_power,
     cross_links,
@@ -182,6 +183,24 @@ class TestHaloPrimitives:
         assert links_digest(fgi, fgj, fpower) == links_digest(
             gi[keep], gj[keep], power[keep]
         )
+
+    def test_cross_links_chunk_size_free(self):
+        """Candidate chunking only changes batch shape: the default
+        chunk and a 64× larger one produce the same link bytes."""
+        base = PaperConfig(seed=3).with_devices(4096, keep_density=True)
+        city = CityConfig(base, 2, 2)
+        rng = np.random.default_rng(1)
+        positions = rng.uniform(0, base.area_side_m, size=(4096, 2))
+        ids = np.arange(4096, dtype=np.int64)
+        tiles = city.tiling.tile_of(positions)
+        radius = cross_radius_m(base)
+        n_cand, gi, gj, power = cross_links(city, positions, ids, tiles, radius)
+        big = cross_links(
+            city, positions, ids, tiles, radius, max_chunk_pairs=1 << 21
+        )
+        assert n_cand > DEFAULT_CHUNK_PAIRS  # the default really chunks
+        assert big[0] == n_cand
+        assert links_digest(gi, gj, power) == links_digest(*big[1:])
 
     def test_reach_covers_diagonal_neighbors(self):
         """A radius spanning k tiles reaches every tile whose band can
