@@ -25,7 +25,7 @@ from repro.faults.invariants import InvariantChecker
 from repro.faults.plan import FaultPlan
 from repro.obs import Observability
 from repro.radio.fading import NoFading
-from repro.radio.sparse_link import SparseLinkBudget, gather_rows
+from repro.radio.sparse_link import SparseLinkBudget, csr_row_argmax, gather_rows
 
 #: Bucket bounds for per-slot beacon occupancy (transmitters per slot).
 SLOT_OCCUPANCY_BUCKETS = (1.0, 2.0, 3.0, 5.0, 8.0, 13.0, 21.0, 34.0)
@@ -582,9 +582,9 @@ def top_k_required_csr(budget: SparseLinkBudget, k: int = 1) -> np.ndarray:
 
     The mask marks the corresponding ``sender → receiver`` radio edges;
     ties (equal weights) break to the lowest neighbour id.  For the
-    k = 1 case the ST seed needs, the per-receiver heaviest link is a
-    ``maximum.reduceat`` over the link CSR rows and the tie-break a
-    masked ``minimum.reduceat`` — O(E) with no global lexsort.
+    k = 1 case the ST seed needs, the per-receiver heaviest link is
+    :func:`~repro.radio.sparse_link.csr_row_argmax` over the link CSR
+    rows — O(E) with no global lexsort.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -594,15 +594,7 @@ def top_k_required_csr(budget: SparseLinkBudget, k: int = 1) -> np.ndarray:
     w = budget.link_power_dbm
     required = np.zeros(budget.edge_count, dtype=bool)
     if k == 1:
-        rows = np.flatnonzero(np.diff(indptr) > 0)
-        if rows.size == 0:
-            return required
-        starts = indptr[rows]
-        # the row maximum is one of the row's elements bitwise, so the
-        # equality mask selects exactly the argmax candidates
-        row_max = np.maximum.reduceat(w, starts)
-        is_max = w == np.repeat(row_max, np.diff(indptr)[rows])
-        best_nbr = np.minimum.reduceat(np.where(is_max, nbr, n), starts)
+        rows, best_nbr = csr_row_argmax(indptr, nbr, w)
         required[budget.edge_position(best_nbr, rows)] = True
         return required
     rx = budget.link_row_ids

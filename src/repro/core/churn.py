@@ -30,7 +30,7 @@ import numpy as np
 
 from repro.core.fst import _tree_weight_for
 from repro.core.network import D2DNetwork
-from repro.radio.sparse_link import csr_from_edges
+from repro.radio.sparse_link import csr_subgraph
 from repro.spanningtree.boruvka import distributed_boruvka_csr
 from repro.spanningtree.repair import repair_after_failure_csr
 
@@ -130,14 +130,15 @@ class ChurnSession:
         return self._active_np
 
     def _filtered_link_csr(self):
-        """Active-subgraph link CSR (never densifies)."""
+        """Active-subgraph link CSR (never densifies; masking the sorted
+        link CSR keeps it sorted, so no sort either)."""
         budget = self.network.sparse_budget
         act = self._active_array()
         rows = budget.link_row_ids
         nbr = budget.link_indices
-        keep = act[rows] & act[nbr]
-        return csr_from_edges(
-            self.network.n, rows[keep], nbr[keep], budget.link_power_dbm[keep]
+        return csr_subgraph(
+            self.network.n, rows, nbr, act[rows] & act[nbr],
+            budget.link_power_dbm,
         )
 
     def _optimality_ratio(self) -> float:

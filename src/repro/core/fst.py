@@ -30,7 +30,11 @@ from repro.faults.invariants import InvariantChecker
 from repro.faults.plan import FaultPlan
 from repro.obs import Observability, get_active
 from repro.oscillator.prc import LinearPRC
-from repro.radio.sparse_link import SparseLinkBudget
+from repro.radio.sparse_link import (
+    SparseLinkBudget,
+    csr_row_argmax,
+    csr_subgraph,
+)
 from repro.spanningtree.unionfind import UnionFind
 
 
@@ -40,28 +44,25 @@ def heavy_edge_forest_csr(
     """Each node's heaviest incident edge (Fig. 2's "selecting heavy edge").
 
     The union over nodes is a forest (it is a subgraph of the maximum
-    spanning tree on distinct weights).  O(E) over the link CSR: one
-    lexsort picks each row's heaviest link (ties → lowest neighbour id),
-    then a unique over packed edge codes.  ``node_mask`` restricts the
-    forest to the surviving devices (edges touching a masked-out node
-    are ignored).
+    spanning tree on distinct weights).  O(E) over the link CSR: each
+    row's heaviest link (ties → lowest neighbour id) by
+    :func:`~repro.radio.sparse_link.csr_row_argmax`, then a unique over
+    packed edge codes.  ``node_mask`` restricts the forest to the
+    surviving devices (edges touching a masked-out node are ignored).
     """
-    rows = budget.link_row_ids
+    indptr = budget.link_indptr
     nbr = budget.link_indices
     w = budget.link_power_dbm
     if node_mask is not None:
         node_mask = np.asarray(node_mask, dtype=bool)
-        keep = node_mask[rows] & node_mask[nbr]
-        rows, nbr, w = rows[keep], nbr[keep], w[keep]
-    if rows.size == 0:
+        rows = budget.link_row_ids
+        indptr, nbr, (w,) = csr_subgraph(
+            budget.n, rows, nbr, node_mask[rows] & node_mask[nbr], w
+        )
+    us, vs = csr_row_argmax(indptr, nbr, w)
+    if us.size == 0:
         return []
-    # heaviest edge per row; ties → lowest neighbour id
-    order = np.lexsort((nbr, -w, rows))
-    r_sorted = rows[order]
-    first = np.concatenate(([True], r_sorted[1:] != r_sorted[:-1]))
-    sel = order[first]
     # deduplicate the per-node (u, heaviest v) pairs via packed codes
-    us, vs = rows[sel], nbr[sel]
     a = np.minimum(us, vs).astype(np.int64)
     b = np.maximum(us, vs).astype(np.int64)
     codes = np.unique((a << np.int64(32)) | b)

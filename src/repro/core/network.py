@@ -38,6 +38,7 @@ import networkx as nx
 import numpy as np
 
 from repro.core.config import PaperConfig
+from repro.obs import active_span
 from repro.radio.fading import HashedRayleighFading, NoFading
 from repro.radio.link import LinkBudget
 from repro.radio.pathloss import (
@@ -135,23 +136,27 @@ class D2DNetwork:
         shadow_rng = self.streams.stream("shadowing")
         # one fading key up front, then (positions, shadow key) per attempt
         self.fading_key = int(self.streams.stream("fading").integers(0, 2**63))
-        for _attempt in range(MAX_PLACEMENT_ATTEMPTS):
-            self.placement_attempts += 1
-            positions = placement_rng.uniform(
-                0.0, config.area_side_m, size=(config.n_devices, 2)
-            )
-            shadow_key = int(shadow_rng.integers(0, 2**63))
-            budget = channel_budget(
-                config, positions, shadow_key, self.fading_key
-            )
-            if not require_connected or budget.is_connected():
-                break
-        else:
-            raise RuntimeError(
-                f"could not draw a connected topology in "
-                f"{MAX_PLACEMENT_ATTEMPTS} attempts "
-                f"(n={config.n_devices}, side={config.area_side_m:.0f} m)"
-            )
+        with active_span("build", n=config.n_devices):
+            for _attempt in range(MAX_PLACEMENT_ATTEMPTS):
+                self.placement_attempts += 1
+                positions = placement_rng.uniform(
+                    0.0, config.area_side_m, size=(config.n_devices, 2)
+                )
+                shadow_key = int(shadow_rng.integers(0, 2**63))
+                budget = channel_budget(
+                    config, positions, shadow_key, self.fading_key
+                )
+                if not require_connected:
+                    break
+                with active_span("build.connectivity"):
+                    if budget.is_connected():
+                        break
+            else:
+                raise RuntimeError(
+                    f"could not draw a connected topology in "
+                    f"{MAX_PLACEMENT_ATTEMPTS} attempts "
+                    f"(n={config.n_devices}, side={config.area_side_m:.0f} m)"
+                )
 
         self.positions = positions
         self.shadow_key = shadow_key

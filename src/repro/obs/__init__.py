@@ -63,7 +63,7 @@ from repro.obs.ops import (
 )
 from repro.obs.probes import ProbeSet
 from repro.obs.sse import SSEBridge
-from repro.obs.spans import SpanRecorder
+from repro.obs.spans import _NULL_SPAN, SpanRecorder
 from repro.obs.stream import TelemetryBus, TelemetryEvent
 from repro.sim.trace import TraceRecorder
 
@@ -81,6 +81,7 @@ __all__ = [
     "TelemetryEvent",
     "TraceContext",
     "activate",
+    "active_span",
     "canonical_snapshot",
     "default_ops",
     "default_plane",
@@ -208,3 +209,10 @@ def activate(obs: Observability) -> Iterator[Observability]:
         yield obs
     finally:
         _ACTIVE.pop()
+
+
+def active_span(name: str, **attrs: Any):
+    """A span on the active bundle; the shared no-op when none is
+    installed or the bundle is disabled (no allocation, no clock read)."""
+    obs = get_active()
+    return _NULL_SPAN if obs is None else obs.spans.span(name, **attrs)

@@ -50,10 +50,24 @@ _INV_2_53 = float(2.0**-53)
 def splitmix64(z: np.ndarray | np.uint64) -> np.ndarray | np.uint64:
     """SplitMix64 finalizer: bijective full-avalanche mix of uint64."""
     z = np.asarray(z, dtype=np.uint64)
+    if z.ndim:
+        return _mix_inplace(z.copy())
+    # numpy scalars: plain operators beat 0-d in-place ops several-fold
     with np.errstate(over="ignore"):
         z = (z ^ (z >> _U64(30))) * _MIX1
         z = (z ^ (z >> _U64(27))) * _MIX2
     return z ^ (z >> _U64(31))
+
+
+def _mix_inplace(z: np.ndarray) -> np.ndarray:
+    """:func:`splitmix64` of an owned uint64 array, computed in place."""
+    with np.errstate(over="ignore"):
+        z ^= z >> _U64(30)
+        z *= _MIX1
+        z ^= z >> _U64(27)
+        z *= _MIX2
+        z ^= z >> _U64(31)
+    return z
 
 
 def derive_key(key: int, salt: np.uint64) -> np.uint64:
@@ -70,8 +84,22 @@ def hashed_uniform(codes: np.ndarray, subkey: np.uint64) -> np.ndarray:
     independence property: a draw depends on the event's identity, not
     on the order or batch shape it is evaluated in.
     """
-    h = splitmix64(codes ^ subkey)
-    return ((h >> _U64(11)).astype(np.float64) + 0.5) * _INV_2_53
+    return bits_uniform(hashed_bits(codes, subkey))
+
+
+def hashed_bits(codes: np.ndarray, subkey: np.uint64) -> np.ndarray:
+    """The top 53 hash bits behind :func:`hashed_uniform` (uint64)."""
+    h = codes ^ subkey
+    if not isinstance(h, np.ndarray):
+        return splitmix64(h) >> _U64(11)
+    _mix_inplace(h)
+    h >>= _U64(11)
+    return h
+
+
+def bits_uniform(bits: np.ndarray) -> np.ndarray:
+    """Map 53 hash bits to the open-interval uniform ``(b + ½)·2⁻⁵³``."""
+    return (bits.astype(np.float64) + 0.5) * _INV_2_53
 
 
 def pair_code(i: np.ndarray, j: np.ndarray) -> np.ndarray:
@@ -80,7 +108,12 @@ def pair_code(i: np.ndarray, j: np.ndarray) -> np.ndarray:
     j = np.asarray(j, dtype=np.uint64)
     a = np.minimum(i, j)
     b = np.maximum(i, j)
-    return (a << _U64(32)) | (b & _MASK32)
+    if a.ndim == 0:
+        return (a << _U64(32)) | (b & _MASK32)
+    a <<= _U64(32)
+    b &= _MASK32
+    a |= b
+    return a
 
 
 def directed_code(tx: np.ndarray, rx: np.ndarray) -> np.ndarray:
@@ -97,7 +130,25 @@ def link_normal(key: int, i: np.ndarray, j: np.ndarray) -> np.ndarray:
     ``(key, {i, j})`` only — independent of array layout or call order.
     """
     code = pair_code(i, j)
-    u1 = hashed_uniform(code, derive_key(key, SALT_SHADOW_U1))
+    return link_normal_from_bits(key, code, link_u1_bits(key, code))
+
+
+def link_u1_bits(key: int, code: np.ndarray) -> np.ndarray:
+    """Hash bits of :func:`link_normal`'s first uniform per pair code.
+
+    ``u₁ = (b + ½)·2⁻⁵³`` bounds the draw — ``|z| ≤ √(−2 ln u₁)`` — so a
+    consumer can reject a link on these bits alone (see
+    :mod:`repro.radio.linkeval`) and finish the survivors with
+    :func:`link_normal_from_bits`.
+    """
+    return hashed_bits(code, derive_key(key, SALT_SHADOW_U1))
+
+
+def link_normal_from_bits(
+    key: int, code: np.ndarray, u1_bits: np.ndarray
+) -> np.ndarray:
+    """Box–Muller normal from pair codes and their :func:`link_u1_bits`."""
+    u1 = bits_uniform(u1_bits)
     u2 = hashed_uniform(code, derive_key(key, SALT_SHADOW_U2))
     return np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.radio.chanhash import link_normal
+from repro.radio.chanhash import link_normal_from_bits, link_u1_bits, pair_code
 
 
 class HashedShadowing:
@@ -62,7 +62,18 @@ class HashedShadowing:
 
     def link_db(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
         """Shadowing (dB, added to the loss) on links ``i ↔ j`` (broadcasts)."""
-        z = link_normal(self.key, i, j)
+        code = pair_code(i, j)
+        return self.bits_db(code, self.u1_bits(code))
+
+    def u1_bits(self, code: np.ndarray) -> np.ndarray:
+        """Hash bits of the draw's first uniform per pair code
+        (:func:`~repro.radio.chanhash.link_u1_bits`); they bound the
+        draw's magnitude before the rest of it is computed."""
+        return link_u1_bits(self.key, code)
+
+    def bits_db(self, code: np.ndarray, u1_bits: np.ndarray) -> np.ndarray:
+        """:meth:`link_db` from pair codes and their :meth:`u1_bits`."""
+        z = link_normal_from_bits(self.key, code, u1_bits)
         np.clip(z, -self.clip_sigma, self.clip_sigma, out=z)
         return self.sigma_db * z
 

@@ -4,17 +4,20 @@ The dense pipeline forms an ``(n, n, 2)`` difference tensor to find which
 device pairs are in radio range — O(n²) time and memory even when the
 proximity graph is sparse.  At constant density the number of pairs
 within the maximum detection radius is O(n), so a uniform grid with cell
-side equal to that radius generates every candidate pair by scanning each
-cell against its half-neighbourhood: O(n + E_cand) work, streamed in
-bounded chunks so nothing of size n² (or even E_cand) is ever resident.
+side equal to that radius finds every candidate pair by scanning each
+cell against itself and its half-neighbourhood: O(n + E_cand) work.
 
-The generator yields **unordered** pairs ``(i, j)`` with ``i < j``, each
-exactly once, in a deterministic order (cells ascending, fixed offset
-order, members ascending).  Pairs up to ``√8 · radius`` apart can appear
-(corner-to-corner of a 3×3 neighbourhood); the consumer applies the exact
-distance filter.  When the radius covers the whole bounding box the grid
-degenerates to a single cell and the generator streams all pairs — the
-graceful dense fallback.
+:meth:`CellGrid.blocks` yields those scans as **member blocks** — the
+members of a cell and of one neighbour cell (or of the cell itself) —
+and :func:`pair_slices` turns each block into squared distances,
+broadcast over row slices of at most ``max_chunk_pairs`` entries, so
+nothing of size n² (or even E_cand) is ever resident and no per-pair
+index array is gathered.  Every unordered pair of devices in the same or
+adjacent cells appears in exactly one slice (in-cell blocks mask their
+lower triangle); pairs up to ``√8 · radius`` apart can appear
+(corner-to-corner of a 3×3 neighbourhood), and the consumer applies the
+exact distance filter.  When the radius covers the whole bounding box the
+grid degenerates to a single cell — the graceful dense fallback.
 """
 
 from __future__ import annotations
@@ -23,10 +26,9 @@ from typing import Iterator
 
 import numpy as np
 
-#: Default chunk bound (pairs) for the streamed generator, shared by the
-#: link-budget build and the shard halo.  Small enough that a chunk's
-#: per-pair float64 temporaries (256 KiB each) stay in cache: 2¹⁴–2¹⁶
-#: build alike, 2²¹ builds 1.5–1.7× slower at n = 4096 and 20 000
+#: Default slice bound (pairs) for :func:`pair_slices`, shared by the
+#: link-budget build and the shard halo.  Small enough that a slice's
+#: per-pair float64 temporaries (256 KiB each) stay in cache
 #: (docs/performance.md).  The output does not depend on it.
 DEFAULT_CHUNK_PAIRS = 1 << 15
 
@@ -64,6 +66,7 @@ class CellGrid:
             self._cell_ids = np.empty(0, dtype=np.int64)
             self._starts = np.empty(0, dtype=np.int64)
             self._counts = np.empty(0, dtype=np.int64)
+            self._lookup: dict[int, int] = {}
             return
         origin = positions.min(axis=0)
         cx = np.floor((positions[:, 0] - origin[0]) / cell_m).astype(np.int64)
@@ -72,7 +75,7 @@ class CellGrid:
         self.ncy = int(cy.max()) + 1
         cell = cx * self.ncy + cy
         # stable sort → members of each cell stay in ascending node order,
-        # making the generated pair order deterministic
+        # making the block order deterministic
         self._order = np.argsort(cell, kind="stable")
         sorted_cells = cell[self._order]
         ids, starts, counts = np.unique(
@@ -92,104 +95,66 @@ class CellGrid:
         s = self._starts[cell_index]
         return self._order[s : s + self._counts[cell_index]]
 
-    # ------------------------------------------------------------------
-    def _neighbor_index(self, cell_id: int, dx: int, dy: int) -> int | None:
-        cx, cy = divmod(cell_id, self.ncy)
-        nx, ny = cx + dx, cy + dy
-        if not (0 <= nx < self.ncx and 0 <= ny < self.ncy):
-            return None
-        return self._lookup.get(nx * self.ncy + ny)
+    def blocks(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """Member blocks ``(a, b)`` covering every candidate pair once.
 
-    def pair_chunks(
-        self, *, max_chunk_pairs: int = DEFAULT_CHUNK_PAIRS
-    ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        """Stream candidate pairs ``(i, j)``, ``i < j``, each exactly once.
-
-        Chunks hold at most ~``max_chunk_pairs`` pairs (a single cell-pair
-        block may overshoot by one sub-block), keeping transient memory
-        bounded regardless of n.
+        For each occupied cell, first ``(a, a)`` — its own members, whose
+        pairs are the upper triangle ``a[r] × a[c]``, ``c > r`` — then
+        ``(a, b)`` for each occupied half-neighbourhood cell ``b``, whose
+        pairs are the full product.  Cells ascend; members ascend.
         """
-        if max_chunk_pairs < 1:
-            raise ValueError("max_chunk_pairs must be >= 1")
-        buf_i: list[np.ndarray] = []
-        buf_j: list[np.ndarray] = []
-        buffered = 0
-
-        def emit(a: np.ndarray, b: np.ndarray):
-            nonlocal buffered
-            buf_i.append(a)
-            buf_j.append(b)
-            buffered += a.size
-
         for k in range(self.occupied_cells):
-            cell_id = int(self._cell_ids[k])
-            members = self._order[
-                self._starts[k] : self._starts[k] + self._counts[k]
-            ]
-            m = members.size
-            # in-cell pairs: split the triangle into row blocks so a huge
-            # cell cannot blow the chunk bound
-            rows_per_block = max(1, max_chunk_pairs // max(m, 1))
-            for r0 in range(0, m, rows_per_block):
-                r1 = min(r0 + rows_per_block, m)
-                il, jl = np.triu_indices(r1 - r0, k=1)
-                if il.size:
-                    emit(members[r0 + il], members[r0 + jl])
-                tail = members[r1:]
-                if tail.size:
-                    block = members[r0:r1]
-                    emit(
-                        np.repeat(block, tail.size),
-                        np.tile(tail, block.size),
-                    )
-                while buffered >= max_chunk_pairs:
-                    yield self._flush(buf_i, buf_j)
-                    buffered = 0
-            # half-neighbourhood cross pairs
+            a = self.members(k)
+            yield a, a
+            cx, cy = divmod(int(self._cell_ids[k]), self.ncy)
             for dx, dy in _HALF_OFFSETS:
-                nk = self._neighbor_index(cell_id, dx, dy)
-                if nk is None:
-                    continue
-                others = self._order[
-                    self._starts[nk] : self._starts[nk] + self._counts[nk]
-                ]
-                rows_per_block = max(1, max_chunk_pairs // max(others.size, 1))
-                for r0 in range(0, m, rows_per_block):
-                    block = members[r0 : r0 + rows_per_block]
-                    a = np.repeat(block, others.size)
-                    b = np.tile(others, block.size)
-                    emit(np.minimum(a, b), np.maximum(a, b))
-                    while buffered >= max_chunk_pairs:
-                        yield self._flush(buf_i, buf_j)
-                        buffered = 0
-        if buffered:
-            yield self._flush(buf_i, buf_j)
-
-    @staticmethod
-    def _flush(
-        buf_i: list[np.ndarray], buf_j: list[np.ndarray]
-    ) -> tuple[np.ndarray, np.ndarray]:
-        i = np.concatenate(buf_i) if buf_i else np.empty(0, dtype=np.int64)
-        j = np.concatenate(buf_j) if buf_j else np.empty(0, dtype=np.int64)
-        buf_i.clear()
-        buf_j.clear()
-        return i, j
+                nx, ny = cx + dx, cy + dy
+                if 0 <= nx < self.ncx and 0 <= ny < self.ncy:
+                    nk = self._lookup.get(nx * self.ncy + ny)
+                    if nk is not None:
+                        yield a, self.members(nk)
 
 
-def candidate_pair_chunks(
+def pair_slices(
     positions: np.ndarray,
     radius_m: float,
     *,
     max_chunk_pairs: int = DEFAULT_CHUNK_PAIRS,
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Stream all unordered pairs that could be within ``radius_m``.
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]]:
+    """Squared distances of every candidate pair, one block slice at a time.
 
-    Every pair closer than ``radius_m`` is guaranteed to appear; pairs up
-    to ``√8 · radius_m`` may also appear (exact filtering is the
-    consumer's job, which needs the distances anyway).
+    Yields ``(rows, cols, d2, upper)``: node ids ``rows`` (k,) and
+    ``cols`` (m,), ``d2[r, c]`` the squared distance between them, and
+    ``upper`` — ``None`` when every entry is a pair, else the (k, m)
+    mask of the entries that are (in-cell slices, whose other entries
+    are self-pairs or pairs another slice holds).  Every pair closer
+    than ``radius_m`` is in exactly one slice; a slice holds at most
+    ``max_chunk_pairs`` entries unless one row is longer.
     """
+    if max_chunk_pairs < 1:
+        raise ValueError("max_chunk_pairs must be >= 1")
     if radius_m <= 0:
-        return iter(())
-    return CellGrid(positions, radius_m).pair_chunks(
-        max_chunk_pairs=max_chunk_pairs
-    )
+        return
+    grid = CellGrid(positions, radius_m)
+    x = np.ascontiguousarray(grid.positions[:, 0])
+    y = np.ascontiguousarray(grid.positions[:, 1])
+    for a, b in grid.blocks():
+        same = a is b
+        xa, ya, xb, yb = x[a], y[a], x[b], y[b]
+        step = max(1, max_chunk_pairs // b.size)
+        for r0 in range(0, a.size, step):
+            r1 = min(r0 + step, a.size)
+            c0 = r0 + 1 if same else 0
+            if c0 >= b.size:
+                break
+            # in-cell: columns from the slice's second row on, so only a
+            # k×k corner of the slice is masked
+            d2 = np.subtract.outer(xa[r0:r1], xb[c0:])
+            dy = np.subtract.outer(ya[r0:r1], yb[c0:])
+            d2 *= d2
+            dy *= dy
+            d2 += dy
+            upper = None
+            if same:
+                upper = np.arange(b.size - c0) >= np.arange(r1 - r0)[:, None]
+            yield a[r0:r1], b[c0:], d2, upper

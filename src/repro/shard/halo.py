@@ -9,10 +9,12 @@ halo layer finds those **cross-tile** links deterministically:
   within the radius necessarily has both endpoints inside their tiles'
   bands (the segment between them crosses the shared border), so bands
   are a lossless exchange set.
-* Candidate pairs come from the same :class:`~repro.radio.spatial.CellGrid`
-  machinery the network build uses — cell side equal to the radius, the
-  half-neighbourhood offsets covering every adjacent cell pair exactly
-  once — followed by the exact distance filter (:func:`cross_pairs`).
+* Candidate pairs come from the same cell-grid block slices
+  (:func:`~repro.radio.spatial.pair_slices`) the network build uses —
+  cell side equal to the radius, every adjacent cell pair exactly once —
+  followed by the exact distance filter (:func:`cross_pairs`), and
+  :func:`cross_links` evaluates them with the build's
+  :class:`~repro.radio.linkeval.LinkEvaluator`.
 * Every cross-tile pair is **owned by exactly one shard**: the one with
   the smaller tile id.  The union over shards of
   ``cross_pairs(..., owner=s)`` is a partition of the cross-tile pairs —
@@ -31,9 +33,11 @@ import math
 import numpy as np
 
 from repro.core.config import PaperConfig
+from repro.obs import active_span
+from repro.radio.linkeval import LinkEvaluator
 from repro.radio.pathloss import max_range_m
-from repro.radio.shadowing import HashedShadowing
-from repro.radio.spatial import DEFAULT_CHUNK_PAIRS, CellGrid
+from repro.radio.shadowing import HashedShadowing, NoShadowing
+from repro.radio.spatial import DEFAULT_CHUNK_PAIRS, pair_slices
 from repro.shard.tiling import CityConfig, Tiling
 
 
@@ -124,45 +128,52 @@ def cross_pairs(
     positions = np.asarray(positions_city, dtype=float)
     ids = np.asarray(ids, dtype=np.int64)
     tiles = np.asarray(tile_ids, dtype=np.int64)
-    if radius_m <= 0 or positions.shape[0] < 2:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty.copy(), np.empty(0, dtype=float)
-
+    mask = _cross_mask(tiles, owner)
     out_i: list[np.ndarray] = []
     out_j: list[np.ndarray] = []
     out_d: list[np.ndarray] = []
-    grid = CellGrid(positions, radius_m)
-    x = np.ascontiguousarray(positions[:, 0])
-    y = np.ascontiguousarray(positions[:, 1])
     r2 = radius_m * radius_m
-    for ci, cj in grid.pair_chunks(max_chunk_pairs=max_chunk_pairs):
-        keep = tiles[ci] != tiles[cj]
-        if owner is not None:
-            keep &= np.minimum(tiles[ci], tiles[cj]) == owner
-        ci, cj = ci[keep], cj[keep]
-        if ci.size == 0:
+    for rows, cols, d2, valid in pair_slices(
+        positions, radius_m, max_chunk_pairs=max_chunk_pairs
+    ):
+        near = (d2 <= r2) & mask(rows, cols)
+        if valid is not None:
+            near &= valid
+        r, c = np.nonzero(near)
+        if r.size == 0:
             continue
-        dx = x[ci] - x[cj]
-        dy = y[ci] - y[cj]
-        d2 = dx * dx + dy * dy
-        near = d2 <= r2
-        ci, cj = ci[near], cj[near]
-        if ci.size == 0:
-            continue
-        gi, gj = ids[ci], ids[cj]
-        lo = np.minimum(gi, gj)
-        hi = np.maximum(gi, gj)
-        out_i.append(lo)
-        out_j.append(hi)
-        out_d.append(np.sqrt(d2[near]))
+        a, b = ids[rows[r]], ids[cols[c]]
+        out_i.append(np.minimum(a, b))
+        out_j.append(np.maximum(a, b))
+        out_d.append(np.sqrt(d2[r, c]))
     if not out_i:
         empty = np.empty(0, dtype=np.int64)
         return empty, empty.copy(), np.empty(0, dtype=float)
-    gi = np.concatenate(out_i)
-    gj = np.concatenate(out_j)
-    dist = np.concatenate(out_d)
-    order = np.lexsort((gj, gi))
-    return gi[order], gj[order], dist[order]
+    return _sorted_pairs(
+        np.concatenate(out_i), np.concatenate(out_j), np.concatenate(out_d)
+    )
+
+
+def _cross_mask(tiles: np.ndarray, owner: int | None):
+    """Block-slice mask of cross-tile pairs (owned by ``owner`` if set)."""
+
+    def mask(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        tr = tiles[rows][:, None]
+        tc = tiles[cols][None, :]
+        keep = tr != tc
+        if owner is not None:
+            keep &= np.minimum(tr, tc) == owner
+        return keep
+
+    return mask
+
+
+def _sorted_pairs(
+    gi: np.ndarray, gj: np.ndarray, values: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Unique pairs and their values in canonical ``(gi, gj)`` order."""
+    order = np.argsort((gi << 32) | gj)
+    return gi[order], gj[order], values[order]
 
 
 def cross_link_power(
@@ -177,15 +188,22 @@ def cross_link_power(
     """
     cfg = city.base
     loss = _pathloss_for(cfg).loss_db(np.asarray(dist_m, dtype=float))
-    if cfg.shadowing_sigma_db > 0:
-        shadow = HashedShadowing(
-            cfg.shadowing_sigma_db,
-            city.channel_key(),
-            clip_sigma=cfg.shadow_clip_sigma,
-        ).link_db(np.asarray(gi, dtype=np.int64), np.asarray(gj, dtype=np.int64))
-    else:
-        shadow = 0.0
+    shadow = _city_shadowing(city).link_db(
+        np.asarray(gi, dtype=np.int64), np.asarray(gj, dtype=np.int64)
+    )
     return cfg.tx_power_dbm - loss - shadow
+
+
+def _city_shadowing(city: CityConfig):
+    """The city channel's shadowing: keyed on the city channel key."""
+    cfg = city.base
+    if cfg.shadowing_sigma_db <= 0:
+        return NoShadowing()
+    return HashedShadowing(
+        cfg.shadowing_sigma_db,
+        city.channel_key(),
+        clip_sigma=cfg.shadow_clip_sigma,
+    )
 
 
 def cross_links(
@@ -198,78 +216,38 @@ def cross_links(
     owner: int | None = None,
     max_chunk_pairs: int = DEFAULT_CHUNK_PAIRS,
 ) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
-    """Streaming cross-tile link evaluation: candidates never materialize.
+    """Cross-tile links: candidates never materialize.
 
     Equivalent to ``cross_pairs`` → ``cross_link_power`` → threshold
-    filter, but fused per candidate chunk, so peak memory is bounded by
-    the chunk size instead of the candidate count — at city scale the
-    distance-passing candidates outnumber the surviving links by orders
-    of magnitude.  Returns ``(candidates, gi, gj, power_dbm)`` with the
-    link arrays in the canonical ``(gi, gj)`` order; values are bitwise
-    identical to the unfused path (elementwise float ops, order-free).
+    filter, but evaluated per block slice by the network build's
+    :class:`~repro.radio.linkeval.LinkEvaluator` (early rejection on the
+    shadowing hash), so peak memory is bounded by the slice size instead
+    of the candidate count — at city scale the distance-passing
+    candidates outnumber the surviving links by orders of magnitude.
+    Returns ``(candidates, gi, gj, power_dbm)``: ``candidates`` counts
+    the distance-passing cross-tile pairs; the link arrays are in the
+    canonical ``(gi, gj)`` order, with values bitwise identical to the
+    unfused path (elementwise float ops, order-free).
     """
     cfg = city.base
     positions = np.asarray(positions_city, dtype=float)
     ids = np.asarray(ids, dtype=np.int64)
     tiles = np.asarray(tile_ids, dtype=np.int64)
-    empty = (
-        np.empty(0, dtype=np.int64),
-        np.empty(0, dtype=np.int64),
-        np.empty(0, dtype=float),
-    )
-    if radius_m <= 0 or positions.shape[0] < 2:
-        return 0, *empty
-    pathloss = _pathloss_for(cfg)
-    shadowing = (
-        HashedShadowing(
-            cfg.shadowing_sigma_db,
-            city.channel_key(),
-            clip_sigma=cfg.shadow_clip_sigma,
+    with active_span("halo.links", devices=int(positions.shape[0])):
+        candidates, gi, gj, power = LinkEvaluator(
+            _pathloss_for(cfg),
+            tx_power_dbm=cfg.tx_power_dbm,
+            floor_dbm=cfg.threshold_dbm,
+            shadowing=_city_shadowing(city),
+            radius_m=radius_m,
+        ).links(
+            positions,
+            ids,
+            pair_mask=_cross_mask(tiles, owner),
+            count_candidates=True,
+            max_chunk_pairs=max_chunk_pairs,
         )
-        if cfg.shadowing_sigma_db > 0
-        else None
-    )
-    grid = CellGrid(positions, radius_m)
-    x = np.ascontiguousarray(positions[:, 0])
-    y = np.ascontiguousarray(positions[:, 1])
-    r2 = radius_m * radius_m
-    candidates = 0
-    out_i: list[np.ndarray] = []
-    out_j: list[np.ndarray] = []
-    out_p: list[np.ndarray] = []
-    for ci, cj in grid.pair_chunks(max_chunk_pairs=max_chunk_pairs):
-        keep = tiles[ci] != tiles[cj]
-        if owner is not None:
-            keep &= np.minimum(tiles[ci], tiles[cj]) == owner
-        ci, cj = ci[keep], cj[keep]
-        if ci.size == 0:
-            continue
-        dx = x[ci] - x[cj]
-        dy = y[ci] - y[cj]
-        d2 = dx * dx + dy * dy
-        near = d2 <= r2
-        ci, cj = ci[near], cj[near]
-        if ci.size == 0:
-            continue
-        candidates += int(ci.size)
-        a, b = ids[ci], ids[cj]
-        gi = np.minimum(a, b)
-        gj = np.maximum(a, b)
-        power = cfg.tx_power_dbm - pathloss.loss_db(np.sqrt(d2[near]))
-        if shadowing is not None:
-            power = power - shadowing.link_db(gi, gj)
-        ok = power >= cfg.threshold_dbm
-        if ok.any():
-            out_i.append(gi[ok])
-            out_j.append(gj[ok])
-            out_p.append(power[ok])
-    if not out_i:
-        return candidates, *empty
-    gi = np.concatenate(out_i)
-    gj = np.concatenate(out_j)
-    power = np.concatenate(out_p)
-    order = np.lexsort((gj, gi))
-    return candidates, gi[order], gj[order], power[order]
+        return (candidates, *_sorted_pairs(gi, gj, power))
 
 
 def links_digest(gi: np.ndarray, gj: np.ndarray, power_dbm: np.ndarray) -> str:

@@ -32,12 +32,11 @@ so they produce the same phases, edges and message bill.
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.obs import get_active
+from repro.obs import active_span
 from repro.spanningtree.fragment import Fragment, FragmentSet
 from repro.spanningtree.messages import MessageCounter, MessageKind
 
@@ -130,7 +129,6 @@ def _drive_phases(
     and CONNECT = 1; fragments with no outgoing edge (done, or
     isolated/dead nodes) stay silent.
     """
-    obs = get_active()
     phases: list[PhaseRecord] = []
     if frags.count == n:
         comp = np.arange(n, dtype=np.int64)
@@ -141,12 +139,7 @@ def _drive_phases(
     for phase_idx in range(max_phases):
         if frags.count == 1:
             break
-        span = (
-            obs.span("mwoe_scan", phase=phase_idx, nodes=n)
-            if obs is not None
-            else nullcontext()
-        )
-        with span:
+        with active_span("mwoe_scan", phase=phase_idx, nodes=n):
             us, vs, ws = candidate_fn(comp)
         if us.size == 0:
             break  # disconnected: remaining fragments can never merge

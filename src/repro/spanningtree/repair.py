@@ -20,7 +20,7 @@ from typing import Iterable
 
 import numpy as np
 
-from repro.radio.sparse_link import csr_from_edges
+from repro.radio.sparse_link import csr_subgraph
 from repro.spanningtree.boruvka import distributed_boruvka_csr
 from repro.spanningtree.messages import MessageCounter
 from repro.spanningtree.unionfind import UnionFind
@@ -118,9 +118,8 @@ def repair_after_failure_csr(
     alive[list(failed_set)] = False
     rows = budget.link_row_ids
     nbr = budget.link_indices
-    keep = alive[rows] & alive[nbr]
-    indptr, indices, (weight,) = csr_from_edges(
-        n, rows[keep], nbr[keep], budget.link_power_dbm[keep]
+    indptr, indices, (weight,) = csr_subgraph(
+        n, rows, nbr, alive[rows] & alive[nbr], budget.link_power_dbm
     )
     result = distributed_boruvka_csr(
         n, indptr, indices, weight, initial_edges=surviving_edges

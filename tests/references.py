@@ -10,6 +10,13 @@ nothing with the CSR kernels: the dense pulse-sync reception
 the node-level message-passing protocol.  Building a twin keeps the network
 under test free of dense views, so the tests can also assert it never
 densified.
+
+The network build has its own reference: :func:`streamed_pair_chunks`
+(the repeat/tile candidate generator the block enumerator replaced),
+:func:`streamed_links` (candidate chunk → distance filter → ``loss_db``
+→ full ``link_db`` draw → floor, no early rejection) and the two-key
+``lexsort`` CSR assembly (:func:`lexsort_csr`) — together
+:func:`streamed_budget_csr` and :func:`streamed_cross_links`.
 """
 
 from __future__ import annotations
@@ -23,6 +30,7 @@ from repro.core.pulsesync import PulseSyncResult, _PulseSyncBase
 from repro.faults.plan import FaultPlan
 from repro.oscillator.prc import LinearPRC
 from repro.radio.sparse_link import gather_rows
+from repro.radio.spatial import DEFAULT_CHUNK_PAIRS
 from repro.spanningtree.mst import maximum_spanning_tree
 
 
@@ -222,3 +230,183 @@ def survivors_mst(
         adj[dead, :] = False
         adj[:, dead] = False
     return maximum_spanning_tree(twin.weights, adj)
+
+
+# ----------------------------------------------------------------------
+# the network build, streamed pair by pair
+# ----------------------------------------------------------------------
+_HALF_OFFSETS = ((0, 1), (1, -1), (1, 0), (1, 1))
+
+
+def streamed_pair_chunks(
+    positions: np.ndarray,
+    radius_m: float,
+    *,
+    max_chunk_pairs: int = DEFAULT_CHUNK_PAIRS,
+):
+    """Candidate pairs ``(i, j)``, ``i < j``, as repeat/tile index chunks.
+
+    Cells of side ``radius_m``; each cell's in-cell triangle and its
+    half-neighbourhood products, flushed every ``max_chunk_pairs``
+    pairs.  Shares no code with :mod:`repro.radio.spatial`.
+    """
+    positions = np.asarray(positions, dtype=float)
+    n = positions.shape[0]
+    if radius_m <= 0 or n < 2:
+        return
+    origin = positions.min(axis=0)
+    cx = np.floor((positions[:, 0] - origin[0]) / radius_m).astype(np.int64)
+    cy = np.floor((positions[:, 1] - origin[1]) / radius_m).astype(np.int64)
+    members: dict[tuple[int, int], list[int]] = {}
+    for node, key in enumerate(zip(cx.tolist(), cy.tolist())):
+        members.setdefault(key, []).append(node)
+    buf_i: list[np.ndarray] = []
+    buf_j: list[np.ndarray] = []
+    buffered = 0
+    for (x, y) in sorted(members):
+        own = np.asarray(members[x, y], dtype=np.int64)
+        il, jl = np.triu_indices(own.size, k=1)
+        blocks = [(own[il], own[jl])]
+        for dx, dy in _HALF_OFFSETS:
+            other = members.get((x + dx, y + dy))
+            if other is not None:
+                other = np.asarray(other, dtype=np.int64)
+                a = np.repeat(own, other.size)
+                b = np.tile(other, own.size)
+                blocks.append((np.minimum(a, b), np.maximum(a, b)))
+        for a, b in blocks:
+            buf_i.append(a)
+            buf_j.append(b)
+            buffered += a.size
+            if buffered >= max_chunk_pairs:
+                yield np.concatenate(buf_i), np.concatenate(buf_j)
+                buf_i, buf_j, buffered = [], [], 0
+    if buffered:
+        yield np.concatenate(buf_i), np.concatenate(buf_j)
+
+
+def streamed_links(
+    positions, pathloss, *, tx_power_dbm, floor_dbm, shadowing, radius_m,
+    max_d2=None, ids=None, keep_pair=None,
+):
+    """Every candidate pair's full mean power, then the floor.
+
+    ``keep_pair(i, j)`` filters candidate index pairs before distances
+    are taken.  Returns ``(candidates, lo, hi, power)``, ``lo``/``hi``
+    the ids in ``(lo, hi)`` order, ``candidates`` the pairs within
+    ``max_d2`` (default ``radius_m²``).
+    """
+    positions = np.asarray(positions, dtype=float)
+    n = positions.shape[0]
+    ids = np.arange(n, dtype=np.int64) if ids is None else np.asarray(ids)
+    max_d2 = radius_m * radius_m if max_d2 is None else max_d2
+    x, y = positions[:, 0], positions[:, 1]
+    candidates = 0
+    out = []
+    for ci, cj in streamed_pair_chunks(positions, radius_m):
+        if keep_pair is not None:
+            keep = keep_pair(ci, cj)
+            ci, cj = ci[keep], cj[keep]
+        dx = x[ci] - x[cj]
+        dy = y[ci] - y[cj]
+        d2 = dx * dx + dy * dy
+        near = d2 <= max_d2
+        ci, cj = ci[near], cj[near]
+        candidates += int(ci.size)
+        a, b = ids[ci], ids[cj]
+        lo, hi = np.minimum(a, b), np.maximum(a, b)
+        loss = np.asarray(pathloss.loss_db(np.sqrt(d2[near])), dtype=float)
+        power = tx_power_dbm - loss - shadowing.link_db(lo, hi)
+        ok = power >= floor_dbm
+        out.append((lo[ok], hi[ok], power[ok]))
+    if not out:
+        empty = np.empty(0, dtype=np.int64)
+        return candidates, empty, empty.copy(), np.empty(0, dtype=float)
+    lo, hi, power = (np.concatenate(col) for col in zip(*out))
+    return candidates, lo, hi, power
+
+
+def lexsort_csr(n: int, tx: np.ndarray, rx: np.ndarray, *arrays: np.ndarray):
+    """CSR by a two-key ``lexsort`` on ``(tx, rx)`` — stable, so it also
+    orders duplicate edges by input position."""
+    tx = np.asarray(tx, dtype=np.int64)
+    rx = np.asarray(rx, dtype=np.int64)
+    order = np.lexsort((rx, tx))
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(tx, minlength=n), out=indptr[1:])
+    return indptr, rx[order], tuple(a[order] for a in arrays)
+
+
+def streamed_budget_csr(budget):
+    """The radio-graph CSR of ``budget``, rebuilt by the streamed path
+    from the budget's positions, channel models and candidate radius."""
+    r = budget.r_max_m
+    _, i, j, p = streamed_links(
+        budget.positions,
+        budget.pathloss,
+        tx_power_dbm=budget.tx_power_dbm,
+        floor_dbm=budget.threshold_dbm - budget.headroom_db,
+        shadowing=budget.shadowing,
+        radius_m=r,
+        max_d2=r * r * (1.0 + 1e-12),
+    )
+    indptr, indices, (power,) = lexsort_csr(
+        budget.n, np.concatenate((i, j)), np.concatenate((j, i)),
+        np.concatenate((p, p)),
+    )
+    return indptr, indices, power
+
+
+def streamed_cross_links(city, positions_city, ids, tile_ids, radius_m, *, owner=None):
+    """:func:`repro.shard.halo.cross_links` by the streamed path."""
+    from repro.core.network import _pathloss_for
+    from repro.radio.shadowing import HashedShadowing, NoShadowing
+
+    cfg = city.base
+    tiles = np.asarray(tile_ids, dtype=np.int64)
+
+    def keep_pair(ci, cj):
+        keep = tiles[ci] != tiles[cj]
+        if owner is not None:
+            keep &= np.minimum(tiles[ci], tiles[cj]) == owner
+        return keep
+
+    shadowing = (
+        HashedShadowing(
+            cfg.shadowing_sigma_db, city.channel_key(),
+            clip_sigma=cfg.shadow_clip_sigma,
+        )
+        if cfg.shadowing_sigma_db > 0
+        else NoShadowing()
+    )
+    candidates, gi, gj, power = streamed_links(
+        positions_city,
+        _pathloss_for(cfg),
+        tx_power_dbm=cfg.tx_power_dbm,
+        floor_dbm=cfg.threshold_dbm,
+        shadowing=shadowing,
+        radius_m=radius_m,
+        ids=np.asarray(ids, dtype=np.int64),
+        keep_pair=keep_pair,
+    )
+    order = np.lexsort((gj, gi))
+    return candidates, gi[order], gj[order], power[order]
+
+
+def lexsort_heavy_edge_forest(budget, node_mask=None) -> list[tuple[int, int]]:
+    """Each node's heaviest link by a three-key ``lexsort`` (ties →
+    lowest neighbour id), deduplicated: the forest FST starts from."""
+    rows = budget.link_row_ids
+    nbr = budget.link_indices
+    w = budget.link_power_dbm
+    if node_mask is not None:
+        keep = node_mask[rows] & node_mask[nbr]
+        rows, nbr, w = rows[keep], nbr[keep], w[keep]
+    if rows.size == 0:
+        return []
+    order = np.lexsort((nbr, -w, rows))
+    r_sorted = rows[order]
+    first = np.concatenate(([True], r_sorted[1:] != r_sorted[:-1]))
+    sel = order[first]
+    us, vs = rows[sel], nbr[sel]
+    return sorted({(int(min(u, v)), int(max(u, v))) for u, v in zip(us, vs)})

@@ -293,3 +293,29 @@ class TestGreedyRepair:
         assert optimal.is_spanning and greedy.is_spanning
         # optimal repair restores the oracle tree; greedy may drift
         assert optimal._optimality_ratio() == pytest.approx(1.0)
+
+
+class TestFilteredLinkCsr:
+    """The active-subgraph CSR is a mask of the sorted link CSR; it must
+    equal a sorted build over the same kept edges."""
+
+    @pytest.mark.parametrize("stride", [1, 3, 10_000])
+    def test_equals_sorted_build(self, network, stride):
+        from repro.radio.sparse_link import csr_from_edges
+
+        active = range(0, network.n, stride)
+        session = ChurnSession(network, initially_active=set(active))
+        got = session._filtered_link_csr()
+        sb = network.sparse_budget
+        act = np.zeros(network.n, dtype=bool)
+        act[list(active)] = True
+        keep = act[sb.link_row_ids] & act[sb.link_indices]
+        want = csr_from_edges(
+            network.n,
+            sb.link_row_ids[keep],
+            sb.link_indices[keep],
+            sb.link_power_dbm[keep],
+        )
+        assert got[0].tobytes() == want[0].tobytes()
+        assert got[1].tobytes() == want[1].tobytes()
+        assert got[2][0].tobytes() == want[2][0].tobytes()

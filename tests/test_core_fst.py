@@ -92,3 +92,41 @@ class TestScaling:
             cfg = PaperConfig(seed=6).with_devices(n, keep_density=False)
             totals[n] = FSTSimulation(D2DNetwork(cfg)).run().messages
         assert totals[400] / totals[100] > 4.0  # superlinear
+
+
+class TestHeavyEdgePickMatchesLexsort:
+    """The reduceat row argmax picks what the three-key lexsort picked."""
+
+    def _budgets(self):
+        from tests.linkcsr import MatrixLinkBudget
+
+        net = D2DNetwork(PaperConfig(seed=3))
+        rng = np.random.default_rng(0)
+        n = 40
+        # few distinct weights: most rows have several equal heaviest links
+        w = rng.integers(-3, 0, size=(n, n)).astype(float)
+        w = np.triu(w, 1) + np.triu(w, 1).T
+        adj = np.triu(rng.random((n, n)) < 0.3, 1)
+        adj = adj | adj.T
+        return net.sparse_budget, MatrixLinkBudget.from_graph(w, adj)
+
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_forest_equals_reference(self, masked):
+        from tests.references import lexsort_heavy_edge_forest
+
+        for budget in self._budgets():
+            mask = None
+            if masked:
+                mask = np.random.default_rng(1).random(budget.n) < 0.7
+            got = heavy_edge_forest_csr(budget, mask)
+            assert got == lexsort_heavy_edge_forest(budget, mask)
+
+    def test_equal_weights_break_to_lowest_neighbour(self):
+        from repro.radio.sparse_link import csr_row_argmax
+
+        indptr = np.array([0, 3, 3, 5])
+        indices = np.array([4, 1, 2, 7, 0])
+        weights = np.array([-1.0, -1.0, -2.0, -5.0, -5.0])
+        rows, cols = csr_row_argmax(indptr, indices, weights)
+        assert rows.tolist() == [0, 2]
+        assert cols.tolist() == [1, 0]

@@ -6,7 +6,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.radio.spatial import CellGrid, candidate_pair_chunks
+from repro.radio.spatial import CellGrid, pair_slices
 
 
 @st.composite
@@ -23,11 +23,14 @@ radii = st.floats(min_value=0.5, max_value=200.0)
 
 def _collect(positions, radius, **kw):
     pairs = set()
-    for i, j in candidate_pair_chunks(positions, radius, **kw):
-        for a, b in zip(i.tolist(), j.tolist()):
-            assert a < b, "pairs must be emitted with i < j"
-            assert (a, b) not in pairs, "pair emitted twice"
-            pairs.add((a, b))
+    for rows, cols, d2, upper in pair_slices(positions, radius, **kw):
+        assert d2.shape == (rows.size, cols.size)
+        r, c = np.nonzero(np.ones(d2.shape, bool) if upper is None else upper)
+        for a, b in zip(rows[r].tolist(), cols[c].tolist()):
+            assert a != b, "a node must not be paired with itself"
+            key = (min(a, b), max(a, b))
+            assert key not in pairs, "pair emitted twice"
+            pairs.add(key)
     return pairs
 
 
@@ -79,4 +82,4 @@ def test_grid_rejects_bad_inputs():
         CellGrid(np.zeros((3, 3)), 1.0)
     with pytest.raises(ValueError):
         CellGrid(np.zeros((3, 2)), 0.0)
-    assert list(candidate_pair_chunks(np.zeros((3, 2)), -1.0)) == []
+    assert list(pair_slices(np.zeros((3, 2)), -1.0)) == []

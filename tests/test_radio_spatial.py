@@ -1,11 +1,11 @@
-"""Cell-grid candidate generation vs brute force."""
+"""Cell-grid block enumeration vs brute force."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.radio.spatial import CellGrid, candidate_pair_chunks
+from repro.radio.spatial import CellGrid, pair_slices
 
 
 def _brute_pairs(positions: np.ndarray, radius: float) -> set[tuple[int, int]]:
@@ -17,10 +17,16 @@ def _brute_pairs(positions: np.ndarray, radius: float) -> set[tuple[int, int]]:
 
 
 def _grid_pairs(positions, radius, **kwargs) -> list[tuple[int, int]]:
+    """Every (min, max) pair the block slices hold, in slice order."""
     out = []
-    for i, j in candidate_pair_chunks(positions, radius, **kwargs):
-        assert np.all(i < j), "pairs must be (min, max) ordered"
-        out.extend(zip(i.tolist(), j.tolist()))
+    for rows, cols, d2, upper in pair_slices(positions, radius, **kwargs):
+        assert d2.shape == (rows.size, cols.size)
+        r, c = np.nonzero(np.ones(d2.shape, bool) if upper is None else upper)
+        i, j = rows[r], cols[c]
+        assert np.all(i != j), "a slice must not pair a node with itself"
+        diff = positions[i] - positions[j]
+        assert np.array_equal(d2[r, c], (diff * diff).sum(axis=1))
+        out.extend(zip(np.minimum(i, j).tolist(), np.maximum(i, j).tolist()))
     return out
 
 
