@@ -836,34 +836,50 @@ def _cmd_conformance(args: argparse.Namespace) -> int:
     )
 
 
-def _fetch_json(url: str) -> tuple[int, dict]:
-    """GET ``url`` and parse the JSON body (also on error statuses)."""
+def _fetch_json(url: str, service: str) -> dict | int:
+    """GET the JSON object at ``url``, or return the exit code after
+    one stderr line: 2 when the service is unreachable or the body is
+    not a JSON object, 1 on an error status."""
     import json
     import urllib.error
     import urllib.request
 
     try:
         with urllib.request.urlopen(url, timeout=10.0) as resp:
-            return resp.status, json.loads(resp.read())
+            status, body = resp.status, resp.read()
     except urllib.error.HTTPError as exc:
-        return exc.code, json.loads(exc.read())
-
-
-def _cmd_trace(args: argparse.Namespace) -> int:
-    from repro.obs.ops import OpsSpan, render_trace
-
-    url = f"{args.url.rstrip('/')}/trace/{args.trace_id}"
-    try:
-        status, doc = _fetch_json(url)
+        status, body = exc.code, exc.read()
     except OSError as exc:
-        print(f"cannot reach service at {args.url}: {exc}", file=sys.stderr)
+        print(f"cannot reach service at {service}: {exc}", file=sys.stderr)
+        return 2
+    try:
+        doc = json.loads(body)
+    except ValueError:
+        doc = None
+    if not isinstance(doc, dict):
+        print(f"{url}: {status} response is not a JSON object", file=sys.stderr)
         return 2
     if status != 200:
         print(f"{url}: {status} {doc.get('error', '')}", file=sys.stderr)
         return 1
-    spans = [OpsSpan.from_dict(d) for d in doc["spans"]]
-    print(f"trace {doc['trace_id']} ({len(spans)} spans)")
-    print(render_trace(spans))
+    return doc
+
+
+def _cmd_trace(args: argparse.Namespace) -> int:
+    from repro.obs.spans import Span, SpanRecorder
+
+    url = f"{args.url.rstrip('/')}/trace/{args.trace_id}"
+    doc = _fetch_json(url, args.url)
+    if isinstance(doc, int):
+        return doc
+    recorder = SpanRecorder()
+    try:
+        recorder.roots = [Span.from_dict(d) for d in doc["spans"]]
+    except (KeyError, TypeError, ValueError, AttributeError):
+        print(f"{url}: not a trace document", file=sys.stderr)
+        return 2
+    print(f"trace {doc.get('trace_id', args.trace_id)}")
+    print(recorder.render_tree())
     return 0
 
 
@@ -871,17 +887,15 @@ def _cmd_flight(args: argparse.Namespace) -> int:
     import json
     import pathlib
 
-    from repro.obs.flight import render_flight_html
+    from repro.obs.flight import FLIGHT_SCHEMA, render_flight_html
 
     url = f"{args.url.rstrip('/')}/ops/flight"
-    try:
-        status, doc = _fetch_json(url)
-    except OSError as exc:
-        print(f"cannot reach service at {args.url}: {exc}", file=sys.stderr)
+    doc = _fetch_json(url, args.url)
+    if isinstance(doc, int):
+        return doc
+    if doc.get("schema") != FLIGHT_SCHEMA:
+        print(f"{url}: not a flight bundle", file=sys.stderr)
         return 2
-    if status != 200:
-        print(f"{url}: {status} {doc.get('error', '')}", file=sys.stderr)
-        return 1
     directory = pathlib.Path(args.output)
     directory.mkdir(parents=True, exist_ok=True)
     json_path = directory / "flight_manual.json"

@@ -30,6 +30,7 @@ import numpy as np
 
 from repro.core.fst import _tree_weight_for
 from repro.core.network import D2DNetwork
+from repro.obs import active_span
 from repro.radio.sparse_link import csr_subgraph
 from repro.spanningtree.boruvka import distributed_boruvka_csr
 from repro.spanningtree.repair import repair_after_failure_csr
@@ -173,48 +174,50 @@ class ChurnSession:
     # ------------------------------------------------------------------
     def join(self, device: int) -> ChurnEvent:
         """Activate ``device`` and attach it over its heaviest active link."""
-        if device in self.active:
-            raise ValueError(f"device {device} is already active")
-        if not 0 <= device < self.network.n:
-            raise ValueError(f"device {device} out of range")
-        budget = self.network.sparse_budget
-        lo = int(budget.link_indptr[device])
-        hi = int(budget.link_indptr[device + 1])
-        nbr = budget.link_indices[lo:hi]
-        # only links to currently active devices count; neighbours are
-        # sorted by id, so argmax ties break to the lowest id
-        act = self._active_array()
-        w = np.where(act[nbr], budget.link_power_dbm[lo:hi], -np.inf)
-        if w.size:
-            pos = int(np.argmax(w))
-            best = int(nbr[pos])
-            ok = bool(np.isfinite(w[pos]))
-        else:
-            best = -1
-            ok = False
-        messages = self.network.config.discovery_periods + JOIN_HANDSHAKE_MSGS
-        self.active.add(device)
-        self._active_np[device] = True
-        if ok:
-            self._edge_add((min(device, best), max(device, best)))
-        return self._record("join", device, messages, ok)
+        with active_span("churn.join", device=device):
+            if device in self.active:
+                raise ValueError(f"device {device} is already active")
+            if not 0 <= device < self.network.n:
+                raise ValueError(f"device {device} out of range")
+            budget = self.network.sparse_budget
+            lo = int(budget.link_indptr[device])
+            hi = int(budget.link_indptr[device + 1])
+            nbr = budget.link_indices[lo:hi]
+            # only links to currently active devices count; neighbours are
+            # sorted by id, so argmax ties break to the lowest id
+            act = self._active_array()
+            w = np.where(act[nbr], budget.link_power_dbm[lo:hi], -np.inf)
+            if w.size:
+                pos = int(np.argmax(w))
+                best = int(nbr[pos])
+                ok = bool(np.isfinite(w[pos]))
+            else:
+                best = -1
+                ok = False
+            messages = self.network.config.discovery_periods + JOIN_HANDSHAKE_MSGS
+            self.active.add(device)
+            self._active_np[device] = True
+            if ok:
+                self._edge_add((min(device, best), max(device, best)))
+            return self._record("join", device, messages, ok)
 
     def fail(self, device: int) -> ChurnEvent:
         """Deactivate ``device`` and repair the tree around the hole."""
-        if device not in self.active:
-            raise ValueError(f"device {device} is not active")
-        self.active.discard(device)
-        self._active_np[device] = False
-        if self.repair_mode == "greedy":
-            messages, ok = self._fail_greedy(device)
-            return self._record("fail", device, messages, ok)
-        inactive = {i for i in range(self.network.n) if i not in self.active}
-        result = repair_after_failure_csr(
-            self.tree_edges, inactive | {device}, self.network.sparse_budget
-        )
-        self.tree_edges = result.tree_edges
-        self._rebuild_tree_adj()
-        return self._record("fail", device, result.messages, result.repaired)
+        with active_span("churn.fail", device=device):
+            if device not in self.active:
+                raise ValueError(f"device {device} is not active")
+            self.active.discard(device)
+            self._active_np[device] = False
+            if self.repair_mode == "greedy":
+                messages, ok = self._fail_greedy(device)
+                return self._record("fail", device, messages, ok)
+            inactive = {i for i in range(self.network.n) if i not in self.active}
+            result = repair_after_failure_csr(
+                self.tree_edges, inactive | {device}, self.network.sparse_budget
+            )
+            self.tree_edges = result.tree_edges
+            self._rebuild_tree_adj()
+            return self._record("fail", device, result.messages, result.repaired)
 
     # -- greedy repair --------------------------------------------------
     def _fail_greedy(self, device: int) -> tuple[int, bool]:

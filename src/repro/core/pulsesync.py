@@ -57,6 +57,7 @@ import numpy as np
 from repro.faults.invariants import InvariantChecker
 from repro.faults.plan import FaultPlan
 from repro.obs import Observability
+from repro.obs.probes import PROBE_INTERVAL_MS
 from repro.oscillator.prc import LinearPRC
 from repro.oscillator.sync_metrics import (
     circular_spread,
@@ -351,7 +352,7 @@ class _PulseSyncBase:
         # explicit telemetry request
         sample_interval = telemetry_interval_ms
         if sample_interval is None and obs is not None:
-            sample_interval = obs.probes.interval_ms
+            sample_interval = PROBE_INTERVAL_MS
         next_sample = (
             start_time_ms + sample_interval
             if sample_interval is not None

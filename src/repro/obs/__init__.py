@@ -6,7 +6,9 @@ One :class:`Observability` bundle travels through a run and collects
   :class:`~repro.obs.metrics.MetricsRegistry` (message bills by
   kind/codec, fragment counts, sync-error distributions, ...);
 * **spans** — hierarchical wall-clock timing
-  (:class:`~repro.obs.spans.SpanRecorder`) for ``repro profile``;
+  (:class:`~repro.obs.spans.SpanRecorder`) for ``repro profile``; the
+  ops plane's request traces are trees of the same
+  :class:`~repro.obs.spans.Span` type;
 * **trace** — optional per-event :class:`~repro.sim.trace.TraceRecorder`
   retention for JSONL export (off by default: per-pulse tracing is the
   one genuinely hot-path cost);
@@ -53,14 +55,7 @@ from repro.obs.metrics import (
     Histogram,
     MetricsRegistry,
 )
-from repro.obs.ops import (
-    OpsPlane,
-    OpsSpan,
-    TraceContext,
-    default_ops,
-    default_plane,
-    render_trace,
-)
+from repro.obs.ops import _OPEN, OpsPlane, default_ops, default_plane
 from repro.obs.probes import ProbeSet
 from repro.obs.sse import SSEBridge
 from repro.obs.spans import _NULL_SPAN, SpanRecorder
@@ -75,11 +70,9 @@ __all__ = [
     "MetricsRegistry",
     "Observability",
     "OpsPlane",
-    "OpsSpan",
     "SSEBridge",
     "TelemetryBus",
     "TelemetryEvent",
-    "TraceContext",
     "activate",
     "active_span",
     "canonical_snapshot",
@@ -91,7 +84,6 @@ __all__ = [
     "read_snapshot",
     "render_flight_html",
     "render_prometheus",
-    "render_trace",
     "to_registry",
     "worker_snapshot",
     "write_jsonl_trace",
@@ -212,7 +204,13 @@ def activate(obs: Observability) -> Iterator[Observability]:
 
 
 def active_span(name: str, **attrs: Any):
-    """A span on the active bundle; the shared no-op when none is
-    installed or the bundle is disabled (no allocation, no clock read)."""
-    obs = get_active()
-    return _NULL_SPAN if obs is None else obs.spans.span(name, **attrs)
+    """A span on the active bundle, else in the innermost open ops trace
+    (so layer spans nest under ``world.step``); the shared no-op when
+    neither exists or the bundle is disabled (no allocation, no clock
+    read)."""
+    if _ACTIVE:
+        return _ACTIVE[-1].spans.span(name, **attrs)
+    open_ = _OPEN.get()
+    if open_:
+        return open_[-1][1].span(name, **attrs)
+    return _NULL_SPAN

@@ -52,7 +52,7 @@ class FlightRecorder:
         self.out_dir = pathlib.Path(out_dir) if out_dir is not None else None
         self.clock = clock
         #: raw request records in the ops-plane tuple layout
-        #: ``(endpoint, method, status, elapsed_s, ctx, path, start_s)``;
+        #: ``(endpoint, method, status, elapsed_s, trace_id, path, start_s)``;
         #: rendered to dicts only at bundle time so the per-request feed
         #: stays allocation-light.
         self.requests: deque[tuple] = deque(maxlen=FLIGHT_CAPACITY)
@@ -180,13 +180,12 @@ class FlightRecorder:
 
 def _request_doc(rec: tuple) -> dict[str, Any]:
     """One ring tuple rendered to the bundle's JSON request document."""
-    ctx = rec[4]
     return {
         "endpoint": rec[0],
         "method": rec[1],
         "status": rec[2],
         "elapsed_ms": round(rec[3] * 1000.0, 3),
-        "trace_id": None if ctx is None else ctx.trace_id,
+        "trace_id": rec[4],
         "path": rec[5],
         "stamp_s": rec[6],
     }

@@ -9,12 +9,17 @@ latency has no home there — wall clock poisons byte-determinism.
 :class:`OpsPlane` is the second, explicitly **non-canonical** plane an
 operator of ``repro serve`` needs:
 
-* **request-scoped tracing** — :class:`TraceContext` (trace id + parent
-  span id) generated per service request and per world step, propagated
-  through ``DiscoveryApp`` → ``SteadyStateWorld.step`` →
-  ``Engine.advance`` and across ``shard/runner.py`` pool workers;
-  finished spans are queryable via ``GET /trace/{id}`` and ``repro
-  trace``;
+* **request-scoped tracing** — ops traces are ordinary
+  :class:`~repro.obs.spans.Span` trees nested by dynamic scope: the
+  outermost :meth:`OpsPlane.span` (a sampled service request, an
+  unparented world step, a ``run_city``) mints the trace id, and
+  everything opened inside it — ``world.step``, ``engine.advance``, the
+  churn and ``build.*`` layer spans reached through
+  :func:`~repro.obs.active_span` — becomes its subtree.  Shard pool
+  workers record into a recorder of their own (:func:`collect_spans`)
+  and ``run_city`` grafts the returned documents under ``shard.run_city``.
+  Finished traces are queryable via ``GET /trace/{id}`` and rendered by
+  ``repro trace`` with the same tree renderer as ``repro profile``;
 * **latency SLOs** — per-endpoint wall-clock histograms with
   :class:`SLOObjective` targets (e.g. p99 ≤ 10 ms for ``/near``), one
   :class:`SLOBurnRate` detector per objective emitting structured
@@ -33,9 +38,10 @@ responses and goldens stay byte-identical with the plane on and off.
 The hot path is built for a ≤ 5% overhead budget on a ~100 µs request
 (``bench_service.py`` enforces ``ops_overhead_ratio``): requests are
 queued as tuples and drained in batches of :data:`FLUSH_INTERVAL` into
-the histogram, the SLO windows and the flight recorder, span objects
-are only built for 1-in-:data:`TRACE_SAMPLE` requests, and a 5xx
-flushes immediately so post-mortem dumps stay timely.
+the histogram, the SLO windows and the flight recorder, request spans
+are only opened for 1-in-:data:`TRACE_SAMPLE` requests and closed traces
+join the store in the same batches, and a 5xx flushes immediately so
+post-mortem dumps stay timely.
 """
 
 from __future__ import annotations
@@ -44,11 +50,13 @@ import itertools
 import time
 from collections import OrderedDict, deque
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from contextvars import ContextVar
+from dataclasses import dataclass
 from typing import Any, Callable, Iterator
 
 from repro.obs.analyzers import Alert, Analyzer
 from repro.obs.metrics import MetricsRegistry
+from repro.obs.spans import Span, SpanRecorder
 
 #: Latency histogram bucket bounds in milliseconds (service request
 #: scale: sub-ms cache hits through a 1 s pathological tail).
@@ -79,68 +87,62 @@ BURN_WINDOW = 200
 BURN_MIN_EVENTS = 20
 BURN_LIMIT = 2.0
 
+#: The ops traces open in this context, innermost last, as ``(trace id,
+#: recorder)`` pairs (id ``None`` for a :func:`collect_spans` recorder);
+#: :func:`~repro.obs.active_span` records into the innermost one when no
+#: bundle is active.  A context variable, so each thread and asyncio task
+#: nests its own spans.
+_OPEN: ContextVar[tuple[tuple[str | None, SpanRecorder], ...]] = ContextVar(
+    "repro_ops_traces", default=()
+)
 
-@dataclass(frozen=True)
-class TraceContext:
-    """One position in a trace: trace id + own span id + parent span id.
 
-    Frozen and picklable on purpose — shard pool workers receive the
-    driver's context in their job tuple and mint child spans under it.
+def open_trace_id() -> str | None:
+    """The id of the innermost ops trace open in this context, if any."""
+    open_ = _OPEN.get()
+    return open_[-1][0] if open_ else None
+
+
+@contextmanager
+def collect_spans(recorder: SpanRecorder) -> Iterator[SpanRecorder]:
+    """Record the ``with`` body's ops spans into ``recorder``.
+
+    A shard worker runs under one: pool processes cannot reach the
+    parent's open trace, so each returns ``recorder.to_dicts()`` and
+    ``run_city`` grafts the documents under its own span.
     """
-
-    trace_id: str
-    span_id: str
-    parent_id: str | None = None
-
-    def child(self, span_id: str) -> "TraceContext":
-        """A context for a child span (this span becomes the parent)."""
-        return TraceContext(self.trace_id, span_id, self.span_id)
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "trace_id": self.trace_id,
-            "span_id": self.span_id,
-            "parent_id": self.parent_id,
-        }
+    token = _OPEN.set(_OPEN.get() + ((None, recorder),))
+    try:
+        yield recorder
+    finally:
+        _OPEN.reset(token)
 
 
-@dataclass(frozen=True)
-class OpsSpan:
-    """One finished wall-clock span inside a trace."""
+class _TraceRoot:
+    """The root span of a new ops trace: while open it is the trace
+    spans nest into; on close its tree is queued for the plane's store.
+    A class rather than a generator because sampled requests open one."""
 
-    trace_id: str
-    span_id: str
-    parent_id: str | None
-    name: str
-    start_s: float
-    duration_ms: float
-    status: str = "ok"  # "ok" | "error"
-    attrs: dict[str, Any] = field(default_factory=dict)
+    __slots__ = ("_plane", "_trace_id", "_recorder", "_span", "_token")
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "trace_id": self.trace_id,
-            "span_id": self.span_id,
-            "parent_id": self.parent_id,
-            "name": self.name,
-            "start_s": self.start_s,
-            "duration_ms": self.duration_ms,
-            "status": self.status,
-            "attrs": dict(self.attrs),
-        }
+    def __init__(self, plane: "OpsPlane", name: str, attrs: dict) -> None:
+        self._plane = plane
+        self._trace_id = f"t{next(plane._trace_ids):08x}"
+        self._recorder = SpanRecorder()
+        self._recorder.clock = plane.clock
+        self._span = self._recorder.span(name, **attrs)
 
-    @classmethod
-    def from_dict(cls, doc: dict[str, Any]) -> "OpsSpan":
-        return cls(
-            trace_id=str(doc["trace_id"]),
-            span_id=str(doc["span_id"]),
-            parent_id=doc.get("parent_id"),
-            name=str(doc["name"]),
-            start_s=float(doc["start_s"]),
-            duration_ms=float(doc["duration_ms"]),
-            status=str(doc.get("status", "ok")),
-            attrs=dict(doc.get("attrs", {})),
-        )
+    def __enter__(self) -> Span:
+        self._token = _OPEN.set(_OPEN.get() + ((self._trace_id, self._recorder),))
+        return self._span.__enter__()
+
+    def __exit__(self, *exc: object) -> None:
+        self._span.__exit__(*exc)
+        _OPEN.reset(self._token)
+        finished = self._plane._finished
+        finished.append((self._trace_id, self._recorder.roots[0]))
+        if len(finished) >= FLUSH_INTERVAL:
+            self._plane._store_finished()
 
 
 # ----------------------------------------------------------------------
@@ -354,8 +356,8 @@ class OpsPlane:
     tuple (the ``_REQUEST_RECORD`` layout) and :meth:`flush` drains the
     queue — every :data:`FLUSH_INTERVAL` records, immediately on a 5xx,
     and before any reader (``slo_status``, the flight bundle) looks.
-    Spans are only materialised for the requests :meth:`sample_request`
-    picks (1 in :data:`TRACE_SAMPLE`).
+    The app opens a request span only for the requests
+    :meth:`sample_request` picks (1 in :data:`TRACE_SAMPLE`).
     """
 
     def __init__(
@@ -366,10 +368,11 @@ class OpsPlane:
     ) -> None:
         self.metrics = MetricsRegistry()
         self.clock = clock
-        self._traces: OrderedDict[str, list[OpsSpan]] = OrderedDict()
+        self._traces: OrderedDict[str, Span] = OrderedDict()
+        #: closed traces not yet in ``_traces`` (see ``_store_finished``)
+        self._finished: list[tuple[str, Span]] = []
         self.traces_evicted = 0
         self._trace_ids = itertools.count(1)
-        self._span_ids = itertools.count(1)
         self._request_seq = 0
         self._raw: list[tuple] = []
         self.exemplars: dict[tuple[str, str], str] = {}
@@ -392,7 +395,7 @@ class OpsPlane:
             unit="requests",
         )
         self._spans_counter = self.metrics.counter(
-            "ops_spans_total",
+            "ops_trace_spans_total",
             help="wall-clock spans recorded by the ops plane",
             unit="spans",
         )
@@ -410,83 +413,56 @@ class OpsPlane:
     # ------------------------------------------------------------------
     # tracing
     # ------------------------------------------------------------------
-    def context(self, parent: TraceContext | None = None) -> TraceContext:
-        """Mint a context without opening a span (``parent=None`` starts
-        a new trace).
+    def span(self, name: str, **attrs: Any):
+        """Open a wall-clock span in the ops trace open in this context.
 
-        For spans recorded after the fact: ``DiscoveryApp`` mints one
-        per sampled request and hands it to :meth:`observe_request`,
-        which records the request span at the next flush; the shard
-        driver mints one per ``run_city``, ships it to the pool workers
-        (who build span *documents* under it, ids prefixed by shard so
-        they cannot collide), then records the driver-side span itself
-        via :meth:`record_span`.
+        With no trace open this span becomes a root: it mints the trace
+        id (a sampled request, an unparented world step, a ``run_city``)
+        and, once closed, its whole tree enters the bounded store.  Spans
+        opened inside it — here or through :func:`~repro.obs.active_span`
+        — nest by dynamic scope.  The context manager yields the
+        :class:`~repro.obs.spans.Span`.
         """
-        span_id = f"s{next(self._span_ids):x}"
-        if parent is None:
-            return TraceContext(f"t{next(self._trace_ids):08x}", span_id, None)
-        return parent.child(span_id)
+        open_ = _OPEN.get()
+        if open_:
+            return open_[-1][1].span(name, **attrs)
+        return _TraceRoot(self, name, attrs)
 
-    @contextmanager
-    def span(
-        self, name: str, *, parent: TraceContext | None = None, **attrs: Any
-    ) -> Iterator[TraceContext]:
-        """Open a wall-clock span; yields the context for child spans.
+    def _store_finished(self) -> None:
+        """Move the traces closed since the last call into the bounded
+        store, evicting whole old traces when full.
 
-        With ``parent=None`` a fresh trace id is minted — that is the
-        "per service request and per world step" generation point.
+        Batched off the request path like request accounting: storing
+        and counting a trace inline measured ~7 µs per sampled request.
         """
-        ctx = self.context(parent)
-        start = self.clock()
-        status = "ok"
-        try:
-            yield ctx
-        except BaseException:
-            status = "error"
-            raise
-        finally:
-            self.record_span(
-                OpsSpan(
-                    trace_id=ctx.trace_id,
-                    span_id=ctx.span_id,
-                    parent_id=ctx.parent_id,
-                    name=name,
-                    start_s=start,
-                    duration_ms=(self.clock() - start) * 1000.0,
-                    status=status,
-                    attrs=attrs,
-                )
-            )
+        finished, self._finished = self._finished, []
+        traces = self._traces
+        evicted = 0
+        names: dict[str, int] = {}
+        for trace_id, root in finished:
+            if len(traces) >= TRACE_CAPACITY:
+                traces.popitem(last=False)
+                evicted += 1
+            traces[trace_id] = root
+            stack = [root]
+            while stack:
+                span = stack.pop()
+                names[span.name] = names.get(span.name, 0) + 1
+                stack.extend(span.children)
+        if evicted:
+            self.traces_evicted += evicted
+            self._evicted_counter.inc(evicted)
+        for name, n in names.items():
+            self._spans_counter.inc(n, name=name)
 
-    def record_span(self, span: OpsSpan) -> None:
-        """Store one finished span, evicting whole old traces when full."""
-        spans = self._traces.get(span.trace_id)
-        if spans is None:
-            while len(self._traces) >= TRACE_CAPACITY:
-                self._traces.popitem(last=False)
-                self.traces_evicted += 1
-                self._evicted_counter.inc(1)
-            spans = self._traces[span.trace_id] = []
-        spans.append(span)
-        self._spans_counter.inc(1, name=span.name)
-
-    def ingest(self, span_docs: list[dict[str, Any]]) -> int:
-        """Adopt spans recorded out-of-process (shard pool workers)."""
-        for doc in span_docs:
-            self.record_span(OpsSpan.from_dict(doc))
-        return len(span_docs)
-
-    def trace(self, trace_id: str) -> list[OpsSpan] | None:
-        """Finished spans of one trace (start order), or ``None``."""
-        self.flush()  # queued request spans materialise before any read
-        spans = self._traces.get(trace_id)
-        if spans is None:
-            return None
-        return sorted(spans, key=lambda s: (s.start_s, s.span_id))
+    def trace(self, trace_id: str) -> Span | None:
+        """The root span of one finished trace, or ``None``."""
+        self._store_finished()
+        return self._traces.get(trace_id)
 
     def trace_ids(self) -> list[str]:
         """Retained trace ids, oldest first."""
-        self.flush()
+        self._store_finished()
         return list(self._traces)
 
     # ------------------------------------------------------------------
@@ -504,7 +480,7 @@ class OpsPlane:
         method: str,
         status: int,
         elapsed_s: float,
-        trace: TraceContext | None = None,
+        trace_id: str | None = None,
         path: str | None = None,
         *,
         start_s: float,
@@ -512,18 +488,14 @@ class OpsPlane:
         """Queue one served request for batched accounting.
 
         ``start_s`` is the clock reading taken when the request arrived
-        (``elapsed_s`` is measured from it); the request span starts
-        there, so spans opened while it was served nest inside it.
+        (``elapsed_s`` is measured from it).
 
         Record layout (``_REQUEST_RECORD``): ``(endpoint, method,
-        status, elapsed_s, ctx, path, start_s)`` where floats are stored
-        raw (unit conversion happens at flush/render time) and ``ctx``
-        is the request's :class:`TraceContext` or ``None``.  For traced
-        records :meth:`flush` materialises the request span itself —
-        callers passing ``trace`` must not also wrap the request in
-        :meth:`span`, or the trace shows it twice.  A 5xx drains the
-        queue right away so the flight recorder can dump while the
-        evidence is fresh.
+        status, elapsed_s, trace_id, path, start_s)`` where floats are
+        stored raw (unit conversion happens at flush/render time) and
+        ``trace_id`` names the request's trace when it was sampled.  A
+        5xx drains the queue right away so the flight recorder can dump
+        while the evidence is fresh.
         """
         raw = self._raw
         raw.append(
@@ -532,7 +504,7 @@ class OpsPlane:
                 method,
                 status,
                 elapsed_s,
-                trace,
+                trace_id,
                 endpoint if path is None else path,
                 start_s,
             )
@@ -541,13 +513,14 @@ class OpsPlane:
             self.flush()
 
     def flush(self) -> int:
-        """Drain queued request records into histogram/SLO/flight state.
+        """Drain queued request records into histogram/SLO/flight state
+        and closed traces into the store.
 
-        Also materialises queued request spans.  Called automatically
-        every :data:`FLUSH_INTERVAL` requests, on any 5xx, and by every
-        reader (:meth:`slo_status`, :meth:`trace`, the app's ops
+        Called automatically every :data:`FLUSH_INTERVAL` requests, on
+        any 5xx, and by every reader (:meth:`slo_status`, the app's ops
         endpoints) — so a scrape never sees a stale window.
         """
+        self._store_finished()
         raw = self._raw
         if not raw:
             return 0
@@ -587,32 +560,14 @@ class OpsPlane:
                 maxes[endpoint] = elapsed_ms
             if rec[2] >= 500 and five_xx_endpoint is None:
                 five_xx_endpoint = endpoint
-            ctx = rec[4]
-            if ctx is not None:
-                trace_id = ctx.trace_id
+            trace_id = rec[4]
+            if trace_id is not None:
                 for i, b in enumerate(bucket_bounds):
                     if elapsed_ms <= b:
                         exemplars[(endpoint, le_labels[i])] = trace_id
                         break
                 else:
                     exemplars[(endpoint, "+inf")] = trace_id
-                # materialise the request span here, off the hot path:
-                # OpsSpan construction plus the labelled counter inc
-                # cost ~10x the record append they would otherwise ride
-                self.record_span(
-                    OpsSpan(
-                        trace_id=trace_id,
-                        span_id=ctx.span_id,
-                        parent_id=ctx.parent_id,
-                        # endpoint template, not raw path: span names
-                        # label ops_spans_total and must stay bounded
-                        name=f"{rec[1]} {endpoint}",
-                        start_s=rec[6],
-                        duration_ms=elapsed_ms,
-                        status="error" if rec[2] >= 500 else "ok",
-                        attrs={"path": rec[5]},
-                    )
-                )
         inc = self._requests_counter.inc
         for (endpoint, method, status), n in counts.items():
             inc(n, endpoint=endpoint, method=method, status=str(status))
@@ -701,33 +656,3 @@ def default_ops(plane: OpsPlane) -> Iterator[OpsPlane]:
     finally:
         install_default(previous)
 
-
-def render_trace(spans: list[OpsSpan]) -> str:
-    """ASCII tree of one trace's spans (the ``repro trace`` output)."""
-    if not spans:
-        return "(empty trace)"
-    by_parent: dict[str | None, list[OpsSpan]] = {}
-    ids = {s.span_id for s in spans}
-    for span in spans:
-        parent = span.parent_id if span.parent_id in ids else None
-        by_parent.setdefault(parent, []).append(span)
-    lines: list[str] = []
-
-    def walk(parent: str | None, depth: int) -> None:
-        for span in sorted(
-            by_parent.get(parent, []), key=lambda s: (s.start_s, s.span_id)
-        ):
-            mark = "" if span.status == "ok" else "  [FAILED]"
-            attrs = (
-                " " + " ".join(f"{k}={v}" for k, v in sorted(span.attrs.items()))
-                if span.attrs
-                else ""
-            )
-            lines.append(
-                f"{'  ' * depth}{span.name:<24} {span.duration_ms:9.3f} ms"
-                f"{attrs}{mark}"
-            )
-            walk(span.span_id, depth + 1)
-
-    walk(None, 0)
-    return "\n".join(lines)

@@ -1,12 +1,12 @@
 """Periodic protocol probes — sampled observables along a run.
 
-A probe is a named time series of numeric observations taken at (at
-least) a configured simulated-time interval: sync-error spread during a
-pulse-coupled run, fragment sizes per Borůvka phase, neighbour-table fill
-during discovery.  The protocol loop calls :meth:`ProbeSet.record` with
-values it already has in hand (the common case inside vectorized
-kernels); ``record`` honours the interval, so a hot loop can call it
-every instant and still produce a bounded series.
+A probe is a named time series of numeric observations taken at least
+:data:`PROBE_INTERVAL_MS` of simulated time apart: sync-error spread
+during a pulse-coupled run, fragment sizes per Borůvka phase,
+neighbour-table fill during discovery.  The protocol loop calls
+:meth:`ProbeSet.record` with values it already has in hand (the common
+case inside vectorized kernels); ``record`` honours the interval, so a
+hot loop can call it every instant and still produce a bounded series.
 
 Time is *simulated* milliseconds, so probe series are deterministic for
 a given seed.
@@ -17,8 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any
 
-#: Default spacing between samples of one probe (simulated ms).
-DEFAULT_INTERVAL_MS = 1_000.0
+#: Spacing between samples of one probe (simulated ms).
+PROBE_INTERVAL_MS = 1_000.0
 
 
 @dataclass(frozen=True)
@@ -36,10 +36,7 @@ class ProbeSample:
 class ProbeSet:
     """Named probes sampled on a simulated-time schedule."""
 
-    def __init__(self, interval_ms: float = DEFAULT_INTERVAL_MS) -> None:
-        if interval_ms <= 0:
-            raise ValueError("interval_ms must be positive")
-        self.interval_ms = float(interval_ms)
+    def __init__(self) -> None:
         self.samples: list[ProbeSample] = []
         self._next_due: dict[str, float] = {}
 
@@ -60,7 +57,7 @@ class ProbeSet:
         self.samples.append(
             ProbeSample(time_ms, probe, {k: float(v) for k, v in values.items()})
         )
-        self._next_due[probe] = time_ms + self.interval_ms
+        self._next_due[probe] = time_ms + PROBE_INTERVAL_MS
         return True
 
     # ------------------------------------------------------------------

@@ -59,6 +59,18 @@ class Span:
             out["children"] = [c.to_dict() for c in self.children]
         return out
 
+    @classmethod
+    def from_dict(cls, doc: dict[str, Any]) -> "Span":
+        """Rebuild a closed span tree from :meth:`to_dict` output (the
+        start reading is not serialised and comes back as 0)."""
+        return cls(
+            name=str(doc["name"]),
+            attrs=dict(doc.get("attrs", {})),
+            duration_s=float(doc["duration_ms"]) / 1000.0,
+            children=[cls.from_dict(c) for c in doc.get("children", [])],
+            failed=bool(doc.get("failed", False)),
+        )
+
 
 class _NullSpan:
     """Shared zero-cost context manager used when recording is disabled."""
@@ -88,7 +100,7 @@ class _OpenSpan:
         return self._span
 
     def __exit__(self, exc_type: object, *exc: object) -> None:
-        self._span.duration_s = time.perf_counter() - self._span.start_s
+        self._span.duration_s = self._recorder.clock() - self._span.start_s
         self._span.failed = exc_type is not None
         stack = self._recorder._stack
         # pop to (and including) our span even if inner spans leaked open
@@ -99,10 +111,16 @@ class _OpenSpan:
 
 
 class SpanRecorder:
-    """Collects a forest of :class:`Span` trees."""
+    """Collects a forest of :class:`Span` trees.
+
+    ``clock`` (``time.perf_counter`` unless reassigned) is read when a
+    span opens and closes; the ops plane points it at its own
+    injectable clock.
+    """
 
     def __init__(self, enabled: bool = True) -> None:
         self.enabled = enabled
+        self.clock = time.perf_counter
         self.roots: list[Span] = []
         self._stack: list[Span] = []
 
@@ -111,7 +129,7 @@ class SpanRecorder:
         """Open a child span of the innermost active span (or a new root)."""
         if not self.enabled:
             return _NULL_SPAN
-        s = Span(name=name, attrs=attrs, start_s=time.perf_counter())
+        s = Span(name=name, attrs=attrs, start_s=self.clock())
         if self._stack:
             self._stack[-1].children.append(s)
         else:

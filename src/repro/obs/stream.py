@@ -35,7 +35,7 @@ from typing import Any
 
 from repro.obs.metrics import MetricsRegistry
 
-#: Default ring capacity (retained events across all topics).
+#: Ring capacity (retained events across all topics).
 DEFAULT_CAPACITY = 4096
 
 
@@ -103,11 +103,11 @@ class ReservoirSample:
 class TelemetryBus:
     """Bounded pub/sub bus for streaming run telemetry.
 
+    The ring holds :data:`DEFAULT_CAPACITY` events across all topics;
+    evictions are counted, not silent.
+
     Parameters
     ----------
-    capacity:
-        Ring size shared by all topics; evictions are counted, not
-        silent.
     metrics:
         Optional :class:`~repro.obs.metrics.MetricsRegistry`; when set,
         publishes/drops/alerts are mirrored into
@@ -115,14 +115,8 @@ class TelemetryBus:
         ``alerts_total`` so run artifacts carry the accounting.
     """
 
-    def __init__(
-        self,
-        capacity: int = DEFAULT_CAPACITY,
-        metrics: MetricsRegistry | None = None,
-    ) -> None:
-        if capacity < 1:
-            raise ValueError("capacity must be >= 1")
-        self.capacity = int(capacity)
+    def __init__(self, metrics: MetricsRegistry | None = None) -> None:
+        self.capacity = DEFAULT_CAPACITY
         self.metrics = metrics
         self.events: list[TelemetryEvent] = []
         self._start = 0  # ring head (events[:_start] were evicted)

@@ -28,7 +28,7 @@ from urllib.parse import urlencode
 
 from repro.faults.invariants import InvariantViolation
 from repro.obs import render_prometheus
-from repro.obs.ops import OpsPlane, TraceContext
+from repro.obs.ops import OpsPlane, open_trace_id
 from repro.service.world import SteadyStateWorld, WorldPausedError
 
 #: Hard cap on one ``POST /world/step`` batch; a runaway client must not
@@ -142,21 +142,23 @@ class DiscoveryApp:
         #: endpoint -> [request count, total wall seconds]; wall-clock
         #: stays out of the metrics registry on purpose (determinism)
         self.latency: dict[str, list[float]] = {}
-        self._current_trace: TraceContext | None = None
 
     # ------------------------------------------------------------------
     def handle(self, request: Request) -> Response:
         start = time.perf_counter()
         ops = self.ops
-        ctx: TraceContext | None = None
+        trace_id: str | None = None
         if ops is not None and ops.sample_request():
-            # mint the context only: observe_request queues the request
-            # span and the plane materialises it at the next flush
-            ctx = self._current_trace = ops.context()
-            try:
+            # the request span roots the trace: world and engine spans
+            # opened while routing nest inside it
+            with ops.span(request.method, path=request.path) as span:
+                span.start_s = start  # the arrival reading, not span open
+                trace_id = open_trace_id()
                 endpoint, response = self._route_guarded(request)
-            finally:
-                self._current_trace = None
+                # endpoint template, not raw path: span names label
+                # ops_trace_spans_total and must stay bounded
+                span.name = f"{request.method} {endpoint}"
+            span.failed = response.status >= 500
         else:
             endpoint, response = self._route_guarded(request)
         elapsed = time.perf_counter() - start
@@ -184,7 +186,7 @@ class DiscoveryApp:
                 request.method,
                 response.status,
                 elapsed,
-                ctx,
+                trace_id,
                 request.path,
                 start_s=start,
             )
@@ -310,15 +312,11 @@ class DiscoveryApp:
     def _trace(self, trace_id: str) -> Response:
         if self.ops is None:
             return _error(503, "ops plane disabled")
-        spans = self.ops.trace(trace_id)
-        if spans is None:
+        root = self.ops.trace(trace_id)
+        if root is None:
             return _error(404, f"unknown trace {trace_id}")
         return _json_response(
-            200,
-            {
-                "trace_id": trace_id,
-                "spans": [span.to_dict() for span in spans],
-            },
+            200, {"trace_id": trace_id, "spans": [root.to_dict()]}
         )
 
     def _ops(self, which: str) -> Response:
@@ -423,7 +421,7 @@ class DiscoveryApp:
         events = []
         try:
             for _ in range(steps):
-                events.extend(w.step(trace=self._current_trace))
+                events.extend(w.step())
         except WorldPausedError as exc:
             return _error(409, str(exc))
         return _json_response(

@@ -173,7 +173,8 @@ def diff_service_ops(config: PaperConfig) -> DiffOutcome:
             instrumented = capture_service(config)
         div = first_response_divergence(plain, instrumented, "service-ops")
         _note(obs, "service-ops", div)
-        spans = plane.metrics.counter("ops_spans_total").total()
+        plane.flush()  # closed traces are counted as they are stored
+        spans = plane.metrics.counter("ops_trace_spans_total").total()
         detail = (
             f"{len(plain['responses'])} responses byte-compared, "
             f"{int(spans)} ops spans recorded on the instrumented side"

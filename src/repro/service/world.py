@@ -222,25 +222,22 @@ class SteadyStateWorld:
     def resume(self) -> None:
         self.paused = False
 
-    def step(self, *, trace=None) -> list[ChurnEvent]:
+    def step(self) -> list[ChurnEvent]:
         """Advance one epoch; returns the churn events that fired.
 
-        ``trace`` is an optional ops-plane
-        :class:`~repro.obs.ops.TraceContext` (the serving request's
-        span).  When the bundle carries an ops plane the epoch is
-        recorded as a ``world.step`` span — with a fresh trace id when
-        unparented, so autonomous stepping is traceable too.  The
-        deterministic plane never sees any of it.
+        When the bundle carries an ops plane the epoch is recorded as a
+        ``world.step`` span — inside the serving request's trace when
+        one is open, else as the root of a fresh trace, so autonomous
+        stepping is traceable too.  The deterministic plane never sees
+        any of it.
         """
         ops = self.obs.ops
         if ops is None:
-            return self._step_inner(trace=None)
-        with ops.span(
-            "world.step", parent=trace, step=self.step_index
-        ) as ctx:
-            return self._step_inner(trace=ctx)
+            return self._step_inner()
+        with ops.span("world.step", step=self.step_index):
+            return self._step_inner()
 
-    def _step_inner(self, *, trace) -> list[ChurnEvent]:
+    def _step_inner(self) -> list[ChurnEvent]:
         if self.paused:
             raise WorldPausedError(
                 f"world is paused at t={self.engine.now:.1f}ms"
@@ -282,7 +279,7 @@ class SteadyStateWorld:
                 spacing * (idx + 1),
                 self._make_churn_callback(kind, device, fired),
             )
-        self.engine.advance(self.config.step_ms, trace=trace)
+        self.engine.advance(self.config.step_ms)
         self.step_index += 1
         self._publish_state()
         return fired

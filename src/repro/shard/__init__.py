@@ -16,30 +16,19 @@ contract.
 
 from repro.shard.conformance import (
     capture_city,
-    capture_city_parts,
-    city_config_summary,
-    city_from_summary,
     diff_shard,
     replay_city,
     shard_default_name,
 )
 from repro.shard.halo import (
     border_band,
-    cross_link_power,
     cross_links,
-    cross_pairs,
     cross_radius_m,
     halo_reach,
     links_digest,
 )
 from repro.shard.runner import CityResult, run_city
-from repro.shard.tiling import (
-    CityConfig,
-    Tiling,
-    city_channel_key,
-    parse_tiles,
-    shard_seed,
-)
+from repro.shard.tiling import CityConfig, Tiling, parse_tiles
 
 __all__ = [
     "CityConfig",
@@ -47,13 +36,7 @@ __all__ = [
     "Tiling",
     "border_band",
     "capture_city",
-    "capture_city_parts",
-    "city_channel_key",
-    "city_config_summary",
-    "city_from_summary",
-    "cross_link_power",
     "cross_links",
-    "cross_pairs",
     "cross_radius_m",
     "diff_shard",
     "halo_reach",
@@ -62,5 +45,4 @@ __all__ = [
     "replay_city",
     "run_city",
     "shard_default_name",
-    "shard_seed",
 ]

@@ -25,6 +25,7 @@ import multiprocessing
 import pathlib
 import time
 import tracemalloc
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
@@ -36,6 +37,8 @@ from repro.conformance.canonical import (
     content_hash,
     hash_array,
 )
+from repro.obs.ops import collect_spans, default_plane
+from repro.obs.spans import Span, SpanRecorder
 from repro.shard.halo import (
     border_band,
     cross_links,
@@ -69,7 +72,6 @@ def _shard_payload(
     collect_obs: bool,
     check_invariants: bool,
     measure_memory: bool,
-    trace=None,
 ) -> dict[str, Any]:
     from repro.core.fst import FSTSimulation
     from repro.core.network import D2DNetwork
@@ -80,79 +82,61 @@ def _shard_payload(
     if measure_memory:
         tracemalloc.start()
     t0 = time.perf_counter()
-    # ops-plane span documents built out-of-process: the worker has no
-    # plane, so it hand-writes OpsSpan dicts under the driver's context
-    # with shard-prefixed ids (collision-free across the pool) and the
-    # driver adopts them via OpsPlane.ingest.
-    ops_spans: list[dict[str, Any]] = []
-    _shard_span_root = f"sh{shard_id}.0"
-
-    def _note_span(name: str, start_s: float, **attrs: Any) -> None:
-        if trace is None:
-            return
-        ops_spans.append(
-            {
-                "trace_id": trace.trace_id,
-                "span_id": f"sh{shard_id}.{len(ops_spans) + 1}",
-                "parent_id": _shard_span_root,
-                "name": name,
-                "start_s": start_s,
-                "duration_ms": (time.perf_counter() - start_s) * 1000.0,
-                "status": "ok",
-                "attrs": attrs,
-            }
-        )
-
     obs = None
     if collect_obs:
         from repro.obs import Observability
 
         obs = Observability()
-    net = D2DNetwork(cfg)
     runs: dict[str, Any] = {}
     sim_time_ms = 0.0
-    for algorithm in algorithms:
-        alg_t0 = time.perf_counter()
-        if capture:
-            from repro.conformance.golden import capture_run
+    # ops spans go to a recorder of the worker's own: a pool process
+    # cannot reach the parent's open trace, so the documents ship back
+    # and run_city grafts them under its shard.run_city span
+    spans = SpanRecorder()
+    with collect_spans(spans), spans.span(
+        f"shard[{shard_id}]", shard=shard_id, n=cfg.n_devices
+    ):
+        net = D2DNetwork(cfg)
+        for algorithm in algorithms:
+            if capture:
+                from repro.conformance.golden import capture_run
 
-            doc = capture_run(cfg, algorithm).doc()
-            runs[algorithm] = doc
-            res = doc["result"]
-            sim_time_ms += float(res["time_ms"])
-            _note_span(f"capture.{algorithm}", alg_t0, shard=shard_id)
-            continue
-        if algorithm not in RUN_ALGORITHMS:
-            raise ValueError(
-                f"run_city drives {RUN_ALGORITHMS}, got {algorithm!r} "
-                "(use repro.shard.conformance.capture_city for pulsesync)"
-            )
-        phase_rounds: list[str] = []
+                with spans.span(f"capture.{algorithm}"):
+                    doc = capture_run(cfg, algorithm).doc()
+                runs[algorithm] = doc
+                sim_time_ms += float(doc["result"]["time_ms"])
+                continue
+            if algorithm not in RUN_ALGORITHMS:
+                raise ValueError(
+                    f"run_city drives {RUN_ALGORITHMS}, got {algorithm!r} "
+                    "(use repro.shard.conformance.capture_city for pulsesync)"
+                )
+            phase_rounds: list[str] = []
 
-        def phase_hook(_instant, _t, phases, _rounds=phase_rounds) -> None:
-            _rounds.append(hash_array(phases))
+            def phase_hook(_instant, _t, phases, _rounds=phase_rounds) -> None:
+                _rounds.append(hash_array(phases))
 
-        sim_cls = STSimulation if algorithm == "st" else FSTSimulation
-        run = sim_cls(
-            net,
-            obs=obs,
-            invariants=InvariantChecker() if check_invariants else None,
-            phase_hook=phase_hook,
-        ).run()
-        sim_time_ms += run.time_ms
-        runs[algorithm] = {
-            "result": {
-                "converged": run.converged,
-                "time_ms": run.time_ms,
-                "messages": run.messages,
-                "tree_edges": [list(e) for e in run.tree_edges],
-                "extra": dict(run.extra),
-            },
-            "bill": dict(run.message_breakdown),
-            "phase_rounds": phase_rounds,
-            "phase_stream_hash": combine_hashes(phase_rounds),
-        }
-        _note_span(f"run.{algorithm}", alg_t0, shard=shard_id)
+            sim_cls = STSimulation if algorithm == "st" else FSTSimulation
+            with spans.span(f"run.{algorithm}"):
+                run = sim_cls(
+                    net,
+                    obs=obs,
+                    invariants=InvariantChecker() if check_invariants else None,
+                    phase_hook=phase_hook,
+                ).run()
+            sim_time_ms += run.time_ms
+            runs[algorithm] = {
+                "result": {
+                    "converged": run.converged,
+                    "time_ms": run.time_ms,
+                    "messages": run.messages,
+                    "tree_edges": [list(e) for e in run.tree_edges],
+                    "extra": dict(run.extra),
+                },
+                "bill": dict(run.message_breakdown),
+                "phase_rounds": phase_rounds,
+                "phase_stream_hash": combine_hashes(phase_rounds),
+            }
 
     # border band in city coordinates, global ids
     ox, oy = city.tiling.origin(shard_id)
@@ -191,20 +175,6 @@ def _shard_payload(
         ).inc(wall_s)
         snapshot = worker_snapshot(obs, worker_id=shard_id)
 
-    if trace is not None:
-        ops_spans.append(
-            {
-                "trace_id": trace.trace_id,
-                "span_id": _shard_span_root,
-                "parent_id": trace.span_id,
-                "name": f"shard[{shard_id}]",
-                "start_s": t0,
-                "duration_ms": wall_s * 1000.0,
-                "status": "ok",
-                "attrs": {"shard": shard_id, "n": cfg.n_devices},
-            }
-        )
-
     return {
         "shard_id": shard_id,
         "n": cfg.n_devices,
@@ -215,14 +185,14 @@ def _shard_payload(
         "wall_s": wall_s,
         "peak_mb": peak_mb,
         "snapshot": snapshot,
-        "ops_spans": ops_spans,
+        "spans": spans.to_dicts(),
     }
 
 
 def _shard_job(args) -> tuple[int, dict[str, Any]]:
-    (city, shard_id, algorithms, capture, collect_obs, inv, mem, trace) = args
+    (city, shard_id, algorithms, capture, collect_obs, inv, mem) = args
     return shard_id, _shard_payload(
-        city, shard_id, algorithms, capture, collect_obs, inv, mem, trace
+        city, shard_id, algorithms, capture, collect_obs, inv, mem
     )
 
 
@@ -235,14 +205,17 @@ def _halo_payload(
 ) -> dict[str, Any]:
     radius = cross_radius_m(city.base)
     tiles = city.tiling.tile_of(positions)
-    candidates, gi, gj, power = cross_links(
-        city, positions, ids, tiles, radius, owner=shard_id
-    )
+    spans = SpanRecorder()
+    with collect_spans(spans):
+        candidates, gi, gj, power = cross_links(
+            city, positions, ids, tiles, radius, owner=shard_id
+        )
     out: dict[str, Any] = {
         "shard_id": shard_id,
         "candidates": candidates,
         "links": int(gi.size),
         "digest": links_digest(gi, gj, power),
+        "spans": spans.to_dicts(),
     }
     if return_links:
         out["link_arrays"] = (gi, gj, power)
@@ -353,7 +326,6 @@ def run_city(
     return_links: bool | None = None,
     obs_dir: str | pathlib.Path | None = None,
     ops=None,
-    trace=None,
 ) -> CityResult:
     """Run every shard plus the halo exchange; merge deterministically.
 
@@ -386,48 +358,58 @@ def run_city(
         Write per-shard snapshots as ``worker_<shard>.json`` plus the
         merge as ``merged.json`` (the sweep runner's bundle layout;
         implies ``collect_obs``).
-    ops / trace:
+    ops:
         Optional :class:`~repro.obs.ops.OpsPlane` (default: the
-        process-default plane) and parent
-        :class:`~repro.obs.ops.TraceContext`.  With a plane attached
-        the run records a ``shard.run_city`` span and each pool worker
-        ships per-shard span documents back for ingestion — the
-        canonical :class:`CityResult` document never includes any of it
-        (``shards_doc`` copies explicit keys only).
+        process-default plane).  With a plane attached the run records
+        a ``shard.run_city`` span — in the open ops trace, else as a new
+        root — and grafts under it the span documents every shard and
+        halo job returns — the canonical :class:`CityResult` document
+        never includes any of it (``shards_doc`` copies explicit keys
+        only).
     """
     collect_obs = collect_obs or obs_dir is not None
     if return_links is None:
         return_links = city.base.n_devices <= RETURN_LINKS_MAX_DEVICES
     if ops is None:
-        from repro.obs.ops import default_plane
-
         ops = default_plane()
-    ctx = ops.context(trace) if ops is not None else None
     t0 = time.perf_counter()
     if measure_memory:
         tracemalloc.start()
 
-    jobs = [
-        (city, s, tuple(algorithms), capture, collect_obs, check_invariants,
-         measure_memory, ctx)
-        for s in range(city.count)
-    ]
-    payloads = _pool_map(_shard_job, jobs, workers)
-
-    # halo: shard s owns its pairs with higher-id tiles, so its job sees
-    # its own band plus the bands of higher-id neighbours within reach
-    radius = cross_radius_m(city.base)
-    reach = halo_reach(city.tiling, radius)
-    bands = [p["band"] for p in payloads]
-    halo_jobs = []
-    for s in range(city.count):
-        partners = [s] + [
-            t for t in city.tiling.neighbors(s, reach=reach) if t > s
+    root_span = (
+        nullcontext()
+        if ops is None
+        else ops.span("shard.run_city", tiles=city.count, workers=workers)
+    )
+    with root_span as root:
+        jobs = [
+            (city, s, tuple(algorithms), capture, collect_obs,
+             check_invariants, measure_memory)
+            for s in range(city.count)
         ]
-        ids = np.concatenate([bands[t]["ids"] for t in partners])
-        pos = np.concatenate([bands[t]["positions"] for t in partners])
-        halo_jobs.append((city, s, ids, pos, return_links))
-    halo_payloads = _pool_map(_halo_job, halo_jobs, workers)
+        payloads = _pool_map(_shard_job, jobs, workers)
+
+        # halo: shard s owns its pairs with higher-id tiles, so its job
+        # sees its own band plus the bands of higher-id neighbours within
+        # reach
+        radius = cross_radius_m(city.base)
+        reach = halo_reach(city.tiling, radius)
+        bands = [p["band"] for p in payloads]
+        halo_jobs = []
+        for s in range(city.count):
+            partners = [s] + [
+                t for t in city.tiling.neighbors(s, reach=reach) if t > s
+            ]
+            ids = np.concatenate([bands[t]["ids"] for t in partners])
+            pos = np.concatenate([bands[t]["positions"] for t in partners])
+            halo_jobs.append((city, s, ids, pos, return_links))
+        halo_payloads = _pool_map(_halo_job, halo_jobs, workers)
+        if root is not None:
+            root.children.extend(
+                Span.from_dict(doc)
+                for p in payloads + halo_payloads
+                for doc in p["spans"]
+            )
 
     # ------------------------------------------------------------------
     # deterministic merge
@@ -496,23 +478,6 @@ def run_city(
         tracemalloc.stop()
         peaks = [p["peak_mb"] for p in payloads if p["peak_mb"] is not None]
         peak_mb = round(max([driver_peak / 2**20] + peaks), 2)
-
-    if ops is not None:
-        from repro.obs.ops import OpsSpan
-
-        for p in payloads:
-            ops.ingest(p.get("ops_spans") or [])
-        ops.record_span(
-            OpsSpan(
-                trace_id=ctx.trace_id,
-                span_id=ctx.span_id,
-                parent_id=ctx.parent_id,
-                name="shard.run_city",
-                start_s=t0,
-                duration_ms=(time.perf_counter() - t0) * 1000.0,
-                attrs={"tiles": city.count, "workers": workers},
-            )
-        )
 
     return CityResult(
         city=city,

@@ -240,7 +240,7 @@ class Engine:
         entry.callback()
         return True
 
-    def advance(self, duration_ms: float, *, trace=None) -> int:
+    def advance(self, duration_ms: float) -> int:
         """Incrementally advance the clock by exactly ``duration_ms``.
 
         The resumable stepping API for long-running hosts (the discovery
@@ -251,11 +251,10 @@ class Engine:
         executed.  Repeated calls pick up where the previous one left
         off; pending events beyond the window stay queued.
 
-        ``trace`` is an optional ops-plane
-        :class:`~repro.obs.ops.TraceContext`: when the attached bundle
-        carries an ops plane, the window is recorded as an
-        ``engine.advance`` wall-clock span under it (ops plane only —
-        nothing on the deterministic plane changes either way).
+        When the attached bundle carries an ops plane the window is
+        recorded as an ``engine.advance`` wall-clock span in the open ops
+        trace (ops plane only — nothing on the deterministic plane
+        changes either way).
         """
         if duration_ms < 0:
             raise ValueError(f"duration_ms must be >= 0, got {duration_ms}")
@@ -264,10 +263,7 @@ class Engine:
         if ops is None:
             self.run(until=self._now + duration_ms)
         else:
-            with ops.span(
-                "engine.advance", parent=trace, duration_ms=duration_ms
-            ) as ctx:
-                ctx  # children would hang off the engine window
+            with ops.span("engine.advance", duration_ms=duration_ms):
                 self.run(until=self._now + duration_ms)
         return self._events_processed - before
 

@@ -168,6 +168,11 @@ class TestRegistry:
         assert all(o.ok for o in outcomes), [
             o.divergence.describe() for o in outcomes if not o.ok
         ]
+        # the instrumented side really traced: its closed traces were
+        # stored and counted before the detail was read
+        ops = next(o for o in outcomes if o.pair == "service-ops")
+        spans = int(ops.detail.split(", ")[1].split()[0])
+        assert spans > 0, ops.detail
 
     def test_unknown_pair_rejected(self):
         with pytest.raises(KeyError, match="unknown diff pair"):

@@ -24,7 +24,7 @@ from repro.obs.flight import (
     load_bundle,
     render_flight_html,
 )
-from repro.obs.ops import BURN_MIN_EVENTS, OpsPlane, TraceContext
+from repro.obs.ops import BURN_MIN_EVENTS, OpsPlane
 from repro.obs.stream import TelemetryEvent
 from repro.service.client import RequestLog
 
@@ -136,10 +136,9 @@ class TestBundles:
     def test_bundle_schema_and_request_doc(self):
         clock = FakeClock()
         rec = FlightRecorder(clock=clock)
-        ctx = TraceContext("tdead", "s1")
         rec.ingest_requests(
             [
-                ("/near/{ue}", "GET", 200, 0.0042, ctx, "/near/9", 7.0),
+                ("/near/{ue}", "GET", 200, 0.0042, "tdead", "/near/9", 7.0),
                 ("/sync", "GET", 200, 0.0008, None, "/sync", 8.0),
             ]
         )
@@ -147,8 +146,8 @@ class TestBundles:
         assert doc["schema"] == FLIGHT_SCHEMA
         assert doc["captured_wall_s"] == clock.now
         first, second = doc["requests"]
-        # TraceContext objects normalise to their trace id; raw seconds
-        # render back to milliseconds
+        # the sampled request carries its trace id; raw seconds render
+        # back to milliseconds
         assert first["trace_id"] == "tdead"
         assert first["elapsed_ms"] == 4.2
         assert first["path"] == "/near/9"

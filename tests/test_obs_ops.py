@@ -1,4 +1,5 @@
-"""Ops-plane unit tests: tracing, SLO burn rates, batched accounting.
+"""Ops-plane unit tests: scope-nested tracing, SLO burn rates, batched
+accounting.
 
 The ops plane (:mod:`repro.obs.ops`) is the explicitly non-canonical
 sibling of the deterministic telemetry stack — it owns its own metrics
@@ -9,8 +10,13 @@ latencies (and therefore SLO verdicts) are exact.
 
 from __future__ import annotations
 
+import threading
+
 import pytest
 
+from repro.core.config import PaperConfig
+from repro.core.network import D2DNetwork
+from repro.obs import Observability, activate, active_span
 from repro.obs.ops import (
     BURN_MIN_EVENTS,
     BURN_WINDOW,
@@ -19,16 +25,17 @@ from repro.obs.ops import (
     TRACE_CAPACITY,
     TRACE_SAMPLE,
     OpsPlane,
-    OpsSpan,
     SLOBurnRate,
     SLOObjective,
-    TraceContext,
+    collect_spans,
     default_plane,
     default_slos,
     default_ops,
     install_default,
-    render_trace,
+    open_trace_id,
 )
+from repro.obs.spans import _NULL_SPAN, Span, SpanRecorder
+from repro.shard import CityConfig, run_city
 
 
 class FakeClock:
@@ -44,6 +51,15 @@ def make_plane(**kwargs) -> OpsPlane:
     return OpsPlane(**kwargs)
 
 
+def last_trace(plane: OpsPlane) -> Span:
+    """Root span of the most recently finished trace."""
+    return plane.trace(plane.trace_ids()[-1])
+
+
+def names(span: Span) -> list[str]:
+    return [c.name for c in span.children]
+
+
 def observe(plane: OpsPlane, status: int = 200, elapsed_s: float = 0.001,
             **kwargs) -> None:
     """One ``/near/{ue}`` request that started at the plane's clock."""
@@ -54,25 +70,31 @@ def observe(plane: OpsPlane, status: int = 200, elapsed_s: float = 0.001,
 
 
 class TestTraceContext:
+    """The trace context is the dynamic scope of the open root span."""
+
     def test_child_links_parent(self):
-        root = TraceContext("t1", "s1")
-        child = root.child("s2")
-        assert child.trace_id == "t1"
-        assert child.span_id == "s2"
-        assert child.parent_id == "s1"
-        assert root.parent_id is None
+        plane = make_plane()
+        assert open_trace_id() is None
+        with plane.span("root"):
+            trace_id = open_trace_id()
+            with plane.span("child"), active_span("layer"):
+                assert open_trace_id() == trace_id  # children mint nothing
+        assert open_trace_id() is None
+        assert plane.trace_ids() == [trace_id]
+        root = plane.trace(trace_id)
+        assert names(root) == ["child"]
+        assert names(root.children[0]) == ["layer"]
 
     def test_to_dict_roundtrip_via_span(self):
-        span = OpsSpan(
-            trace_id="t1",
-            span_id="s1",
-            parent_id=None,
-            name="GET /near/{ue}",
-            start_s=1.0,
-            duration_ms=2.5,
-            attrs={"path": "/near/3"},
-        )
-        assert OpsSpan.from_dict(span.to_dict()) == span
+        plane = make_plane()
+        with plane.span("GET /near/{ue}", path="/near/3"):
+            plane.clock.now += 0.0025
+            with plane.span("world.step"):
+                pass
+        doc = last_trace(plane).to_dict()
+        assert doc["attrs"] == {"path": "/near/3"}
+        assert doc["duration_ms"] == pytest.approx(2.5)
+        assert Span.from_dict(doc).to_dict() == doc
 
 
 class TestSLOObjective:
@@ -105,40 +127,42 @@ class TestSLOObjective:
 class TestTracing:
     def test_span_records_and_trace_reads_back(self):
         plane = make_plane()
-        with plane.span("world.step", round=3) as ctx:
+        with plane.span("world.step", round=3) as span:
             plane.clock.now += 0.002
-        spans = plane.trace(ctx.trace_id)
-        assert spans is not None and len(spans) == 1
-        assert spans[0].name == "world.step"
-        assert spans[0].attrs == {"round": 3}
-        assert spans[0].duration_ms == pytest.approx(2.0)
-        assert spans[0].status == "ok"
+        root = last_trace(plane)
+        assert root is span
+        assert root.name == "world.step"
+        assert root.attrs == {"round": 3}
+        assert root.duration_ms == pytest.approx(2.0)
+        assert not root.failed
+        counter = plane.metrics.counter("ops_trace_spans_total")
+        assert counter.value(name="world.step") == 1
 
     def test_span_marks_error_on_exception(self):
         plane = make_plane()
         with pytest.raises(RuntimeError):
-            with plane.span("boom") as ctx:
+            with plane.span("boom"):
                 raise RuntimeError("x")
-        assert plane.trace(ctx.trace_id)[0].status == "error"
+        assert last_trace(plane).failed
+        assert open_trace_id() is None  # the failed root still closed
 
     def test_child_spans_share_trace_and_parent(self):
         plane = make_plane()
-        with plane.span("parent") as root:
-            with plane.span("child", parent=root) as kid:
-                pass
-        assert kid.trace_id == root.trace_id
-        spans = plane.trace(root.trace_id)
-        assert {s.name for s in spans} == {"parent", "child"}
-        child = next(s for s in spans if s.name == "child")
-        assert child.parent_id == root.span_id
+        with plane.span("parent"):
+            with plane.span("child"):
+                plane.clock.now += 0.001
+        assert len(plane.trace_ids()) == 1
+        root = last_trace(plane)
+        assert root.name == "parent"
+        assert names(root) == ["child"]
+        assert root.children[0].duration_ms == pytest.approx(1.0)
 
     def test_whole_trace_fifo_eviction_is_counted(self):
         plane = make_plane()
         ids = []
         for i in range(TRACE_CAPACITY + 1):
-            with plane.span(f"op{i}") as ctx:
-                pass
-            ids.append(ctx.trace_id)
+            with plane.span(f"op{i}"):
+                ids.append(open_trace_id())
         assert plane.trace(ids[0]) is None  # oldest whole trace evicted
         assert plane.trace_ids() == ids[1:]
         assert plane.traces_evicted == 1
@@ -146,18 +170,32 @@ class TestTracing:
             plane.metrics.counter("ops_traces_evicted_total").total() == 1
         )
 
-    def test_ingest_adopts_out_of_process_span_docs(self):
+    def test_unread_closed_traces_stay_bounded(self):
+        """Closed traces join the store in batches; with no reader (an
+        auto-stepping world) the queue still drains every batch."""
         plane = make_plane()
-        doc = OpsSpan(
-            trace_id="tshard",
-            span_id="c1:s1",
-            parent_id=None,
-            name="shard.run_city",
-            start_s=5.0,
-            duration_ms=12.0,
-        ).to_dict()
-        assert plane.ingest([doc]) == 1
-        assert plane.trace("tshard")[0].name == "shard.run_city"
+        for _ in range(FLUSH_INTERVAL + 1):
+            with plane.span("world.step"):
+                pass
+        assert len(plane._finished) == 1
+        assert len(plane._traces) == min(FLUSH_INTERVAL, TRACE_CAPACITY)
+        assert len(plane.trace_ids()) == min(FLUSH_INTERVAL + 1, TRACE_CAPACITY)
+
+    def test_ingest_adopts_out_of_process_span_docs(self):
+        """A worker's recorder takes its ops spans; the parent grafts the
+        returned documents under its own span."""
+        plane = make_plane()
+        worker = SpanRecorder()
+        with plane.span("shard.run_city") as root:
+            with collect_spans(worker), worker.span("shard[0]"):
+                with plane.span("run.st"), active_span("mwoe_scan"):
+                    pass
+            assert root.children == []  # nothing leaked into the parent
+            root.children.extend(Span.from_dict(d) for d in worker.to_dicts())
+        (shard,) = last_trace(plane).children
+        assert shard.name == "shard[0]"
+        assert names(shard) == ["run.st"]
+        assert names(shard.children[0]) == ["mwoe_scan"]
 
     def test_sample_request_traces_first_then_one_in_n(self):
         plane = OpsPlane()
@@ -189,14 +227,11 @@ class TestBatchedAccounting:
 
     def test_readers_flush_first(self):
         plane = make_plane()
-        ctx = plane.context()
-        observe(plane, trace=ctx, path="/near/7")
+        observe(plane, trace_id="t1", path="/near/7")
         status = plane.slo_status()
         assert status["slos"][0]["seen"] >= 1
-        # the traced record materialised its request span at the flush
-        spans = plane.trace(ctx.trace_id)
-        assert [s.name for s in spans] == ["GET /near/{ue}"]
-        assert spans[0].attrs == {"path": "/near/7"}
+        # the traced record reached the exemplars at the flush
+        assert [e["trace_id"] for e in status["exemplars"]] == ["t1"]
 
     def test_histogram_buckets_and_counters_accumulate(self):
         plane = make_plane()
@@ -215,13 +250,12 @@ class TestBatchedAccounting:
 
     def test_exemplars_point_slow_buckets_at_traces(self):
         plane = make_plane()
-        ctx = plane.context()
-        observe(plane, elapsed_s=0.030, trace=ctx)
+        observe(plane, elapsed_s=0.030, trace_id="t00000007")
         status = plane.slo_status()
         assert {
             "endpoint": "/near/{ue}",
             "le": "50.0",
-            "trace_id": ctx.trace_id,
+            "trace_id": "t00000007",
         } in status["exemplars"]
 
 
@@ -369,28 +403,87 @@ class TestPlaneAlertsOnBus:
 
 class TestRequestSpanTiming:
     def test_request_span_starts_at_the_start_reading(self):
-        """The request span starts at the reading taken on arrival, so
-        the spans opened while serving it nest inside it."""
+        """A root span starts at the plane clock's reading when it opens,
+        so the spans opened while serving it nest inside it in time."""
         plane = make_plane()
         clock = plane.clock
-        ctx = plane.context()
         start = clock()
-        clock.now += 0.001
-        with plane.span("world.step", parent=ctx):
-            clock.now += 0.002
-        clock.now += 0.001
-        plane.observe_request(
-            "/world/step", "POST", 200, clock() - start, ctx, start_s=start
-        )
-        request, step = plane.trace(ctx.trace_id)
-        assert request.name == "POST /world/step"
+        with plane.span("POST /world/step") as request:
+            clock.now += 0.001
+            with plane.span("world.step") as step:
+                clock.now += 0.002
+            clock.now += 0.001
+        assert last_trace(plane) is request
         assert request.start_s == start
         assert request.duration_ms == pytest.approx(4.0)
-        assert step.parent_id == request.span_id
+        assert names(request) == ["world.step"]
         assert request.start_s < step.start_s
-        assert step.start_s + step.duration_ms / 1000 < (
-            request.start_s + request.duration_ms / 1000
+        assert step.start_s + step.duration_s < (
+            request.start_s + request.duration_s
         )
+
+
+class TestScopeNesting:
+    def test_active_span_without_bundle_or_trace_is_the_shared_noop(self):
+        assert open_trace_id() is None
+        assert active_span("build") is _NULL_SPAN
+
+    def test_active_bundle_takes_layer_spans_first(self):
+        plane = make_plane()
+        obs = Observability()
+        with plane.span("world.step"), activate(obs):
+            with active_span("build"):
+                pass
+        assert last_trace(plane).children == []
+        assert [s.name for s in obs.spans.roots] == ["build"]
+
+    def test_threads_nest_their_own_traces(self):
+        """The open-trace stack is per context: two threads interleaving
+        spans on one plane each get a trace of their own spans."""
+        plane = OpsPlane()
+        barrier = threading.Barrier(2, timeout=10.0)
+
+        def serve(name: str) -> None:
+            with plane.span(name):
+                barrier.wait()  # both roots open at once
+                with active_span(f"{name}.child"):
+                    barrier.wait()
+
+        thread = threading.Thread(target=serve, args=("a",))
+        thread.start()
+        serve("b")
+        thread.join(timeout=10.0)
+        assert not thread.is_alive()
+        roots = [plane.trace(t) for t in plane.trace_ids()]
+        assert sorted((r.name, names(r)) for r in roots) == [
+            ("a", ["a.child"]), ("b", ["b.child"]),
+        ]
+
+    def test_network_build_nests_under_an_open_ops_span(self):
+        plane = make_plane()
+        with plane.span("world.step"):
+            D2DNetwork(PaperConfig(n_devices=24, area_side_m=50.0, seed=2))
+        (build,) = last_trace(plane).children
+        assert build.name == "build"
+        assert names(build) == [
+            "build.links", "build.csr", "build.connectivity",
+        ]
+
+    def test_inline_run_city_grafts_per_shard_spans(self):
+        city = CityConfig(base=PaperConfig(n_devices=64, seed=4), rows=2,
+                          cols=2)
+        with default_ops(make_plane()) as plane:
+            run_city(city)
+        (trace_id,) = plane.trace_ids()
+        root = plane.trace(trace_id)
+        assert root.name == "shard.run_city"
+        assert root.attrs == {"tiles": 4, "workers": 1}
+        assert names(root) == [f"shard[{s}]" for s in range(4)] + [
+            "halo.links"
+        ] * 4
+        for shard in root.children[:4]:
+            assert names(shard) == ["build", "run.st"]
+            assert {"mwoe_scan"} == set(names(shard.children[1]))
 
 
 class TestDefaultPlane:
@@ -412,20 +505,34 @@ class TestDefaultPlane:
 
 
 class TestRenderTrace:
+    """``repro trace`` renders fetched span documents with the tree
+    renderer ``repro profile`` uses."""
+
     def test_tree_indents_children_and_marks_failures(self):
-        spans = [
-            OpsSpan("t1", "s1", None, "GET /world/step", 1.0, 5.0),
-            OpsSpan("t1", "s2", "s1", "world.step", 1.1, 4.0),
-            OpsSpan(
-                "t1", "s3", "s2", "engine.advance", 1.2, 3.0, status="error"
-            ),
-        ]
-        out = render_trace(spans)
-        lines = out.splitlines()
-        assert lines[0].startswith("GET /world/step")
-        assert lines[1].startswith("  world.step")
-        assert lines[2].startswith("    engine.advance")
-        assert "[FAILED]" in lines[2]
+        doc = {
+            "name": "POST /world/step",
+            "duration_ms": 5.0,
+            "children": [
+                {
+                    "name": "world.step",
+                    "duration_ms": 4.0,
+                    "children": [
+                        {
+                            "name": "engine.advance",
+                            "duration_ms": 3.0,
+                            "failed": True,
+                        }
+                    ],
+                }
+            ],
+        }
+        rec = SpanRecorder()
+        rec.roots = [Span.from_dict(doc)]
+        lines = rec.render_tree().splitlines()
+        assert lines[0].startswith("POST /world/step")
+        assert lines[1].startswith("└─ world.step")
+        assert lines[2].startswith("   └─ engine.advance")
+        assert lines[2].endswith("  !")
 
     def test_empty_trace(self):
-        assert render_trace([]) == "(empty trace)"
+        assert SpanRecorder().render_tree() == "(no spans recorded)"

@@ -47,40 +47,44 @@ class TestPublish:
         assert seen == ["fn:sync", "obj:sync"]
 
 
+def fill(bus: TelemetryBus, extra: int, topic: str = "t") -> None:
+    """Publish ``DEFAULT_CAPACITY + extra`` events at times 0, 1, ..."""
+    for i in range(DEFAULT_CAPACITY + extra):
+        bus.publish(topic, float(i), x=i)
+
+
 class TestRingEviction:
     def test_oldest_evicted_and_counted(self):
-        bus = TelemetryBus(capacity=3)
-        for i in range(5):
-            bus.publish("t", float(i), x=i)
-        assert len(bus) == 3
-        assert [e.time_ms for e in bus.retained()] == [2.0, 3.0, 4.0]
+        bus = TelemetryBus()
+        fill(bus, 2)
+        assert len(bus) == DEFAULT_CAPACITY
+        assert [e.time_ms for e in bus.retained()[:2]] == [2.0, 3.0]
+        assert bus.retained()[-1].time_ms == DEFAULT_CAPACITY + 1.0
         assert bus.dropped[("t", "evicted")] == 2
         assert bus.dropped_total() == 2
 
     def test_backing_list_stays_bounded(self):
-        bus = TelemetryBus(capacity=4)
-        for i in range(100):
-            bus.publish("t", float(i), x=i)
+        bus = TelemetryBus()
+        fill(bus, 3 * DEFAULT_CAPACITY)
         # amortized compaction: the list never grows past 2x capacity
-        assert len(bus.events) <= 2 * bus.capacity
-        assert [e.time_ms for e in bus.retained()] == [96.0, 97.0, 98.0, 99.0]
+        assert len(bus.events) <= 2 * DEFAULT_CAPACITY
+        last = 4.0 * DEFAULT_CAPACITY
+        assert [e.time_ms for e in bus.retained()[-2:]] == [last - 2, last - 1]
 
     def test_eviction_mirrored_into_metrics(self):
         reg = MetricsRegistry()
-        bus = TelemetryBus(capacity=2, metrics=reg)
-        for i in range(5):
-            bus.publish("t", float(i), x=i)
-        assert reg.counter("telemetry_events_total").value(topic="t") == 5
+        bus = TelemetryBus(metrics=reg)
+        fill(bus, 3)
+        assert (
+            reg.counter("telemetry_events_total").value(topic="t")
+            == DEFAULT_CAPACITY + 3
+        )
         assert (
             reg.counter("telemetry_dropped_total").value(
                 topic="t", reason="evicted"
             )
             == 3
         )
-
-    def test_capacity_must_be_positive(self):
-        with pytest.raises(ValueError):
-            TelemetryBus(capacity=0)
 
 
 class TestSamplingPolicies:
@@ -96,19 +100,17 @@ class TestSamplingPolicies:
     def test_stats_json_safe(self):
         import json
 
-        bus = TelemetryBus(capacity=2)
-        for i in range(5):
-            bus.publish("w", float(i), x=i)
+        bus = TelemetryBus()
+        fill(bus, 3, topic="w")
         stats = bus.stats()
         assert json.loads(json.dumps(stats)) == stats
-        assert stats["published"] == {"w": 5}
+        assert stats["published"] == {"w": DEFAULT_CAPACITY + 3}
         assert stats["dropped"] == {"w/evicted": 3}
 
     def test_clear_resets_accounting_but_keeps_policies(self):
-        bus = TelemetryBus(capacity=2)
+        bus = TelemetryBus()
         res = bus.add_reservoir("w", "x", capacity=8)
-        for i in range(4):
-            bus.publish("w", float(i), x=i)
+        fill(bus, 2, topic="w")
         bus.clear()
         assert len(bus) == 0 and bus.published() == 0 and not bus.dropped
         assert len(res) == 0 and res.seen == 0
@@ -145,14 +147,16 @@ class TestReservoir:
         assert sample(1) != sample(2)
 
     def test_fed_before_admission(self):
-        bus = TelemetryBus(capacity=5)
+        bus = TelemetryBus()
         res = bus.add_reservoir("sync", "spread_ms", capacity=64, seed=0)
-        for i in range(50):
+        published = DEFAULT_CAPACITY + 50
+        for i in range(published):
             bus.publish("sync", float(i), spread_ms=float(i))
-        # the ring keeps 5 events, but every publish reached the reservoir
-        assert len(bus.retained("sync")) == 5
-        assert res.seen == 50
-        assert len(res) == 50
+        # the ring keeps its capacity, but every publish reached the
+        # reservoir
+        assert len(bus.retained("sync")) == DEFAULT_CAPACITY
+        assert res.seen == published
+        assert len(res) == 64
 
     def test_bundle_attaches_sync_reservoir(self):
         obs = Observability(stream=True)

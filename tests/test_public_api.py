@@ -73,7 +73,13 @@ def test_module_docstrings():
 REPO = pathlib.Path(__file__).resolve().parent.parent
 #: Directories holding program code (tests are deliberately absent).
 PROGRAM_DIRS = ("src", "benchmarks", "scripts", "examples", "perfbench")
-GUARDED_PACKAGES = ("repro.obs", "repro.sim", "repro.radio", "repro.mobility")
+GUARDED_PACKAGES = (
+    "repro.obs",
+    "repro.sim",
+    "repro.radio",
+    "repro.mobility",
+    "repro.shard",
+)
 
 
 def _module_file(module: str) -> pathlib.Path:

@@ -2,8 +2,9 @@
 
 Two things are under test.  First the ops endpoints themselves —
 ``GET /trace/{id}``, ``GET /ops/slo``, ``GET /ops/flight`` — and the
-request tracing that feeds them through ``DiscoveryApp`` →
-``SteadyStateWorld.step`` → ``Engine.advance``.  Second, and load
+request traces behind them, which nest ``world.step`` →
+``engine.advance`` → churn spans under the request span by dynamic
+scope.  Second, and load
 bearing for the whole design: the conformance proof that attaching the
 full ops plane (tracing, SLO analyzers, flight recorder) changes **no
 response byte** on the canonical surface, including ``GET /metrics``.
@@ -11,10 +12,14 @@ response byte** on the canonical surface, including ``GET /metrics``.
 
 from __future__ import annotations
 
+import contextlib
+import http.server
 import json
+import threading
 import time
 import urllib.request
 
+from repro.cli import main as cli_main
 from repro.core.config import PaperConfig
 from repro.faults.invariants import InvariantViolation
 from repro.obs import render_prometheus
@@ -76,10 +81,11 @@ class TestOpsEndpoints:
         assert resp.status == 200
         doc = resp.json()
         assert doc["trace_id"] == trace_id
-        spans = doc["spans"]
-        assert spans[0]["name"] == "GET /health"
-        assert spans[0]["attrs"] == {"path": "/health"}
-        assert spans[0]["status"] == "ok"
+        (root,) = doc["spans"]  # one nested Span.to_dict() tree
+        assert root["name"] == "GET /health"
+        assert root["attrs"] == {"path": "/health"}
+        assert "failed" not in root
+        assert "children" not in root
 
     def test_unknown_trace_is_404(self):
         client, _ = ops_client()
@@ -124,17 +130,17 @@ class TestWorldStepTracing:
     def test_step_request_traces_through_world_and_engine(self):
         client, plane = ops_client()
         assert client.post("/world/step", {"steps": 1}).status == 200
-        trace_id = plane.trace_ids()[-1]
-        spans = {s.name: s for s in plane.trace(trace_id)}
-        assert set(spans) == {
-            "POST /world/step", "world.step", "engine.advance",
-        }
-        request = spans["POST /world/step"]
-        assert request.parent_id is None
-        assert spans["world.step"].parent_id == request.span_id
-        assert (
-            spans["engine.advance"].parent_id == spans["world.step"].span_id
-        )
+        (trace_id,) = plane.trace_ids()  # the sampled request is the root
+        request = plane.trace(trace_id)
+        assert request.name == "POST /world/step"
+        (step,) = request.children
+        assert step.name == "world.step"
+        (advance,) = step.children
+        assert advance.name == "engine.advance"
+        churn = [c.name for c in advance.children]
+        assert churn and set(churn) <= {"churn.join", "churn.fail"}
+        events = client.get("/world").json()  # unsampled: no new trace
+        assert events["step"] == 1 and len(plane.trace_ids()) == 1
 
     def test_unsampled_requests_mint_no_trace(self):
         client, plane = ops_client()
@@ -142,6 +148,19 @@ class TestWorldStepTracing:
         for _ in range(5):
             client.get("/health")  # seq 2..6: unsampled
         assert len(plane.trace_ids()) == 1
+
+    def test_unsampled_step_roots_its_own_trace(self):
+        client, plane = ops_client()
+        client.get("/health")  # seq 1: sampled
+        assert client.post("/world/step", {"steps": 2}).status == 200
+        roots = [plane.trace(t) for t in plane.trace_ids()]
+        assert [r.name for r in roots] == [
+            "GET /health", "world.step", "world.step",
+        ]
+        assert all(
+            [c.name for c in r.children] == ["engine.advance"]
+            for r in roots[1:]
+        )
 
     def test_request_span_encloses_world_step(self, monkeypatch):
         """The request span starts at the app's arrival reading, so the
@@ -151,17 +170,23 @@ class TestWorldStepTracing:
         client, plane = ops_client(clock=clock)
         first = len(clock.readings)
         assert client.post("/world/step", {"steps": 1}).status == 200
-        spans = {s.name: s for s in plane.trace(plane.trace_ids()[-1])}
-        request = spans["POST /world/step"]
-        step = spans["world.step"]
+        request = plane.trace(plane.trace_ids()[-1])
+        (step,) = request.children
         assert request.start_s == clock.readings[first]
 
         def end(span):
-            return span.start_s + span.duration_ms / 1000.0
+            return span.start_s + span.duration_s
 
         assert request.start_s < step.start_s
         assert end(step) < end(request)
-        assert step.parent_id == request.span_id
+
+    def test_failed_request_span_is_flagged(self):
+        client, plane = ops_client()
+        client.app.world.sync_state = lambda: 1 / 0  # type: ignore[assignment]
+        assert client.get("/sync").status == 500
+        request = plane.trace(plane.trace_ids()[-1])
+        assert request.name == "GET /sync"
+        assert request.failed
 
 
 class TestFlightOnFailure:
@@ -356,3 +381,98 @@ class _StubAlert:
 
     def to_dict(self) -> dict:
         return {"seq": self.seq}
+
+
+class _StubHandler(http.server.BaseHTTPRequestHandler):
+    """Answers every GET with the class's canned body."""
+
+    body = b""
+    content_type = "text/html"
+
+    def do_GET(self):  # noqa: N802 — http.server's naming
+        self.send_response(200)
+        self.send_header("Content-Type", self.content_type)
+        self.send_header("Content-Length", str(len(self.body)))
+        self.end_headers()
+        self.wfile.write(self.body)
+
+    def log_message(self, *args):
+        pass
+
+
+@contextlib.contextmanager
+def stub_server(body: bytes, content_type: str = "text/html"):
+    handler = type(
+        "Stub", (_StubHandler,), {"body": body, "content_type": content_type}
+    )
+    server = http.server.ThreadingHTTPServer(("127.0.0.1", 0), handler)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        yield f"http://127.0.0.1:{server.server_address[1]}"
+    finally:
+        server.shutdown()
+        server.server_close()
+
+
+class TestOpsCLI:
+    """``repro trace`` / ``repro flight dump`` against live and stub
+    servers: renders on success, one stderr line and exit 2 on garbage."""
+
+    def _run(self, capsys, argv):
+        code = cli_main(argv)
+        out, err = capsys.readouterr()
+        return code, out, err
+
+    def test_trace_renders_the_nested_step_trace(self, capsys):
+        world = SteadyStateWorld(
+            WorldConfig(base=PaperConfig(n_devices=N, seed=SEED))
+        )
+        plane = OpsPlane()
+        with ServiceThread(DiscoveryApp(world, ops=plane)) as svc:
+            step = urllib.request.Request(
+                svc.url + "/world/step", data=b'{"steps": 1}', method="POST"
+            )
+            urllib.request.urlopen(step, timeout=10).read()
+            (trace_id,) = plane.trace_ids()
+            code, out, err = self._run(
+                capsys, ["trace", trace_id, "--url", svc.url]
+            )
+        assert code == 0, err
+        lines = out.splitlines()
+        assert lines[0] == f"trace {trace_id}"
+        assert lines[1].startswith("POST /world/step [path=/world/step]")
+        assert lines[2].startswith("└─ world.step [step=0]")
+        assert lines[3].startswith("   └─ engine.advance")
+
+    def test_non_json_body_exits_2_with_one_line(self, capsys):
+        with stub_server(b"<html><body>not the service</body></html>") as url:
+            for argv in (
+                ["trace", "t1", "--url", url],
+                ["flight", "dump", "--url", url],
+            ):
+                code, out, err = self._run(capsys, argv)
+                assert code == 2
+                assert "not a JSON object" in err
+                assert len(err.strip().splitlines()) == 1
+                assert "Traceback" not in err
+
+    def test_json_that_is_not_an_object_exits_2(self, capsys):
+        with stub_server(b"[1, 2]", "application/json") as url:
+            code, _, err = self._run(capsys, ["trace", "t1", "--url", url])
+        assert code == 2 and "not a JSON object" in err
+
+    def test_trace_doc_without_spans_exits_2(self, capsys):
+        with stub_server(b'{"trace_id": "t1"}', "application/json") as url:
+            code, _, err = self._run(capsys, ["trace", "t1", "--url", url])
+        assert code == 2
+        assert err.strip().endswith("not a trace document")
+
+    def test_flight_doc_without_schema_exits_2(self, capsys, tmp_path):
+        with stub_server(b'{"requests": [1]}', "application/json") as url:
+            code, _, err = self._run(
+                capsys, ["flight", "dump", "--url", url, "-o", str(tmp_path)]
+            )
+        assert code == 2
+        assert err.strip().endswith("not a flight bundle")
+        assert not any(tmp_path.iterdir())

@@ -12,10 +12,9 @@ from repro.core.config import PaperConfig
 from repro.shard import (
     CityConfig,
     capture_city,
-    city_from_summary,
     diff_shard,
 )
-from repro.shard.conformance import shard_default_name
+from repro.shard.conformance import city_from_summary, shard_default_name
 
 
 class TestShardCorpus:

@@ -18,7 +18,8 @@ from repro.core.network import D2DNetwork
 from repro.core.st import STSimulation
 from repro.faults.invariants import InvariantChecker
 from repro.faults.plan import FaultConfig
-from repro.shard import CityConfig, capture_city_parts, run_city
+from repro.shard import CityConfig, run_city
+from repro.shard.conformance import capture_city_parts
 from repro.shard.conformance import capture_city
 
 FAULT_SPEC = (
