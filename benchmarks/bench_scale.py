@@ -6,9 +6,14 @@ network-construction and simulation wall times separately plus the
 tracemalloc peak.  Network construction (grid candidates plus
 counter-hashed channel draws into the link CSR) dominates end-to-end
 time at scale, so it is reported separately from the simulation
-(beacon decode, Borůvka presort and phases, timing replay, trim); see
-docs/performance.md for the measured breakdown.  One row per size, plus
-one merged multi-shard row (``tiles``) for the 2×2 city twin.
+(beacon decode, Borůvka MWOE phases, timing replay, trim); see
+docs/performance.md for the measured breakdown.  Each size runs under
+an activated :class:`~repro.obs.Observability`, and its row carries a
+``layers`` dict: span name → total ms from
+:func:`~repro.obs.profile.profile_table` (``build.links``,
+``build.csr``, ``discovery``, ``merge_schedule``, ...).  One row per
+size, plus one merged multi-shard row (``tiles``) for the 2×2 city
+twin.
 
 Artifact: ``BENCH_scale.json`` — consumed by
 ``scripts/check_bench_regression.py`` against the committed baseline in
@@ -29,6 +34,8 @@ from benchmarks.conftest import FULL, save_and_print, write_bench_json
 from repro.core.config import PaperConfig
 from repro.core.network import D2DNetwork
 from repro.core.st import STSimulation
+from repro.obs import Observability, activate
+from repro.obs.profile import profile_table
 from repro.shard import CityConfig, run_city
 
 #: Device counts.  The CI subset is a strict subset of the full grid so
@@ -50,12 +57,14 @@ SHARD_RATIO_LIMIT = 2.5
 
 def _run_once(n: int) -> dict:
     config = PaperConfig(seed=SEED).with_devices(n, keep_density=True)
+    obs = Observability()
     tracemalloc.start()
-    t0 = time.perf_counter()
-    network = D2DNetwork(config)
-    t1 = time.perf_counter()
-    result = STSimulation(network).run()
-    t2 = time.perf_counter()
+    with activate(obs):
+        t0 = time.perf_counter()
+        network = D2DNetwork(config)
+        t1 = time.perf_counter()
+        result = STSimulation(network).run()
+        t2 = time.perf_counter()
     _, peak = tracemalloc.get_traced_memory()
     tracemalloc.stop()
     return {
@@ -66,6 +75,7 @@ def _run_once(n: int) -> dict:
         "peak_mb": round(peak / 2**20, 2),
         "messages": result.messages,
         "converged": result.converged,
+        "layers": {row.name: round(row.total_ms, 2) for row in profile_table(obs.spans)},
     }
 
 

@@ -16,6 +16,11 @@ single-region twins; the observability-overhead bench tells its paired
 rows apart with an ``obs`` field (``"off"``/``"on"``).  A measurement is a regression when it exceeds the
 baseline by more than ``tolerance`` (a fraction: 0.20 = +20%).
 
+Rows that carry a ``layers`` dict (span name → total ms, as
+``BENCH_scale.json`` rows do) in both artifacts also print one
+current-vs-baseline line per shared layer.  Those lines are information
+only and never fail the check.
+
 Multi-shard artifacts may reference an **observability bundle** — the
 per-shard ``worker_NNNN.json`` snapshots plus their ``merged.json``
 written by ``repro.shard.run_city(obs_dir=...)`` — via
@@ -66,15 +71,24 @@ def _load(path: str) -> dict:
     return data
 
 
+def _row_key(row: dict) -> tuple[int, str, str]:
+    """A row's (n, tiles, obs) key; absent fields key as ''."""
+    return int(row["n"]), str(row.get("tiles", "")), str(row.get("obs", ""))
+
+
 def _rows_by_key(data: dict) -> dict[tuple[int, str, str], float]:
-    """Index rows by (n, tiles, obs); absent fields key as ''."""
+    """Index row wall times by :func:`_row_key`."""
+    rows = data.get("metrics", {}).get("rows", [])
+    return {_row_key(r): float(r["wall_s"]) for r in rows if "n" in r and "wall_s" in r}
+
+
+def _layers_by_key(data: dict) -> dict[tuple[int, str, str], dict]:
+    """Index row ``layers`` dicts (span name → total ms) by :func:`_row_key`."""
     rows = data.get("metrics", {}).get("rows", [])
     return {
-        (int(r["n"]), str(r.get("tiles", "")), str(r.get("obs", ""))): float(
-            r["wall_s"]
-        )
+        _row_key(r): r["layers"]
         for r in rows
-        if "n" in r and "wall_s" in r
+        if "n" in r and isinstance(r.get("layers"), dict)
     }
 
 
@@ -126,6 +140,24 @@ def compare(current: dict, baseline: dict, tolerance: float) -> list[str]:
             # skips, never silent passes
             print(f"{label}: skipped (no matching row in the current artifact)")
     return failures
+
+
+def print_layers(current: dict, baseline: dict) -> None:
+    """One current-vs-baseline line per layer of every row that carries
+    ``layers`` in both artifacts.  Information only: layer times are
+    not gated."""
+    cur_layers = _layers_by_key(current)
+    for key, base in sorted(_layers_by_key(baseline).items()):
+        cur = cur_layers.get(key)
+        if cur is None:
+            continue
+        for name in sorted(base.keys() & cur.keys()):
+            c, b = float(cur[name]), float(base[name])
+            change = f" ({c / b - 1.0:+.1%} vs baseline)" if b > 0 else ""
+            print(
+                f"{_row_label(key)} layer {name}: current={c:.1f}ms "
+                f"baseline={b:.1f}ms{change}"
+            )
 
 
 def check_budgets(current: dict) -> list[str]:
@@ -368,6 +400,7 @@ def main(argv: list[str] | None = None) -> int:
                 print(f"error: {f}", file=sys.stderr)
             return 2
     failures = compare(current, baseline, args.tolerance)
+    print_layers(current, baseline)
     budget_failures = check_budgets(current)
     if args.history:
         try:

@@ -594,7 +594,7 @@ def top_k_required_csr(budget: SparseLinkBudget, k: int = 1) -> np.ndarray:
     w = budget.link_power_dbm
     required = np.zeros(budget.edge_count, dtype=bool)
     if k == 1:
-        rows, best_nbr = csr_row_argmax(indptr, nbr, w)
+        rows, best_nbr, _ = csr_row_argmax(indptr, nbr, w)
         required[budget.edge_position(best_nbr, rows)] = True
         return required
     rx = budget.link_row_ids

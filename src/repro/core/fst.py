@@ -59,7 +59,7 @@ def heavy_edge_forest_csr(
         indptr, nbr, (w,) = csr_subgraph(
             budget.n, rows, nbr, node_mask[rows] & node_mask[nbr], w
         )
-    us, vs = csr_row_argmax(indptr, nbr, w)
+    us, vs, _ = csr_row_argmax(indptr, nbr, w)
     if us.size == 0:
         return []
     # deduplicate the per-node (u, heaviest v) pairs via packed codes

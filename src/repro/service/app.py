@@ -145,8 +145,10 @@ class DiscoveryApp:
 
     # ------------------------------------------------------------------
     def handle(self, request: Request) -> Response:
-        start = time.perf_counter()
         ops = self.ops
+        # one clock for request latency and the plane's spans
+        clock = ops.clock if ops is not None else time.perf_counter
+        start = clock()
         trace_id: str | None = None
         if ops is not None and ops.sample_request():
             # the request span roots the trace: world and engine spans
@@ -161,7 +163,7 @@ class DiscoveryApp:
             span.failed = response.status >= 500
         else:
             endpoint, response = self._route_guarded(request)
-        elapsed = time.perf_counter() - start
+        elapsed = clock() - start
         bucket = self.latency.setdefault(endpoint, [0, 0.0])
         bucket[0] += 1
         bucket[1] += elapsed

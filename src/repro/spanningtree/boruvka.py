@@ -22,7 +22,11 @@ Two entry points share one fully vectorized phase driver
 (:func:`_drive_phases`): per-node candidate scans, the per-fragment MWOE
 election and the message accounting are array passes (no per-node or
 per-fragment Python loops).  :func:`distributed_boruvka_csr` — what the
-simulations run — scans a CSR edge list in O(E) per phase;
+simulations run — takes each node's heaviest outgoing edge as a
+segmented argmax over the CSR rows
+(:func:`~repro.radio.sparse_link.csr_row_argmax`), with no sort; the
+edge list shrinks every phase, since an edge internal to a fragment
+stays internal, so a phase costs O(surviving edges).
 :func:`distributed_boruvka` scans a dense ``(n, n)`` weight matrix for
 the matrix callers (induced multiservice subgraphs, Fig. 2, the
 permutation relation).  Candidate selection is deterministic and
@@ -37,6 +41,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.obs import active_span
+from repro.radio.sparse_link import csr_row_argmax
 from repro.spanningtree.fragment import Fragment, FragmentSet
 from repro.spanningtree.messages import MessageCounter, MessageKind
 
@@ -278,50 +283,50 @@ def distributed_boruvka_csr(
 
     The graph must be symmetric (every edge present in both directions,
     as the :class:`~repro.radio.sparse_link.SparseLinkBudget` proximity
-    CSR is) with direction-symmetric weights.  Produces the same phases,
-    chosen edges and message bill as the dense function on the
-    equivalent matrix inputs.
+    CSR is) with direction-symmetric, finite weights and rows sorted by
+    neighbour id.  Produces the same phases, chosen edges and message
+    bill as the dense function on the equivalent matrix inputs.
     """
     indptr = np.asarray(indptr, dtype=np.int64)
     indices = np.asarray(indices, dtype=np.int64)
     edge_weight = np.asarray(edge_weight, dtype=float)
     if n <= 0:
         raise ValueError("graph must have at least one node")
+    if not np.isfinite(edge_weight).all():
+        raise ValueError("edge weights must be finite")
     if max_phases is None:
         max_phases = _default_max_phases(n)
-    tx = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
-
-    # sorted directed codes for the initial-edge membership check
-    codes = (tx.astype(np.uint64) << np.uint64(32)) | indices.astype(np.uint64)
-
-    def edge_exists(u: int, v: int) -> bool:
-        code = (np.uint64(u) << np.uint64(32)) | np.uint64(v)
-        pos = int(np.searchsorted(codes, code))
-        return pos < codes.size and codes[pos] == code
 
     frags = FragmentSet(n)
-    _seed_fragments(frags, initial_edges, edge_exists)
+    if initial_edges:
+        # sorted directed codes for the initial-edge membership check
+        tx = np.repeat(np.arange(n, dtype=np.uint64), np.diff(indptr))
+        codes = (tx << np.uint64(32)) | indices.astype(np.uint64)
+
+        def edge_exists(u: int, v: int) -> bool:
+            code = (np.uint64(u) << np.uint64(32)) | np.uint64(v)
+            pos = int(np.searchsorted(codes, code))
+            return pos < codes.size and codes[pos] == code
+
+        _seed_fragments(frags, initial_edges, edge_exists)
     counter = MessageCounter()
 
-    # one up-front sort by (tx, weight desc, neighbour id asc): each
-    # phase then just takes the first still-outgoing edge per node —
-    # O(E) per phase instead of an O(E log E) lexsort per phase
-    order0 = np.lexsort((indices, -edge_weight, tx))
-    t_s = tx[order0]
-    r_s = indices[order0]
-    w_s = edge_weight[order0]
+    # the still-outgoing edges as a CSR.  Fragments only grow, so an
+    # edge inside one stays inside: each phase drops the edges the last
+    # merges internalised (masking keeps rows in (tx, rx) order) and
+    # scans only the survivors
+    row_ptr, live_rx, live_w = indptr, indices, edge_weight
 
     def candidates(comp: np.ndarray):
-        idx = np.flatnonzero(comp[t_s] != comp[r_s])
-        if idx.size == 0:
-            empty = np.empty(0, dtype=np.int64)
-            return empty, empty, np.empty(0, dtype=float)
-        t = t_s[idx]
-        # first surviving edge per node = its heaviest outgoing edge
-        # (ties → lowest neighbour id, as in the dense argmax scan)
-        first = np.concatenate(([True], t[1:] != t[:-1]))
-        sel = idx[first]
-        return t_s[sel], r_s[sel], w_s[sel]
+        nonlocal row_ptr, live_rx, live_w
+        keep = np.repeat(comp, np.diff(row_ptr)) != comp[live_rx]
+        if not keep.all():
+            pos = np.flatnonzero(keep)
+            row_ptr = np.searchsorted(pos, row_ptr)
+            live_rx, live_w = live_rx[pos], live_w[pos]
+        # each node's heaviest outgoing edge, ties to the lowest
+        # neighbour id (the dense argmax scan's order)
+        return csr_row_argmax(row_ptr, live_rx, live_w)
 
     phases = _drive_phases(n, frags, counter, max_phases, candidates)
     return BoruvkaResult(

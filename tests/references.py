@@ -17,6 +17,12 @@ The network build has its own reference: :func:`streamed_pair_chunks`
 → full ``link_db`` draw → floor, no early rejection) and the two-key
 ``lexsort`` CSR assembly (:func:`lexsort_csr`) — together
 :func:`streamed_budget_csr` and :func:`streamed_cross_links`.
+
+CSR Borůvka's per-phase MWOE scan has one too:
+:func:`presorted_boruvka_csr` sorts every edge once by ``(tx, weight
+desc, neighbour id)`` and takes each node's first still-outgoing edge per
+phase, where the program takes a segmented argmax over a shrinking edge
+list.
 """
 
 from __future__ import annotations
@@ -31,6 +37,14 @@ from repro.faults.plan import FaultPlan
 from repro.oscillator.prc import LinearPRC
 from repro.radio.sparse_link import gather_rows
 from repro.radio.spatial import DEFAULT_CHUNK_PAIRS
+from repro.spanningtree.boruvka import (
+    BoruvkaResult,
+    _default_max_phases,
+    _drive_phases,
+    _seed_fragments,
+)
+from repro.spanningtree.fragment import FragmentSet
+from repro.spanningtree.messages import MessageCounter
 from repro.spanningtree.mst import maximum_spanning_tree
 
 
@@ -410,3 +424,66 @@ def lexsort_heavy_edge_forest(budget, node_mask=None) -> list[tuple[int, int]]:
     sel = order[first]
     us, vs = rows[sel], nbr[sel]
     return sorted({(int(min(u, v)), int(max(u, v))) for u, v in zip(us, vs)})
+
+
+def presorted_boruvka_csr(
+    n: int,
+    indptr: np.ndarray,
+    indices: np.ndarray,
+    edge_weight: np.ndarray,
+    *,
+    max_phases: int | None = None,
+    initial_edges: list[tuple[int, int]] | None = None,
+) -> BoruvkaResult:
+    """CSR Borůvka whose per-node candidates come from one up-front
+    ``lexsort`` (the scan the segmented argmax replaced); shares only the
+    phase driver with :func:`~repro.spanningtree.boruvka.
+    distributed_boruvka_csr`."""
+    indptr = np.asarray(indptr, dtype=np.int64)
+    indices = np.asarray(indices, dtype=np.int64)
+    edge_weight = np.asarray(edge_weight, dtype=float)
+    if n <= 0:
+        raise ValueError("graph must have at least one node")
+    if max_phases is None:
+        max_phases = _default_max_phases(n)
+    tx = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
+
+    # sorted directed codes for the initial-edge membership check
+    codes = (tx.astype(np.uint64) << np.uint64(32)) | indices.astype(np.uint64)
+
+    def edge_exists(u: int, v: int) -> bool:
+        code = (np.uint64(u) << np.uint64(32)) | np.uint64(v)
+        pos = int(np.searchsorted(codes, code))
+        return pos < codes.size and codes[pos] == code
+
+    frags = FragmentSet(n)
+    _seed_fragments(frags, initial_edges, edge_exists)
+    counter = MessageCounter()
+
+    # one up-front sort by (tx, weight desc, neighbour id asc): each
+    # phase then just takes the first still-outgoing edge per node —
+    # O(E) per phase instead of an O(E log E) lexsort per phase
+    order0 = np.lexsort((indices, -edge_weight, tx))
+    t_s = tx[order0]
+    r_s = indices[order0]
+    w_s = edge_weight[order0]
+
+    def candidates(comp: np.ndarray):
+        idx = np.flatnonzero(comp[t_s] != comp[r_s])
+        if idx.size == 0:
+            empty = np.empty(0, dtype=np.int64)
+            return empty, empty, np.empty(0, dtype=float)
+        t = t_s[idx]
+        # first surviving edge per node = its heaviest outgoing edge
+        # (ties → lowest neighbour id, as in the dense argmax scan)
+        first = np.concatenate(([True], t[1:] != t[:-1]))
+        sel = idx[first]
+        return t_s[sel], r_s[sel], w_s[sel]
+
+    phases = _drive_phases(n, frags, counter, max_phases, candidates)
+    return BoruvkaResult(
+        edges=frags.all_tree_edges(),
+        phases=phases,
+        counter=counter,
+        fragments=frags.fragments(),
+    )

@@ -127,6 +127,7 @@ class TestHeavyEdgePickMatchesLexsort:
         indptr = np.array([0, 3, 3, 5])
         indices = np.array([4, 1, 2, 7, 0])
         weights = np.array([-1.0, -1.0, -2.0, -5.0, -5.0])
-        rows, cols = csr_row_argmax(indptr, indices, weights)
+        rows, cols, row_max = csr_row_argmax(indptr, indices, weights)
         assert rows.tolist() == [0, 2]
         assert cols.tolist() == [1, 0]
+        assert row_max.tolist() == [-1.0, -5.0]

@@ -414,6 +414,49 @@ class TestArtifactErrors:
         )
 
 
+def _layer_row(n, wall, layers):
+    return {"n": n, "wall_s": wall, "layers": layers}
+
+
+class TestLayers:
+    """Per-layer lines are printed when both rows carry ``layers``, and
+    never gate the run."""
+
+    def test_shared_layers_print_current_vs_baseline(self, tmp_path, capsys):
+        cur = _artifact(
+            tmp_path / "cur.json",
+            1.0,
+            [_layer_row(300, 1.0, {"build.csr": 30.0, "merge_schedule": 5.0})],
+        )
+        base = _artifact(
+            tmp_path / "base.json",
+            1.0,
+            [_layer_row(300, 1.0, {"build.csr": 20.0, "discovery": 7.0})],
+        )
+        assert (
+            check_bench_regression.main(["--current", cur, "--baseline", base])
+            == 0  # +50% on a layer is information, not a regression
+        )
+        out = capsys.readouterr().out
+        assert (
+            "n=300 layer build.csr: current=30.0ms baseline=20.0ms "
+            "(+50.0% vs baseline)" in out
+        )
+        # layers present on one side only print nothing
+        assert "merge_schedule" not in out and "discovery" not in out
+
+    def test_no_layer_lines_without_baseline_layers(self, tmp_path, capsys):
+        cur = _artifact(
+            tmp_path / "cur.json", 1.0, [_layer_row(300, 1.0, {"build.csr": 3.0})]
+        )
+        base = _artifact(tmp_path / "base.json", 1.0, [_row(300, 1.0)])
+        assert (
+            check_bench_regression.main(["--current", cur, "--baseline", base])
+            == 0
+        )
+        assert " layer " not in capsys.readouterr().out
+
+
 def _tiles_row(n, tiles, wall):
     return {"n": n, "tiles": tiles, "wall_s": wall}
 

@@ -16,7 +16,6 @@ import contextlib
 import http.server
 import json
 import threading
-import time
 import urllib.request
 
 from repro.cli import main as cli_main
@@ -162,14 +161,16 @@ class TestWorldStepTracing:
             for r in roots[1:]
         )
 
-    def test_request_span_encloses_world_step(self, monkeypatch):
-        """The request span starts at the app's arrival reading, so the
-        world step it caused sits inside it on one fake clock."""
+    def test_request_span_encloses_world_step(self):
+        """The app times requests on the plane's clock: the request span
+        starts at the arrival reading, the world step it caused sits
+        inside it, and the recorded latency runs from arrival to the
+        last reading."""
         clock = TickingClock()
-        monkeypatch.setattr(time, "perf_counter", clock)
         client, plane = ops_client(clock=clock)
         first = len(clock.readings)
         assert client.post("/world/step", {"steps": 1}).status == 200
+        last = clock.readings[-1]
         request = plane.trace(plane.trace_ids()[-1])
         (step,) = request.children
         assert request.start_s == clock.readings[first]
@@ -179,6 +180,9 @@ class TestWorldStepTracing:
 
         assert request.start_s < step.start_s
         assert end(step) < end(request)
+        count, total_s = client.app.latency["/world/step"]
+        assert count == 1
+        assert total_s == last - request.start_s
 
     def test_failed_request_span_is_flagged(self):
         client, plane = ops_client()

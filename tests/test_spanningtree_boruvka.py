@@ -2,14 +2,18 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.spanningtree.boruvka import distributed_boruvka
+from repro.radio.sparse_link import csr_from_edges
+from repro.spanningtree.boruvka import distributed_boruvka, distributed_boruvka_csr
 from repro.spanningtree.messages import MessageKind
 from repro.spanningtree.mst import (
     is_spanning_tree,
     maximum_spanning_tree,
-    tree_weight,
 )
+from repro.spanningtree.unionfind import UnionFind
+from tests.references import presorted_boruvka_csr
 
 
 def random_instance(n, seed, density=1.0):
@@ -141,3 +145,57 @@ class TestValidation:
     def test_empty_graph(self):
         with pytest.raises(ValueError):
             distributed_boruvka(np.zeros((0, 0)), np.zeros((0, 0), dtype=bool))
+
+
+@st.composite
+def csr_graphs(draw):
+    """A random symmetric CSR graph and an acyclic set of seeded edges.
+
+    Isolated nodes and disconnected components arise from sparse pair
+    sets; ``ties`` draws every weight from three values, so most rows
+    hold equal maxima.
+    """
+    n = draw(st.integers(1, 24))
+    raw = draw(
+        st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=70)
+    )
+    pairs = sorted({(min(a, b), max(a, b)) for a, b in raw if a != b})
+    if draw(st.booleans()):  # ties
+        weight = st.sampled_from([-60.0, -70.0, -80.0])
+    else:
+        weight = st.floats(-120.0, -40.0, allow_nan=False)
+    ws = draw(st.lists(weight, min_size=len(pairs), max_size=len(pairs)))
+    seed_flags = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    uf = UnionFind(n)
+    initial = [p for p, f in zip(pairs, seed_flags) if f and uf.union(*p)]
+    a = np.array([p[0] for p in pairs], dtype=np.int64)
+    b = np.array([p[1] for p in pairs], dtype=np.int64)
+    w = np.array(ws, dtype=float)
+    indptr, indices, (edge_weight,) = csr_from_edges(
+        n, np.concatenate([a, b]), np.concatenate([b, a]), np.concatenate([w, w])
+    )
+    return n, indptr, indices, edge_weight, initial
+
+
+class TestCsrScan:
+    @settings(deadline=None, max_examples=150)
+    @given(csr_graphs(), st.booleans())
+    def test_matches_presorted_reference(self, graph, seeded):
+        """The segmented-argmax scan elects what one up-front sort does."""
+        n, indptr, indices, edge_weight, initial = graph
+        kwargs = {"initial_edges": initial} if seeded else {}
+        got = distributed_boruvka_csr(n, indptr, indices, edge_weight, **kwargs)
+        want = presorted_boruvka_csr(n, indptr, indices, edge_weight, **kwargs)
+        assert got.edges == want.edges
+        assert got.phases == want.phases  # chosen edges and per-phase bills
+        assert got.counter.as_dict() == want.counter.as_dict()
+        assert [(f.head, f.members) for f in got.fragments] == [
+            (f.head, f.members) for f in want.fragments
+        ]
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_weight_rejected(self, bad):
+        indptr = np.array([0, 1, 2])
+        indices = np.array([1, 0])
+        with pytest.raises(ValueError, match="finite"):
+            distributed_boruvka_csr(2, indptr, indices, np.array([bad, bad]))
