@@ -1,8 +1,9 @@
 #!/usr/bin/env python
 """Convergence dynamics — watch the firefly population lock step by step.
 
-Runs the mesh pulse-coupled synchronization on a 100-device deployment
-with telemetry sampling, then plots (in ASCII) the Kuramoto order
+Runs the mesh pulse-coupled synchronization on a 100-device deployment,
+sampling the phases every 25 ms through the kernel's ``phase_hook``,
+then plots (in ASCII) the Kuramoto order
 parameter climbing to 1 and the number of independent flashing groups
 collapsing to a single group — the §III dynamics behind every headline
 number in Figs. 3–4.
@@ -16,6 +17,10 @@ from repro import D2DNetwork, PaperConfig
 from repro.analysis.ascii_plot import ascii_chart
 from repro.core.pulsesync import SparsePulseSyncKernel
 from repro.oscillator.prc import LinearPRC
+from repro.oscillator.sync_metrics import count_sync_groups, order_parameter
+
+#: Simulated time between trajectory samples (ms).
+SAMPLE_INTERVAL_MS = 25.0
 
 
 def main() -> None:
@@ -33,27 +38,35 @@ def main() -> None:
         sync_window_ms=config.sync_window_ms,
         fading=budget.fading,
     )
-    result = kernel.run(
-        np.random.default_rng(19), telemetry_interval_ms=25.0
-    )
+    samples = []  # (time_ms, order parameter, groups, instant)
+    next_sample = SAMPLE_INTERVAL_MS
+
+    def sample(instant: int, time_ms: float, phases: np.ndarray) -> None:
+        nonlocal next_sample
+        if time_ms < next_sample:
+            return
+        vals = np.clip(phases[~np.isnan(phases)], 0.0, 1.0)
+        samples.append(
+            (time_ms, order_parameter(vals), count_sync_groups(vals), instant)
+        )
+        next_sample = time_ms + SAMPLE_INTERVAL_MS
+
+    result = kernel.run(np.random.default_rng(19), phase_hook=sample)
     print(
         f"{network.n} devices synchronized in {result.time_ms:.0f} ms "
         f"({result.fires} pulses, final spread {result.final_spread_ms:.1f} ms)\n"
     )
 
-    r_series = [(s.time_ms, s.order_parameter) for s in result.telemetry]
-    g_series = [(s.time_ms, float(s.sync_groups)) for s in result.telemetry]
+    r_series = [(t, r) for t, r, _, _ in samples]
+    g_series = [(t, float(groups)) for t, _, groups, _ in samples]
     print(ascii_chart({"R": r_series}, title="Kuramoto order parameter vs time (ms)"))
     print()
     print(ascii_chart({"groups": g_series}, title="independent flashing groups vs time (ms)"))
 
     print("\nsampled trajectory:")
-    print("    t(ms)   order R   groups   pulses")
-    for s in result.telemetry:
-        print(
-            f"  {s.time_ms:7.0f}   {s.order_parameter:7.3f}   "
-            f"{s.sync_groups:6d}   {s.fires_so_far:6d}"
-        )
+    print("    t(ms)   order R   groups   instant")
+    for t, r, groups, instant in samples:
+        print(f"  {t:7.0f}   {r:7.3f}   {groups:6d}   {instant:7d}")
 
 
 if __name__ == "__main__":

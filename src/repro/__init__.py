@@ -22,14 +22,12 @@ from repro.core import (
     ChurnEvent,
     ChurnSession,
     D2DNetwork,
-    Device,
     FSTSimulation,
     PaperConfig,
     PulseSyncResult,
     RunResult,
     SparseBeaconDiscovery,
     STSimulation,
-    TelemetrySample,
 )
 
 __version__ = "1.0.0"
@@ -38,13 +36,11 @@ __all__ = [
     "ChurnEvent",
     "ChurnSession",
     "D2DNetwork",
-    "Device",
     "FSTSimulation",
     "PaperConfig",
     "PulseSyncResult",
     "RunResult",
     "STSimulation",
     "SparseBeaconDiscovery",
-    "TelemetrySample",
     "__version__",
 ]

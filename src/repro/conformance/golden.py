@@ -209,7 +209,6 @@ def _pulsesync_capture(
     res = kernel.run(
         net.streams.stream("pulsesync"),
         max_time_ms=cfg.max_time_ms,
-        require_sync=True,
         obs=obs,
         obs_labels={"algorithm": "pulsesync", "stage": "sync"},
         faults=FaultPlan.from_config(cfg),

@@ -19,18 +19,9 @@ from repro.core.beacon import (
 )
 from repro.core.churn import ChurnEvent, ChurnSession
 from repro.core.config import PAPER_DENSITY_PER_M2, PaperConfig
-from repro.core.device import Device, make_devices
-from repro.core.fst import (
-    FSTSimulation,
-    heavy_edge_forest_csr,
-    stitch_forest_csr,
-)
+from repro.core.fst import FSTSimulation
 from repro.core.network import D2DNetwork
-from repro.core.pulsesync import (
-    PulseSyncResult,
-    SparsePulseSyncKernel,
-    TelemetrySample,
-)
+from repro.core.pulsesync import PulseSyncResult, SparsePulseSyncKernel
 from repro.core.results import RunResult
 from repro.core.st import STSimulation
 
@@ -39,7 +30,6 @@ __all__ = [
     "ChurnEvent",
     "ChurnSession",
     "D2DNetwork",
-    "Device",
     "FSTSimulation",
     "PAPER_DENSITY_PER_M2",
     "PaperConfig",
@@ -48,9 +38,5 @@ __all__ = [
     "STSimulation",
     "SparseBeaconDiscovery",
     "SparsePulseSyncKernel",
-    "TelemetrySample",
-    "heavy_edge_forest_csr",
-    "make_devices",
-    "stitch_forest_csr",
     "top_k_required_csr",
 ]

@@ -25,6 +25,7 @@ from repro.faults.invariants import InvariantChecker
 from repro.faults.plan import FaultPlan
 from repro.obs import Observability
 from repro.radio.fading import NoFading
+from repro.radio.interference import capture
 from repro.radio.sparse_link import SparseLinkBudget, csr_row_argmax, gather_rows
 
 #: Bucket bounds for per-slot beacon occupancy (transmitters per slot).
@@ -536,29 +537,11 @@ class SparseBeaconDiscovery:
         if subkey is not None:
             power_e = power_e + self.fading.keyed_db(subkey, tx_e, rx_e)
         det = power_e >= self.threshold_dbm
-        epos = epos[det]
-        tx_e = tx_e[det]
-        rx_e = rx_e[det]
-        power_e = power_e[det]
-        if rx_e.size == 0:
-            return
-        # receiver segments: power descending, lowest tx on ties — the
-        # first edge of a segment is the capture winner
-        order = np.lexsort((tx_e, -power_e, rx_e))
-        rx_s = rx_e[order]
-        pw_s = power_e[order]
-        epos_s = epos[order]
-        seg_starts = np.flatnonzero(
-            np.concatenate(([True], rx_s[1:] != rx_s[:-1]))
+        epos, tx_e, rx_e = epos[det], tx_e[det], rx_e[det]
+        order, starts, _, decodable = capture(
+            rx_e, tx_e, power_e[det], self.capture_margin_db
         )
-        seg_rx = rx_s[seg_starts]
-        seg_counts = np.diff(np.concatenate((seg_starts, [rx_s.size])))
-        signal = np.power(10.0, pw_s[seg_starts] / 10.0)
-        total = np.add.reduceat(np.power(10.0, pw_s / 10.0), seg_starts)
-        noise = np.maximum(total - signal, 1e-30)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            sir_db = 10.0 * np.log10(np.maximum(signal, 1e-300) / noise)
-        decodable = (seg_counts == 1) | (sir_db >= self.capture_margin_db)
+        seg_rx = rx_e[order[starts]]
         # half-duplex: transmitters cannot decode this slot
         is_tx = self._is_tx
         is_tx[cohort] = True
@@ -566,11 +549,11 @@ class SparseBeaconDiscovery:
         is_tx[cohort] = False
         if awake is not None:
             decodable &= awake[seg_rx]
-        win = seg_starts[decodable]
+        win = order[starts[decodable]]
         if fstate is not None and win.size:
-            lost = fstate.lose_beacons(event, tx_e[order[win]], rx_s[win])
+            lost = fstate.lose_beacons(event, tx_e[win], rx_e[win])
             win = win[~lost]
-        decoded[epos_s[win]] = True
+        decoded[epos[win]] = True
 
 
 def top_k_required_csr(budget: SparseLinkBudget, k: int = 1) -> np.ndarray:

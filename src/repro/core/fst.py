@@ -183,7 +183,6 @@ class FSTSimulation:
                 sync = kernel.run(
                     net.streams.stream("fst-sync"),
                     max_time_ms=cfg.max_time_ms,
-                    require_sync=True,
                     obs=kobs,
                     obs_labels={"algorithm": "fst", "stage": "sync"},
                     faults=plan,

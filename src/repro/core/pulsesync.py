@@ -18,21 +18,13 @@ preambles superpose into a single detectable PS) — without this cap the
 avalanche would recurse through the whole network in zero time, which no
 radio can do.
 
-Two reception channels are modelled, matching LTE RACH physics:
-
-* **pulse detection** (energy): identical preambles superpose
-  constructively, so under the default ``tolerant`` policy any detected
-  superposition counts as one received pulse;
-* **identity decoding** (payload): to learn *who* transmitted (neighbour
-  discovery, RSSI bookkeeping) the receiver must decode the strongest
-  copy against the superposition — the classic capture effect, needing
-  ``capture_margin_db`` of SIR when several transmissions land together.
-
-The split is what makes the FST baseline degrade at scale: synchronizing
-helps pulse detection but ruins identity decoding, so mesh-wide neighbour
-discovery stalls exactly when synchronization succeeds.  The kernel
-optionally tracks decoding and can require a set of ordered pairs to be
-decoded before declaring convergence (``required_decoding``).
+The kernel models **pulse detection** only (energy): identical
+preambles superpose constructively, so under the default ``tolerant``
+policy any detected superposition counts as one received pulse.
+*Identity decoding* — learning who transmitted, under the capture effect
+— is the beacon channel's job (:mod:`repro.core.beacon`); the two share
+one capture rule, :func:`repro.radio.interference.capture`, which the
+kernel's ``"capture"`` policy applies to pulses.
 
 The simulation kernel is :class:`SparsePulseSyncKernel`: a CSR coupling
 graph, O(edges-of-wave) per wave via segment reductions, with scratch
@@ -41,7 +33,8 @@ arrays reused across waves.  Fading is counter-based
 pure function of ``(key, event, tx, rx)``, with one radio event per
 avalanche wave.  The run loop lives in :class:`_PulseSyncBase`, whose
 one hook, :meth:`_PulseSyncBase._wave_reception`, is also the seam for
-the dense reference the parity tests replay against.
+the dense reference the parity tests replay against.  Nothing of size
+n² is ever allocated.
 
 The kernel is pure NumPy per wave (no per-node Python loops), following
 the HPC guide's vectorization rule.
@@ -65,8 +58,8 @@ from repro.oscillator.sync_metrics import (
     order_parameter,
 )
 from repro.radio.fading import NoFading
+from repro.radio.interference import POLICIES, capture
 from repro.radio.sparse_link import csr_from_edges, gather_rows
-from repro.sim.trace import TraceRecorder
 
 #: Fire times closer than this (ms) are simultaneous (one instant).
 TIE_EPS = 1e-9
@@ -82,16 +75,6 @@ SYNC_ERROR_BUCKETS_MS = (0.5, 1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0)
 WAVE_SIZE_BUCKETS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0)
 
 
-@dataclass(frozen=True)
-class TelemetrySample:
-    """One synchrony snapshot along a run."""
-
-    time_ms: float
-    order_parameter: float
-    sync_groups: int
-    fires_so_far: int
-
-
 @dataclass
 class PulseSyncResult:
     """Outcome of one synchronization run."""
@@ -102,17 +85,11 @@ class PulseSyncResult:
     fires: int
     instants: int
     final_spread_ms: float
-    #: first time the sync window was met (NaN if never)
+    #: time the sync window was met (NaN if never)
     sync_time_ms: float = float("nan")
-    #: first time the decoding requirement was met (NaN if never/untracked)
-    discovery_time_ms: float = float("nan")
     #: phases (fraction of period elapsed) at the end; full-length array
     #: with NaN at inactive nodes
     final_phase: np.ndarray | None = field(repr=False, default=None)
-    #: decoded[i, j] — receiver i decoded sender j's identity (when tracked)
-    decoded: np.ndarray | None = field(repr=False, default=None)
-    #: sampled synchrony trajectory (when telemetry_interval_ms was set)
-    telemetry: list[TelemetrySample] = field(repr=False, default_factory=list)
 
 
 class _PulseSyncBase:
@@ -139,7 +116,7 @@ class _PulseSyncBase:
     ) -> None:
         if period_ms <= 0:
             raise ValueError("period_ms must be positive")
-        if collision_policy not in ("tolerant", "capture", "destructive"):
+        if collision_policy not in POLICIES:
             raise ValueError(f"unknown collision policy {collision_policy!r}")
         self.n = int(n)
         self.prc = prc
@@ -158,17 +135,9 @@ class _PulseSyncBase:
                 f"{type(self.fading).__name__}"
             )
 
-    def _wave_reception(
-        self, firers: np.ndarray, event: int, need_decoding: bool
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Resolve one wave: ``(heard[n], decoded_sender[n])``.
-
-        ``heard`` is the boolean pulse-detection vector under the
-        configured collision policy; ``decoded_sender[i]`` is the sender
-        id receiver ``i`` captured (−1 when nothing decodable — may skip
-        the capture computation entirely when ``need_decoding`` is false
-        and the policy does not depend on it).
-        """
+    def _wave_reception(self, firers: np.ndarray, event: int) -> np.ndarray:
+        """Resolve one wave: the boolean pulse-detection vector ``heard[n]``
+        under the configured collision policy."""
         raise NotImplementedError
 
     # ------------------------------------------------------------------
@@ -180,41 +149,29 @@ class _PulseSyncBase:
         initial_phases: np.ndarray | None = None,
         start_time_ms: float = 0.0,
         max_time_ms: float = 300_000.0,
-        require_sync: bool = True,
-        required_decoding: np.ndarray | None = None,
-        trace: TraceRecorder | None = None,
-        telemetry_interval_ms: float | None = None,
         obs: Observability | None = None,
         obs_labels: dict[str, str] | None = None,
         faults: FaultPlan | None = None,
         invariants: InvariantChecker | None = None,
         phase_hook: "PhaseHook | None" = None,
     ) -> PulseSyncResult:
-        """Run until the convergence conditions hold (or time runs out).
+        """Run until every active device fires within the sync window (or
+        time runs out).
 
         Parameters
         ----------
-        require_sync:
-            Demand all active devices fire within the sync window.
-        required_decoding:
-            Optional ``(n, n)`` boolean matrix of ordered (receiver,
-            sender) pairs that must be identity-decoded before the run
-            counts as converged.  Decoding is tracked iff this is given.
         initial_phases:
             Fractions of the period already elapsed (phase 0.9 fires
             soon); drawn uniformly when omitted.
-        telemetry_interval_ms:
-            When set, a :class:`TelemetrySample` (order parameter, group
-            count) is recorded about every this-many ms of simulated time
-            — the convergence *trajectory*, not just the endpoint.
         obs:
             Optional :class:`~repro.obs.Observability` bundle.  When set,
             the kernel bills ``ps_tx_total``, observes wave sizes and the
-            sync-error spread, and records periodic ``sync`` probe
-            samples (at the bundle's probe interval unless
-            ``telemetry_interval_ms`` overrides it).  When ``trace`` is
-            unset the bundle's trace recorder (if any) is used.  When
-            ``None`` (the default) the hot loop is untouched.
+            sync-error spread, records a ``sync`` probe sample (order
+            parameter, group count, spread, fires) about every
+            ``PROBE_INTERVAL_MS`` of simulated time, and emits ``ps_tx``
+            and ``crash`` events to the bundle's trace recorder (if
+            any).  When ``None`` (the default) the hot loop is
+            untouched.
         obs_labels:
             Labels attached to every metric the kernel records (e.g.
             ``{"algorithm": "st", "stage": "trim"}``).
@@ -237,7 +194,8 @@ class _PulseSyncBase:
             sees copies derived from loop state and the loop draws no
             randomness for it, so enabling it cannot perturb the run.
             The conformance layer uses it to record per-round phase
-            digests for golden traces.
+            digests for golden traces; it is also the way to sample a
+            convergence trajectory without an obs bundle.
         """
         n = self.n
         if active is None:
@@ -251,11 +209,6 @@ class _PulseSyncBase:
         n_active = int(active.sum())
         if n_active == 0:
             raise ValueError("at least one node must be active")
-        if not require_sync and required_decoding is None:
-            raise ValueError(
-                "at least one convergence condition is required "
-                "(require_sync or required_decoding)"
-            )
 
         if initial_phases is None:
             phases = rng.uniform(0.0, 1.0, size=n)
@@ -265,19 +218,6 @@ class _PulseSyncBase:
                 raise ValueError(f"initial_phases must have shape ({n},)")
             if np.any((phases[active] < 0) | (phases[active] >= 1.0)):
                 raise ValueError("phases must lie in [0, 1)")
-
-        track_decoding = required_decoding is not None
-        if track_decoding:
-            required = np.asarray(required_decoding, dtype=bool).copy()
-            if required.shape != (n, n):
-                raise ValueError(f"required_decoding must be ({n}, {n})")
-            np.fill_diagonal(required, False)
-            decoded = np.zeros((n, n), dtype=bool)
-            remaining = int(required.sum())
-        else:
-            required = None
-            decoded = None
-            remaining = 0
 
         # per-device free-running period; the no-drift broadcast view is
         # bitwise identical to the scalar arithmetic it replaces
@@ -297,14 +237,8 @@ class _PulseSyncBase:
         fires = 0
         instants = 0
         event = 0
-        sync_time = float("nan")
-        discovery_time = float("nan")
         deadline = start_time_ms + max_time_ms
-        samples: list[TelemetrySample] = []
-        if telemetry_interval_ms is not None and telemetry_interval_ms <= 0:
-            raise ValueError("telemetry_interval_ms must be positive")
-        if trace is None and obs is not None:
-            trace = obs.trace
+        trace = obs.trace if obs is not None else None
         bus = obs.bus if obs is not None else None
         labels = obs_labels or {}
         crash_count = 0
@@ -348,14 +282,9 @@ class _PulseSyncBase:
         else:
             ps_counter = None
             wave_hist = None
-        # sample at the probe cadence when observed, even without an
-        # explicit telemetry request
-        sample_interval = telemetry_interval_ms
-        if sample_interval is None and obs is not None:
-            sample_interval = PROBE_INTERVAL_MS
         next_sample = (
-            start_time_ms + sample_interval
-            if sample_interval is not None
+            start_time_ms + PROBE_INTERVAL_MS
+            if obs is not None
             else float("inf")
         )
 
@@ -389,8 +318,7 @@ class _PulseSyncBase:
                     _record_faults()
                     return self._finish(
                         False, deadline, messages, fires, instants, next_fire,
-                        active, last_fire, fired_once, sync_time,
-                        discovery_time, decoded, samples, obs, labels,
+                        active, last_fire, fired_once, obs, labels,
                     )
                 # a fire instant inside a stall window: the clock freezes
                 # for the stall duration (applied once per device)
@@ -412,8 +340,7 @@ class _PulseSyncBase:
                 _record_faults()
                 return self._finish(
                     False, t, messages, fires, instants, next_fire, active,
-                    last_fire, fired_once, sync_time, discovery_time, decoded,
-                    samples, obs, labels,
+                    last_fire, fired_once, obs, labels,
                 )
             instants += 1
             fired_now = np.zeros(n, dtype=bool)
@@ -433,9 +360,7 @@ class _PulseSyncBase:
                         trace.emit(t, "ps_tx", node=int(f), **labels)
                 fired_now |= wave
 
-                heard, dec_sender = self._wave_reception(
-                    firers, event, track_decoding
-                )
+                heard = self._wave_reception(firers, event)
                 if faults is not None:
                     # stall deafness + per-(event, rx) PS erasure; both are
                     # pure functions of identity
@@ -445,22 +370,8 @@ class _PulseSyncBase:
                     drop = lost_ps | deaf
                     if drop.any():
                         heard = heard & ~drop
-                        dec_sender = np.where(drop, -1, dec_sender)
                 event += 1
 
-                if track_decoding:
-                    # transmitters are half-duplex: no decoding while firing
-                    rx_ok = (dec_sender >= 0) & active & ~fired_now
-                    rx_idx = np.nonzero(rx_ok)[0]
-                    if rx_idx.size:
-                        tx_idx = dec_sender[rx_idx]
-                        newly = required[rx_idx, tx_idx] & ~decoded[
-                            rx_idx, tx_idx
-                        ]
-                        remaining -= int(newly.sum())
-                        decoded[rx_idx, tx_idx] = True
-                        if remaining == 0 and np.isnan(discovery_time):
-                            discovery_time = t
                 eligible = (
                     heard
                     & active
@@ -494,64 +405,45 @@ class _PulseSyncBase:
                 vals = np.clip(phases_now[active], 0.0, 1.0)
                 r_now = order_parameter(vals)
                 groups_now = count_sync_groups(vals)
-                samples.append(
-                    TelemetrySample(
-                        time_ms=t,
-                        order_parameter=r_now,
-                        sync_groups=groups_now,
-                        fires_so_far=fires,
-                    )
+                spread_ms = circular_spread(vals) * self.period_ms
+                obs.metrics.histogram(
+                    "sync_error_ms",
+                    buckets=SYNC_ERROR_BUCKETS_MS,
+                    help="phase spread across active devices",
+                    unit="ms",
+                ).observe(spread_ms, **labels)
+                obs.probes.record(
+                    t,
+                    "sync",
+                    force=True,
+                    order_parameter=r_now,
+                    sync_groups=groups_now,
+                    spread_ms=spread_ms,
+                    fires=fires,
                 )
-                if obs is not None:
-                    spread_ms = circular_spread(vals) * self.period_ms
-                    obs.metrics.histogram(
-                        "sync_error_ms",
-                        buckets=SYNC_ERROR_BUCKETS_MS,
-                        help="phase spread across active devices",
-                        unit="ms",
-                    ).observe(spread_ms, **labels)
-                    obs.probes.record(
-                        t,
+                if bus is not None:
+                    bus.publish(
                         "sync",
-                        force=True,
+                        t,
+                        labels,
+                        spread_ms=spread_ms,
                         order_parameter=r_now,
                         sync_groups=groups_now,
-                        spread_ms=spread_ms,
                         fires=fires,
+                        active=int(active.sum()),
                     )
-                    if bus is not None:
-                        bus.publish(
-                            "sync",
-                            t,
-                            labels,
-                            spread_ms=spread_ms,
-                            order_parameter=r_now,
-                            sync_groups=groups_now,
-                            fires=fires,
-                            active=int(active.sum()),
-                        )
                 # anchor the next sample from now, so consecutive samples
                 # are always at least one interval apart
-                next_sample = t + sample_interval  # type: ignore[operator]
+                next_sample = t + PROBE_INTERVAL_MS
 
-            sync_ok = True
-            if require_sync or np.isnan(sync_time):
-                if fired_once[active].all():
-                    spread = float(
-                        last_fire[active].max() - last_fire[active].min()
-                    )
-                    sync_ok = spread <= self.sync_window_ms
-                else:
-                    sync_ok = False
-                if sync_ok and np.isnan(sync_time):
-                    sync_time = t
-            decode_ok = (not track_decoding) or remaining == 0
-            if (sync_ok or not require_sync) and decode_ok:
+            if fired_once[active].all() and (
+                last_fire[active].max() - last_fire[active].min()
+                <= self.sync_window_ms
+            ):
                 _record_faults()
                 return self._finish(
                     True, t, messages, fires, instants, next_fire, active,
-                    last_fire, fired_once, sync_time, discovery_time, decoded,
-                    samples, obs, labels,
+                    last_fire, fired_once, obs, labels,
                 )
 
     # ------------------------------------------------------------------
@@ -604,10 +496,6 @@ class _PulseSyncBase:
         active: np.ndarray,
         last_fire: np.ndarray,
         fired_once: np.ndarray,
-        sync_time: float,
-        discovery_time: float,
-        decoded: np.ndarray | None,
-        telemetry: list[TelemetrySample],
         obs: Observability | None = None,
         obs_labels: dict[str, str] | None = None,
     ) -> PulseSyncResult:
@@ -639,11 +527,8 @@ class _PulseSyncBase:
             fires=fires,
             instants=instants,
             final_spread_ms=spread,
-            sync_time_ms=sync_time,
-            discovery_time_ms=discovery_time,
+            sync_time_ms=t if converged else float("nan"),
             final_phase=out,
-            decoded=decoded,
-            telemetry=telemetry,
         )
 
 
@@ -655,9 +540,8 @@ class SparsePulseSyncKernel(_PulseSyncBase):
     a pulse only reaches receivers on an edge whose faded power clears
     the threshold.  Each wave gathers the firers' edge ranges
     (:func:`~repro.radio.sparse_link.gather_rows`), applies per-edge
-    counter-based fading, and resolves detection/decoding with segment
-    reductions over the receiver-sorted edge list.  The strongest-copy
-    tie-break is equal powers → lowest transmitter id.
+    counter-based fading, and resolves detection with a scatter (or, under
+    the ``"capture"`` policy, with :func:`~repro.radio.interference.capture`).
 
     Length-``n`` scratch arrays are preallocated once and reused across
     waves; nothing of size n² is ever allocated.
@@ -668,8 +552,8 @@ class SparsePulseSyncKernel(_PulseSyncBase):
         The coupling graph in CSR form by transmitter, with the mean
         received power (dBm) per directed edge.
     prc:
-        Linear PRC (eq. 5).  ``LinearPRC(1.0, 0.0)`` disables coupling —
-        useful for pure (unsynchronized) discovery beaconing.
+        Linear PRC (eq. 5).  ``LinearPRC(1.0, 0.0)`` disables coupling
+        (free-running oscillators).
     period_ms, refractory_ms, sync_window_ms, threshold_dbm:
         Oscillator and convergence parameters (see PaperConfig).
     fading:
@@ -680,8 +564,7 @@ class SparsePulseSyncKernel(_PulseSyncBase):
         ``"tolerant"`` (any detected superposition is one pulse — the
         paper's assumption and RACH preamble physics), ``"capture"``
         (strongest must clear the SIR margin) or ``"destructive"``
-        (any collision destroys the pulse).  Identity decoding always
-        uses the capture rule regardless of this policy.
+        (any collision destroys the pulse).
     """
 
     def __init__(
@@ -701,7 +584,6 @@ class SparsePulseSyncKernel(_PulseSyncBase):
         # scratch reused across waves (never n²)
         self._counts = np.zeros(self.n, dtype=np.int64)
         self._heard = np.zeros(self.n, dtype=bool)
-        self._dec_sender = np.full(self.n, -1, dtype=int)
 
     @classmethod
     def from_edges(
@@ -718,63 +600,27 @@ class SparsePulseSyncKernel(_PulseSyncBase):
         return cls(indptr, indices, power, prc, **kwargs)
 
     # ------------------------------------------------------------------
-    def _wave_reception(
-        self, firers: np.ndarray, event: int, need_decoding: bool
-    ) -> tuple[np.ndarray, np.ndarray]:
+    def _wave_reception(self, firers: np.ndarray, event: int) -> np.ndarray:
         epos, tx_e = gather_rows(self.indptr, firers)
         rx_e = self.indices[epos]
         power_e = self.edge_power_dbm[epos]
         if self._hashed_fading:
             power_e = power_e + self.fading.link_db(event, tx_e, rx_e)
         det = power_e >= self.threshold_dbm
-        tx_e = tx_e[det]
         rx_e = rx_e[det]
-        power_e = power_e[det]
 
         heard = self._heard
         heard.fill(False)
-        dec_sender = self._dec_sender
-        dec_sender.fill(-1)
-
-        if not need_decoding and self.collision_policy == "tolerant":
+        if self.collision_policy == "tolerant":
             heard[rx_e] = True
-            return heard, dec_sender
-        if not need_decoding and self.collision_policy == "destructive":
+        elif self.collision_policy == "destructive":
             counts = self._counts
             counts[rx_e] = 0
             np.add.at(counts, rx_e, 1)
             heard[rx_e] = counts[rx_e] == 1
-            return heard, dec_sender
-
-        if rx_e.size == 0:
-            return heard, dec_sender
-
-        # receiver-sorted segments: power descending, lowest tx on ties —
-        # the first edge of each segment is the capture winner
-        order = np.lexsort((tx_e, -power_e, rx_e))
-        rx_s = rx_e[order]
-        pw_s = power_e[order]
-        tx_s = tx_e[order]
-        seg_starts = np.flatnonzero(
-            np.concatenate(([True], rx_s[1:] != rx_s[:-1]))
-        )
-        seg_rx = rx_s[seg_starts]
-        seg_counts = np.diff(np.concatenate((seg_starts, [rx_s.size])))
-        strongest_pow = pw_s[seg_starts]
-        strongest_tx = tx_s[seg_starts]
-
-        signal = np.power(10.0, strongest_pow / 10.0)
-        total = np.add.reduceat(np.power(10.0, pw_s / 10.0), seg_starts)
-        noise = np.maximum(total - signal, 1e-30)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            sir_db = 10.0 * np.log10(np.maximum(signal, 1e-300) / noise)
-        decodable = (seg_counts == 1) | (sir_db >= self.capture_margin_db)
-        dec_sender[seg_rx[decodable]] = strongest_tx[decodable]
-
-        if self.collision_policy == "tolerant":
-            heard[seg_rx] = True
-        elif self.collision_policy == "destructive":
-            heard[seg_rx] = seg_counts == 1
         else:  # capture
-            heard[seg_rx] = decodable
-        return heard, dec_sender
+            order, starts, _, decodable = capture(
+                rx_e, tx_e[det], power_e[det], self.capture_margin_db
+            )
+            heard[rx_e[order[starts[decodable]]]] = True
+        return heard

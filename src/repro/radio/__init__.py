@@ -8,13 +8,15 @@ Table I:
 * log-normal shadowing with 10 dB standard deviation, clipped at 3σ,
 * UMi NLOS fast fading (Rayleigh magnitude, expressed in dB),
 * RSSI distance estimation with relative error ``ε = 10^{x/10n} − 1``,
-* two orthogonal RACH codecs used as the paper's PS carriers.
+* two orthogonal RACH codecs used as the paper's PS carriers,
+* the capture rule for same-slot superposed copies.
 
 Shadowing and fading are counter-hashed (:mod:`repro.radio.chanhash`),
 the one source of channel randomness.
 """
 
 from repro.radio.fading import HashedRayleighFading, NoFading
+from repro.radio.interference import capture
 from repro.radio.link import LinkBudget
 from repro.radio.pathloss import (
     FreeSpacePathLoss,
@@ -40,4 +42,5 @@ __all__ = [
     "RACH_KEEP_ALIVE",
     "RACH_MERGE",
     "RSSIRanging",
+    "capture",
 ]

@@ -1,101 +1,81 @@
-"""Intra-codec interference within a slot.
+"""Intra-codec interference within a slot: the capture rule.
 
 When several devices transmit the *same* RACH codec in the same slot
 (which is exactly what happens as a firefly group approaches synchrony),
-a receiver may see a superposition.  The paper argues the firefly
-algorithm tolerates this ("as per firefly algorithm property, this
-condition even hold[s]") because any detectable pulse conveys the needed
-information.  We model three policies so that claim can be tested:
+a receiver sees a superposition.  To learn *who* transmitted, it must
+decode the strongest copy against the sum of the rest — the classic
+capture effect.  :func:`capture` applies that rule to every receiver of
+one slot at once; beacon discovery and the pulse kernel's ``"capture"``
+policy both call it.
+
+The pulse kernel offers three detection policies (:data:`POLICIES`), so
+the paper's claim that superposed pulses still synchronize ("as per
+firefly algorithm property, this condition even hold[s]") can be tested:
 
 * ``"tolerant"`` (paper's assumption): a receiver that detects at least
   one same-codec transmission counts it as one received pulse.
-* ``"capture"``: the strongest transmission is decoded iff it exceeds the
-  sum of the rest by ``capture_margin_db`` (classic capture effect).
+* ``"capture"``: the strongest transmission must exceed the sum of the
+  rest by the capture margin.
 * ``"destructive"``: any same-codec collision destroys all copies — the
   worst case, used for ablation.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-_POLICIES = ("tolerant", "capture", "destructive")
+#: Pulse-detection policies for superposed same-instant transmissions.
+POLICIES = ("tolerant", "capture", "destructive")
 
 
-@dataclass(frozen=True)
-class SlotOutcome:
-    """What one receiver decodes from one slot on one codec."""
-
-    decoded: bool
-    #: sender id the receiver attributes the pulse to (strongest copy), or -1
-    decoded_sender: int
-    #: number of same-codec transmissions that reached the receiver
-    heard_count: int
-
-
-class CollisionModel:
-    """Resolves same-slot same-codec collisions at a single receiver.
+def capture(
+    rx: np.ndarray,
+    tx: np.ndarray,
+    power_dbm: np.ndarray,
+    margin_db: float,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Resolve one slot's detected copies, receiver by receiver.
 
     Parameters
     ----------
-    policy:
-        One of ``"tolerant"``, ``"capture"``, ``"destructive"``.
-    capture_margin_db:
-        SIR the strongest copy needs under the ``"capture"`` policy.
+    rx, tx, power_dbm:
+        One entry per detected copy (already above threshold): its
+        receiver, transmitter and received power.
+    margin_db:
+        SIR the strongest copy needs when several copies land together;
+        a lone copy always decodes.
+
+    Returns
+    -------
+    order:
+        Permutation sorting the copies by receiver, then power
+        descending, then lowest transmitter — so the first copy of each
+        receiver's segment is its capture winner.
+    starts, counts:
+        Per receiver segment: its first position in ``order`` and its
+        number of copies.  ``rx[order[starts]]`` are the receivers and
+        ``tx[order[starts]]`` the winners.
+    decodable:
+        Per segment: the winner is alone or clears ``margin_db`` over
+        the superposed rest.
     """
-
-    def __init__(
-        self, policy: str = "tolerant", capture_margin_db: float = 6.0
-    ) -> None:
-        if policy not in _POLICIES:
-            raise ValueError(
-                f"unknown policy {policy!r}; expected one of {_POLICIES}"
-            )
-        self.policy = policy
-        self.capture_margin_db = float(capture_margin_db)
-
-    def resolve(
-        self, senders: np.ndarray, powers_dbm: np.ndarray
-    ) -> SlotOutcome:
-        """Decide the outcome for one receiver.
-
-        Parameters
-        ----------
-        senders:
-            ids of the same-codec transmitters *detected* by this receiver
-            this slot (already above threshold).
-        powers_dbm:
-            matching received powers.
-        """
-        senders = np.asarray(senders, dtype=int)
-        powers_dbm = np.asarray(powers_dbm, dtype=float)
-        if senders.shape != powers_dbm.shape:
-            raise ValueError("senders and powers_dbm must have equal shape")
-        k = senders.size
-        if k == 0:
-            return SlotOutcome(False, -1, 0)
-        if k == 1:
-            return SlotOutcome(True, int(senders[0]), 1)
-
-        strongest = int(np.argmax(powers_dbm))
-        if self.policy == "tolerant":
-            return SlotOutcome(True, int(senders[strongest]), k)
-        if self.policy == "destructive":
-            return SlotOutcome(False, -1, k)
-
-        # capture: strongest vs. sum of the rest, in linear mW
-        linear = np.power(10.0, powers_dbm / 10.0)
-        signal = linear[strongest]
-        noise = float(linear.sum() - signal)
-        sir_db = 10.0 * np.log10(signal / max(noise, 1e-30))
-        if sir_db >= self.capture_margin_db:
-            return SlotOutcome(True, int(senders[strongest]), k)
-        return SlotOutcome(False, -1, k)
-
-    def __repr__(self) -> str:
-        return (
-            f"CollisionModel(policy={self.policy!r}, "
-            f"capture_margin_db={self.capture_margin_db})"
-        )
+    rx = np.asarray(rx)
+    tx = np.asarray(tx)
+    power_dbm = np.asarray(power_dbm, dtype=float)
+    if not rx.shape == tx.shape == power_dbm.shape:
+        raise ValueError("rx, tx and power_dbm must have equal shape")
+    order = np.lexsort((tx, -power_dbm, rx))
+    if order.size == 0:
+        empty = np.zeros(0, dtype=np.int64)
+        return order, empty, empty, np.zeros(0, dtype=bool)
+    rx_s = rx[order]
+    pw_s = power_dbm[order]
+    starts = np.flatnonzero(np.concatenate(([True], rx_s[1:] != rx_s[:-1])))
+    counts = np.diff(np.concatenate((starts, [rx_s.size])))
+    signal = np.power(10.0, pw_s[starts] / 10.0)
+    total = np.add.reduceat(np.power(10.0, pw_s / 10.0), starts)
+    noise = np.maximum(total - signal, 1e-30)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        sir_db = 10.0 * np.log10(np.maximum(signal, 1e-300) / noise)
+    decodable = (counts == 1) | (sir_db >= margin_db)
+    return order, starts, counts, decodable

@@ -53,10 +53,12 @@ class DensePulseSyncKernel(_PulseSyncBase):
 
     Each wave takes ``(k, n)`` row slices of the mean-power matrix and
     the boolean coupling mask, adds the hashed fading on the same
-    ``(k, n)`` grid, and resolves detection and capture decoding with
-    column reductions.  It shares the run loop with the CSR kernel but
-    none of its reception code, so a bitwise match between the two is
-    evidence for the CSR segment reductions.
+    ``(k, n)`` grid, and resolves detection (and, under the ``"capture"``
+    policy, the capture rule) with column reductions.  It shares the run
+    loop with the CSR kernel but none of its reception code — it does not
+    call :func:`~repro.radio.interference.capture` — so a bitwise match
+    between the two is evidence for the CSR path and the shared capture
+    rule.
     """
 
     def __init__(
@@ -67,7 +69,7 @@ class DensePulseSyncKernel(_PulseSyncBase):
         super().__init__(self.mean_rx.shape[0], prc, **kwargs)
         self._node_ids = np.arange(self.n, dtype=np.int64)
 
-    def _wave_reception(self, firers, event, need_decoding):
+    def _wave_reception(self, firers, event):
         n = self.n
         power = self.mean_rx[firers]
         if self._hashed_fading:
@@ -77,15 +79,12 @@ class DensePulseSyncKernel(_PulseSyncBase):
         det = (power >= self.threshold_dbm) & self.adjacency[firers]
         counts = det.sum(axis=0)
         any_heard = counts >= 1
+        if self.collision_policy == "tolerant":
+            return any_heard
+        if self.collision_policy == "destructive":
+            return counts == 1
 
-        if not need_decoding and self.collision_policy != "capture":
-            if self.collision_policy == "tolerant":
-                heard = any_heard
-            else:  # destructive
-                heard = counts == 1
-            return heard, np.full(n, -1, dtype=int)
-
-        # identity decoding (capture rule, always)
+        # capture: the strongest copy against the sum of the rest
         masked = np.where(det, power, -np.inf)
         strongest_row = np.argmax(masked, axis=0)
         strongest_pow = masked[strongest_row, np.arange(n)]
@@ -95,18 +94,7 @@ class DensePulseSyncKernel(_PulseSyncBase):
         noise = np.maximum(total - signal, 1e-30)
         with np.errstate(divide="ignore", invalid="ignore"):
             sir_db = 10.0 * np.log10(np.maximum(signal, 1e-300) / noise)
-        decodable = any_heard & (
-            (counts == 1) | (sir_db >= self.capture_margin_db)
-        )
-        decoded_sender = np.where(decodable, firers[strongest_row], -1).astype(int)
-
-        if self.collision_policy == "tolerant":
-            heard = any_heard
-        elif self.collision_policy == "destructive":
-            heard = counts == 1
-        else:  # capture
-            heard = decodable
-        return heard, decoded_sender
+        return any_heard & ((counts == 1) | (sir_db >= self.capture_margin_db))
 
 
 class PerCohortBeaconDiscovery(SparseBeaconDiscovery):
@@ -114,10 +102,12 @@ class PerCohortBeaconDiscovery(SparseBeaconDiscovery):
 
     Each cohort hashes its own fading draws (one ``link_db`` call per
     cohort) and races *every* receiver of its transmitters' edges —
-    decoded or not — with a ``(tx, −power, rx)`` lexsort.  It shares the
-    run loop with the kernel but none of its decode, so a bitwise match
-    is evidence that the kernel's singleton pass, per-period subkeys and
-    settled-receiver skip change nothing.
+    decoded or not — with its own ``(tx, −power, rx)`` lexsort and SIR
+    arithmetic (not :func:`~repro.radio.interference.capture`).  It
+    shares the run loop with the kernel but none of its decode, so a
+    bitwise match is evidence that the kernel's singleton pass,
+    per-period subkeys, settled-receiver skip and shared capture rule
+    change nothing.
     """
 
     def _process_period(
@@ -229,7 +219,6 @@ def dense_mesh_sync(
     return kernel.run(
         twin.streams.stream(stream),
         max_time_ms=config.max_time_ms,
-        require_sync=True,
         faults=FaultPlan.from_config(config),
     )
 

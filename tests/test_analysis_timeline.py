@@ -10,6 +10,7 @@ from repro.analysis.timeline import (
     locking_summary,
     peak_concurrency,
 )
+from repro.obs import Observability
 from repro.sim.trace import TraceRecorder
 from tests.linkcsr import matrix_sync_kernel
 
@@ -19,9 +20,9 @@ def traced_run():
     n = 12
     m = np.full((n, n), -60.0)
     np.fill_diagonal(m, -np.inf)
-    trace = TraceRecorder()
-    result = matrix_sync_kernel(m).run(np.random.default_rng(5), trace=trace)
-    return trace, result, n
+    obs = Observability(keep_trace=True)
+    result = matrix_sync_kernel(m).run(np.random.default_rng(5), obs=obs)
+    return obs.trace, result, n
 
 
 class TestTimeline:

@@ -19,8 +19,8 @@ def perfect_radio(n, power_dbm=-60.0):
 def varied_radio(n, seed=0, base_dbm=-60.0, spread_db=25.0):
     """All-pairs audible with realistic per-link power variation.
 
-    Capture-based decoding needs power diversity; exactly-equal powers
-    make every superposition undecodable forever (a real property the
+    The capture policy needs power diversity; exactly-equal powers make
+    every superposition undecodable forever (a real property the
     equal-power tests below rely on).
     """
     rng = np.random.default_rng(seed)
@@ -168,67 +168,6 @@ class TestCollisionPolicies:
         assert dst.time_ms >= tol.time_ms
 
 
-class TestDecodingTracking:
-    def _decode_kernel(self, n, seed):
-        """Varied powers + fading: both are needed for the capture rule to
-        rotate decode winners once the population synchronizes."""
-        return kernel_for(
-            n,
-            radio=varied_radio(n, seed=seed),
-            fading=HashedRayleighFading(seed + 100),
-        )
-
-    def test_decoding_stalls_after_synchronization(self):
-        """The motivating property of the beacon channel (DESIGN §3): once
-        the population synchronizes, PSs superpose every instant and most
-        identities become undecodable — in-band discovery starves."""
-        n = 6
-        required = ~np.eye(n, dtype=bool)
-        result = self._decode_kernel(n, 13).run(
-            np.random.default_rng(13),
-            required_decoding=required,
-            max_time_ms=30_000.0,
-        )
-        # sync succeeded early, yet the decoding requirement starves
-        assert np.isfinite(result.sync_time_ms)
-        assert not result.converged
-        missing = (required & ~result.decoded).sum()
-        assert missing > 0
-
-    def test_partial_decoding_happens_before_sync(self):
-        """Pre-sync fires are often solo — plenty of pairs decode early."""
-        n = 6
-        required = ~np.eye(n, dtype=bool)
-        result = self._decode_kernel(n, 14).run(
-            np.random.default_rng(14),
-            required_decoding=required,
-            max_time_ms=30_000.0,
-        )
-        assert result.decoded.sum() >= n  # many pairs learned
-        assert result.sync_time_ms <= result.time_ms
-
-    def test_decode_only_mode(self):
-        n = 4
-        required = ~np.eye(n, dtype=bool)
-        noop = LinearPRC(1.0, 0.0)  # no sync will ever happen
-        result = kernel_for(n, prc=noop).run(
-            np.random.default_rng(15),
-            require_sync=False,
-            required_decoding=required,
-            max_time_ms=60_000.0,
-        )
-        assert result.converged
-
-    def test_half_duplex_no_self_decode(self):
-        n = 4
-        required = np.zeros((n, n), dtype=bool)
-        result = kernel_for(n).run(
-            np.random.default_rng(16),
-            required_decoding=required,
-        )
-        assert not result.decoded.diagonal().any()
-
-
 class TestFading:
     def test_fading_runs_still_converge(self):
         result = kernel_for(
@@ -248,10 +187,6 @@ class TestValidation:
                 period_ms=100.0,
                 threshold_dbm=-95.0,
             )
-
-    def test_no_condition_rejected(self):
-        with pytest.raises(ValueError, match="convergence condition"):
-            kernel_for(3).run(np.random.default_rng(0), require_sync=False)
 
     def test_no_active_rejected(self):
         with pytest.raises(ValueError):

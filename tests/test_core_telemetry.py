@@ -1,66 +1,58 @@
-"""Tests for pulse-sync telemetry sampling."""
+"""Tests for the pulse-sync kernel's ``sync`` probe series."""
 
 import numpy as np
 import pytest
 
+from repro.obs import Observability
+from repro.obs.probes import PROBE_INTERVAL_MS
+from repro.oscillator.prc import LinearPRC
 from tests.linkcsr import matrix_sync_kernel
 
 
-def kernel_for(n):
+@pytest.fixture(scope="module")
+def observed_run():
+    """A weakly coupled 20-node mesh: it locks over ~8 s of simulated
+    time, long enough for several samples at the probe cadence."""
+    n = 20
     m = np.full((n, n), -60.0)
     np.fill_diagonal(m, -np.inf)
-    return matrix_sync_kernel(m)
+    kernel = matrix_sync_kernel(m, prc=LinearPRC.from_dissipation(3.0, 0.005))
+    obs = Observability()
+    result = kernel.run(np.random.default_rng(2), obs=obs)
+    return result, obs.probes
 
 
 class TestTelemetry:
-    def test_disabled_by_default(self):
-        result = kernel_for(10).run(np.random.default_rng(1))
-        assert result.telemetry == []
-
-    def test_samples_cover_run(self):
-        result = kernel_for(20).run(
-            np.random.default_rng(2), telemetry_interval_ms=50.0
-        )
-        assert result.telemetry
-        times = [s.time_ms for s in result.telemetry]
+    def test_samples_cover_run(self, observed_run):
+        result, probes = observed_run
+        times = [t for t, _ in probes.series("sync", "fires")]
+        assert len(times) >= 3
         assert times == sorted(times)
         assert times[-1] <= result.time_ms + 1e-9
 
-    def test_sampling_interval_respected(self):
-        result = kernel_for(20).run(
-            np.random.default_rng(3), telemetry_interval_ms=40.0
-        )
-        times = [s.time_ms for s in result.telemetry]
+    def test_sampling_interval_respected(self, observed_run):
+        _, probes = observed_run
+        times = [t for t, _ in probes.series("sync", "order_parameter")]
         # consecutive samples at least one interval apart (events are
         # discrete, so gaps can exceed but never undershoot)
-        assert all(b - a >= 40.0 - 1e-9 for a, b in zip(times, times[1:]))
-
-    def test_order_parameter_climbs_to_one(self):
-        result = kernel_for(25).run(
-            np.random.default_rng(4), telemetry_interval_ms=25.0
+        assert all(
+            b - a >= PROBE_INTERVAL_MS - 1e-9 for a, b in zip(times, times[1:])
         )
+
+    def test_order_parameter_climbs_to_one(self, observed_run):
+        result, probes = observed_run
         assert result.converged
-        first = result.telemetry[0].order_parameter
-        last = result.telemetry[-1].order_parameter
-        assert last > first
-        assert last > 0.95
+        r = [v for _, v in probes.series("sync", "order_parameter")]
+        assert r[-1] > r[0]
+        assert r[-1] > 0.95
 
-    def test_groups_collapse_to_one(self):
-        result = kernel_for(25).run(
-            np.random.default_rng(5), telemetry_interval_ms=25.0
-        )
-        assert result.telemetry[-1].sync_groups <= 2
-        assert result.telemetry[0].sync_groups >= result.telemetry[-1].sync_groups
+    def test_groups_collapse_to_one(self, observed_run):
+        _, probes = observed_run
+        groups = [v for _, v in probes.series("sync", "sync_groups")]
+        assert groups[-1] <= 2
+        assert groups[0] >= groups[-1]
 
-    def test_fires_monotone(self):
-        result = kernel_for(15).run(
-            np.random.default_rng(6), telemetry_interval_ms=30.0
-        )
-        fires = [s.fires_so_far for s in result.telemetry]
+    def test_fires_monotone(self, observed_run):
+        _, probes = observed_run
+        fires = [v for _, v in probes.series("sync", "fires")]
         assert all(a <= b for a, b in zip(fires, fires[1:]))
-
-    def test_bad_interval_rejected(self):
-        with pytest.raises(ValueError):
-            kernel_for(5).run(
-                np.random.default_rng(7), telemetry_interval_ms=0.0
-            )

@@ -74,6 +74,7 @@ REPO = pathlib.Path(__file__).resolve().parent.parent
 #: Directories holding program code (tests are deliberately absent).
 PROGRAM_DIRS = ("src", "benchmarks", "scripts", "examples", "perfbench")
 GUARDED_PACKAGES = (
+    "repro.core",
     "repro.obs",
     "repro.sim",
     "repro.radio",

@@ -1,72 +1,174 @@
-"""Tests for the collision model."""
+"""Tests for the capture rule and the pulse-detection policies."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.radio.interference import CollisionModel
+from repro.core.pulsesync import SparsePulseSyncKernel
+from repro.oscillator.prc import LinearPRC
+from repro.radio.interference import POLICIES, capture
+
+
+def resolve(tx, power_dbm, margin_db=6.0, rx=0):
+    """``capture()`` for copies that all reach one receiver: the winner
+    (or −1), the copy count and whether the winner decodes."""
+    tx = np.asarray(tx, dtype=np.int64)
+    rxs = np.full(tx.size, rx, dtype=np.int64)
+    order, starts, counts, decodable = capture(
+        rxs, tx, np.asarray(power_dbm, dtype=float), margin_db
+    )
+    if starts.size == 0:
+        return -1, 0, False
+    return int(tx[order[starts[0]]]), int(counts[0]), bool(decodable[0])
+
+
+def heard_under(policy, tx, power_dbm, rx=0, n=8):
+    """Pulse detection at receiver ``rx`` when every ``tx`` fires in one
+    wave with the given mean powers, under the kernel's ``policy``."""
+    tx = np.asarray(tx, dtype=np.int64)
+    kernel = SparsePulseSyncKernel.from_edges(
+        n,
+        tx,
+        np.full(tx.size, rx, dtype=np.int64),
+        np.asarray(power_dbm, dtype=float),
+        LinearPRC(1.0, 0.0),
+        period_ms=100.0,
+        threshold_dbm=-95.0,
+        collision_policy=policy,
+    )
+    return bool(kernel._wave_reception(np.unique(tx), 0)[rx])
 
 
 class TestSingleTransmission:
-    @pytest.mark.parametrize("policy", ["tolerant", "capture", "destructive"])
+    @pytest.mark.parametrize("policy", POLICIES)
     def test_lone_transmission_always_decodes(self, policy):
-        model = CollisionModel(policy)
-        out = model.resolve(np.array([7]), np.array([-80.0]))
-        assert out.decoded and out.decoded_sender == 7 and out.heard_count == 1
+        assert resolve([7], [-80.0]) == (7, 1, True)
+        assert heard_under(policy, [7], [-80.0])
 
-    @pytest.mark.parametrize("policy", ["tolerant", "capture", "destructive"])
+    @pytest.mark.parametrize("policy", POLICIES)
     def test_silence(self, policy):
-        out = CollisionModel(policy).resolve(np.array([]), np.array([]))
-        assert not out.decoded and out.decoded_sender == -1 and out.heard_count == 0
+        empty = np.zeros(0, dtype=np.int64)
+        order, starts, counts, decodable = capture(
+            empty, empty, np.zeros(0), 6.0
+        )
+        assert order.size == starts.size == counts.size == decodable.size == 0
+        # the only copy is below the detection threshold
+        assert not heard_under(policy, [7], [-100.0])
 
 
 class TestTolerant:
     def test_superposition_counts_as_one_pulse(self):
-        model = CollisionModel("tolerant")
-        out = model.resolve(np.array([1, 2, 3]), np.array([-80.0, -70.0, -90.0]))
-        assert out.decoded
-        assert out.decoded_sender == 2  # strongest attribution
-        assert out.heard_count == 3
+        # the strongest copy is attributed, but cannot be captured...
+        assert resolve([1, 2, 3], [-71.0, -70.0, -90.0]) == (2, 3, False)
+        # ...yet the superposition is still one detected pulse
+        assert heard_under("tolerant", [1, 2, 3], [-71.0, -70.0, -90.0])
+        assert not heard_under("capture", [1, 2, 3], [-71.0, -70.0, -90.0])
 
 
 class TestDestructive:
     def test_any_collision_destroys(self):
-        model = CollisionModel("destructive")
-        out = model.resolve(np.array([1, 2]), np.array([-50.0, -90.0]))
-        assert not out.decoded
+        # a 40 dB capture winner is still destroyed under the policy
+        assert resolve([1, 2], [-50.0, -90.0]) == (1, 2, True)
+        assert heard_under("capture", [1, 2], [-50.0, -90.0])
+        assert not heard_under("destructive", [1, 2], [-50.0, -90.0])
 
 
 class TestCapture:
     def test_dominant_signal_captured(self):
-        model = CollisionModel("capture", capture_margin_db=6.0)
-        out = model.resolve(np.array([1, 2]), np.array([-60.0, -80.0]))  # 20 dB SIR
-        assert out.decoded and out.decoded_sender == 1
+        assert resolve([1, 2], [-60.0, -80.0]) == (1, 2, True)  # 20 dB SIR
 
     def test_near_equal_signals_lost(self):
-        model = CollisionModel("capture", capture_margin_db=6.0)
-        out = model.resolve(np.array([1, 2]), np.array([-70.0, -71.0]))
-        assert not out.decoded
+        assert not resolve([1, 2], [-70.0, -71.0])[2]
 
     def test_margin_boundary(self):
-        model = CollisionModel("capture", capture_margin_db=6.0)
-        # exactly 6.02 dB above one interferer → just captured
-        captured = model.resolve(np.array([1, 2]), np.array([-70.0, -76.1]))
-        lost = model.resolve(np.array([1, 2]), np.array([-70.0, -75.9]))
-        assert captured.decoded and not lost.decoded
+        # 6.1 dB above one interferer → just captured; 5.9 dB → lost
+        assert resolve([1, 2], [-70.0, -76.1])[2]
+        assert not resolve([1, 2], [-70.0, -75.9])[2]
+
+    def test_margin_met_with_equality(self):
+        # two equal copies: SIR is exactly 0 dB, which meets a 0 dB margin
+        assert resolve([1, 2], [-70.0, -70.0], margin_db=0.0) == (1, 2, True)
 
     def test_interference_sums(self):
         """Two interferers each 9 dB down sum to ~6 dB down → not captured."""
-        model = CollisionModel("capture", capture_margin_db=6.0)
-        out = model.resolve(
-            np.array([1, 2, 3]), np.array([-70.0, -79.0, -79.0])
+        assert not resolve([1, 2, 3], [-70.0, -79.0, -79.0])[2]
+
+    def test_equal_power_tie_goes_to_lowest_tx(self):
+        winner, count, decodable = resolve([5, 3, 4], [-70.0, -70.0, -90.0])
+        assert (winner, count, decodable) == (3, 3, False)
+
+    def test_receivers_resolve_independently(self):
+        rx = np.array([4, 1, 4, 1, 9])
+        tx = np.array([0, 0, 2, 3, 3])
+        power = np.array([-60.0, -70.0, -61.0, -90.0, -80.0])
+        order, starts, counts, decodable = capture(rx, tx, power, 6.0)
+        assert rx[order[starts]].tolist() == [1, 4, 9]
+        assert tx[order[starts]].tolist() == [0, 0, 3]
+        assert counts.tolist() == [2, 2, 1]
+        assert decodable.tolist() == [True, False, True]
+
+
+def scalar_capture(rx, tx, power_dbm, margin_db):
+    """Per receiver, one copy at a time: ``{rx: (winner, count, sir_db)}``
+    with ``sir_db`` None for a lone copy."""
+    out = {}
+    for r in sorted(set(rx)):
+        copies = sorted(
+            (-p, t) for rr, t, p in zip(rx, tx, power_dbm) if rr == r
         )
-        assert not out.decoded
+        neg_best, winner = copies[0]
+        if len(copies) == 1:
+            out[r] = (winner, 1, None)
+            continue
+        signal = 10.0 ** (-neg_best / 10.0)
+        total = 0.0
+        for neg_p, _ in copies:
+            total += 10.0 ** (-neg_p / 10.0)
+        sir_db = 10.0 * np.log10(signal / max(total - signal, 1e-30))
+        out[r] = (winner, len(copies), float(sir_db))
+    return out
+
+
+# (rx, tx, power) copies with unique (rx, tx) pairs; powers from a short
+# list so equal-power ties are common
+copies = st.lists(
+    st.tuples(
+        st.integers(0, 5),
+        st.integers(0, 7),
+        st.sampled_from([-60.0, -63.0, -66.0, -66.0, -70.0, -79.0]),
+    ),
+    max_size=30,
+    unique_by=lambda c: (c[0], c[1]),
+)
+
+
+@settings(deadline=None, max_examples=200)
+@given(copies, st.sampled_from([0.0, 3.0, 6.0, 10.0]))
+def test_capture_matches_scalar_loop(edges, margin_db):
+    rx = np.array([e[0] for e in edges], dtype=np.int64)
+    tx = np.array([e[1] for e in edges], dtype=np.int64)
+    power = np.array([e[2] for e in edges], dtype=float)
+    order, starts, counts, decodable = capture(rx, tx, power, margin_db)
+    assert sorted(order.tolist()) == list(range(rx.size))
+    want = scalar_capture(rx.tolist(), tx.tolist(), power.tolist(), margin_db)
+    assert rx[order[starts]].tolist() == sorted(want)
+    for r, w, c, ok in zip(
+        rx[order[starts]], tx[order[starts]], counts, decodable
+    ):
+        winner, count, sir_db = want[int(r)]
+        assert (int(w), int(c)) == (winner, count)
+        if sir_db is None:
+            assert ok
+        elif abs(sir_db - margin_db) > 1e-9:
+            assert bool(ok) == (sir_db >= margin_db)
 
 
 class TestValidation:
     def test_unknown_policy(self):
-        with pytest.raises(ValueError, match="unknown policy"):
-            CollisionModel("magic")
+        with pytest.raises(ValueError, match="unknown collision policy"):
+            heard_under("magic", [1], [-70.0])
 
     def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            CollisionModel().resolve(np.array([1, 2]), np.array([-70.0]))
+        with pytest.raises(ValueError, match="equal shape"):
+            capture(np.array([0, 0]), np.array([1, 2]), np.array([-70.0]), 6.0)
