@@ -11,8 +11,10 @@ scheme.  The tree-based ST algorithm only needs each device to decode its
 heaviest neighbours, which are strong precisely because they are heavy —
 the physical root of the paper's scaling advantage.
 
-The simulation runs over the CSR radio graph, vectorized per
-slot-cohort: one period costs O(E) array work.
+The simulation runs over the CSR radio graph: one period costs O(E)
+array work.  Singleton cohorts decode in one pass; the multi-transmitter
+cohorts race in cache-sized blocks of consecutive cohorts, each block
+one call of the shared capture rule.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from repro.obs import Observability
 from repro.radio.fading import NoFading
 from repro.radio.interference import capture
 from repro.radio.sparse_link import SparseLinkBudget, csr_row_argmax, gather_rows
+from repro.radio.spatial import DEFAULT_CHUNK_PAIRS
 
 #: Bucket bounds for per-slot beacon occupancy (transmitters per slot).
 SLOT_OCCUPANCY_BUCKETS = (1.0, 2.0, 3.0, 5.0, 8.0, 13.0, 21.0, 34.0)
@@ -198,9 +201,8 @@ class SparseBeaconDiscovery:
                 "SparseBeaconDiscovery needs counter-based fading "
                 f"(got {type(self.fading).__name__})"
             )
-        # (n,) scratch masks, reused across cohorts
-        self._is_tx = np.zeros(self.n, dtype=bool)
-        self._unsettled = np.zeros(self.n, dtype=bool)
+        # (n,) scratch: each transmitter's cohort while its block races
+        self._tx_cohort = np.full(self.n, -1, dtype=np.int64)
 
     # ------------------------------------------------------------------
     def run(
@@ -412,23 +414,21 @@ class SparseBeaconDiscovery:
         * all singleton cohorts decode in one vectorized pass — with one
           transmitter there is no capture race, and the receiver is never
           the transmitter, so half-duplex is vacuous;
-        * a multi-transmitter cohort races only the receivers that still
-          have an undecoded edge from it.
+        * the multi-transmitter cohorts are raced in blocks of
+          consecutive cohorts holding at most ``DEFAULT_CHUNK_PAIRS``
+          edges (a larger cohort is a block of its own), so each block's
+          sort stays in cache; see :meth:`_race_block`.
 
-        This is bitwise the full per-cohort decode: a race's only effect
-        is ``decoded[winner] = True`` and decoding is monotone, so racing
-        a settled receiver changes nothing; fading is counter-hashed, so
-        a skipped draw shifts no other; and a receiver that is raced
-        keeps every edge it had, so its segment's order and sums are
-        unchanged.  The exception is a plan with ``beacon_loss > 0``: it
-        counts every winner's erasure draw, settled or not, so such runs
-        race every receiver.
-
-        One global lexsort over the whole period (all cohorts' edges
-        keyed by cohort, receiver, power and sender) was measured too:
-        faster at the paper sweep's small n, but slower at n = 4096 and
-        n = 20 000, where the 4-key sort over ~10⁶ edges outweighs the
-        per-cohort calls it saves (docs/performance.md).
+        This is bitwise the full per-cohort decode.  Each device
+        transmits in one cohort per period, so cohorts own disjoint
+        edges and the order they are decoded in does not matter.  A
+        race's only effect is ``decoded[winner] = True`` and decoding is
+        monotone, so racing a settled receiver changes nothing; fading
+        and erasures are counter-hashed, so a skipped draw shifts no
+        other; and a receiver that is raced keeps every edge it had, so
+        its segment's order and sums are unchanged.  The exception is a
+        plan with ``beacon_loss > 0``: it counts every winner's erasure
+        draw, settled or not, so such runs race every receiver.
         """
         sorted_chan = chan[order]
         starts = np.flatnonzero(
@@ -437,8 +437,7 @@ class SparseBeaconDiscovery:
         sizes = np.diff(np.append(starts, order.size))
         n_cohorts = starts.size
         if occ_hist is not None:
-            for size in sizes.tolist():
-                occ_hist.observe(size)
+            occ_hist.observe_many(sizes)
         slots = sorted_chan[starts] // self.preambles
         subkeys = (
             self.fading.event_subkeys(event + np.arange(n_cohorts))
@@ -453,17 +452,30 @@ class SparseBeaconDiscovery:
                 order[starts[single]], single, slots, subkeys, awake,
                 receiving, event, decoded, fstate, skip_settled,
             )
-        for c in np.flatnonzero(sizes > 1).tolist():
-            awake_row = awake[slots[c]] if awake is not None else None
-            if receiving is not None:
-                awake_row = (
-                    receiving if awake_row is None else awake_row & receiving
-                )
-            self._race_cohort(
-                order[starts[c] : starts[c] + sizes[c]],
-                subkeys[c] if subkeys is not None else None,
-                awake_row, event + c, decoded, fstate, skip_settled,
+        multi = sizes > 1
+        if not multi.any():
+            return n_cohorts
+        in_multi = np.repeat(multi, sizes)
+        members = order[in_multi]
+        member_c = np.repeat(np.arange(n_cohorts), sizes)[in_multi]
+        indptr = self.budget.indptr
+        edge_cum = np.concatenate(
+            ([0], np.cumsum(indptr[members + 1] - indptr[members]))
+        )
+        # each multi cohort's first member and edge offset, plus the ends
+        first = np.concatenate(([0], np.cumsum(sizes[multi])))
+        bounds = edge_cum[first]
+        i, k = 0, first.size - 1
+        while i < k:
+            # the most cohorts from i that fit a block, or i alone
+            j = np.searchsorted(bounds, bounds[i] + DEFAULT_CHUNK_PAIRS, "right")
+            j = max(int(j) - 1, i + 1)
+            block = slice(first[i], first[j])
+            self._race_block(
+                members[block], member_c[block], slots, subkeys, awake,
+                receiving, event, decoded, fstate, skip_settled,
             )
+            i = j
         return n_cohorts
 
     # ------------------------------------------------------------------
@@ -487,7 +499,7 @@ class SparseBeaconDiscovery:
         epos, tx_e = gather_rows(indptr, tx)
         c_e = np.repeat(cohort_ids, indptr[tx + 1] - indptr[tx])
         if skip_settled:
-            open_ = ~decoded[epos]
+            open_ = np.flatnonzero(~decoded[epos])
             epos, tx_e, c_e = epos[open_], tx_e[open_], c_e[open_]
         rx_e = budget.indices[epos]
         power = budget.power_dbm[epos]
@@ -505,53 +517,77 @@ class SparseBeaconDiscovery:
         decoded[epos[pos]] = True
 
     # ------------------------------------------------------------------
-    def _race_cohort(
+    def _race_block(
         self,
-        cohort: np.ndarray,
-        subkey: np.uint64 | None,
+        members: np.ndarray,
+        member_c: np.ndarray,
+        slots: np.ndarray,
+        subkeys: np.ndarray | None,
         awake: np.ndarray | None,
+        receiving: np.ndarray | None,
         event: int,
         decoded: np.ndarray,
         fstate: _BeaconFaultState | None,
         skip_settled: bool,
     ) -> None:
-        """One slot shared by several transmitters: each receiver decodes
-        the strongest detected beacon when it is alone or clears the
-        capture margin over the superposed rest."""
+        """Consecutive multi-transmitter cohorts at once (``members`` are
+        their transmitters, ``member_c`` each one's cohort): every
+        ``(cohort, receiver)`` segment decodes the strongest detected
+        beacon when it is alone or clears the capture margin over the
+        superposed rest.
+
+        Edges are keyed ``cohort · n + receiver``.  With the settled
+        skip, a stable argsort of the keys (a merge of the already
+        sorted CSR rows) groups the segments, and only those with an
+        undecoded edge are hashed and raced — exactly the receivers the
+        per-cohort decode would race.
+        """
         budget = self.budget
-        epos, tx_e = gather_rows(budget.indptr, cohort)
+        n = self.n
+        indptr = budget.indptr
+        epos, tx_e = gather_rows(indptr, members)
+        c_e = np.repeat(member_c, indptr[members + 1] - indptr[members])
         rx_e = budget.indices[epos]
+        key = c_e * n + rx_e
+        # arrays are filtered through integer positions: one mask scan,
+        # then cheap gathers (boolean-indexing each array costs ~3× more)
         if skip_settled:
             open_ = ~decoded[epos]
             if not open_.any():
                 return
             if not open_.all():
-                # race only receivers with an undecoded edge from the cohort
-                unsettled = self._unsettled
-                open_rx = rx_e[open_]
-                unsettled[open_rx] = True
-                keep = unsettled[rx_e]
-                unsettled[open_rx] = False
-                epos, tx_e, rx_e = epos[keep], tx_e[keep], rx_e[keep]
+                perm = np.argsort(key, kind="stable")
+                key = key[perm]
+                seg = np.flatnonzero(
+                    np.concatenate(([True], key[1:] != key[:-1]))
+                )
+                seg_open = np.logical_or.reduceat(open_[perm], seg)
+                keep = np.flatnonzero(
+                    np.repeat(seg_open, np.diff(np.append(seg, key.size)))
+                )
+                key, keep = key[keep], perm[keep]
+                epos, tx_e, c_e, rx_e = epos[keep], tx_e[keep], c_e[keep], rx_e[keep]
         power_e = budget.power_dbm[epos]
-        if subkey is not None:
-            power_e = power_e + self.fading.keyed_db(subkey, tx_e, rx_e)
-        det = power_e >= self.threshold_dbm
-        epos, tx_e, rx_e = epos[det], tx_e[det], rx_e[det]
+        if subkeys is not None:
+            power_e = power_e + self.fading.keyed_db(subkeys[c_e], tx_e, rx_e)
+        det = np.flatnonzero(power_e >= self.threshold_dbm)
         order, starts, _, decodable = capture(
-            rx_e, tx_e, power_e[det], self.capture_margin_db
+            key[det], tx_e[det], power_e[det], self.capture_margin_db
         )
-        seg_rx = rx_e[order[starts]]
-        # half-duplex: transmitters cannot decode this slot
-        is_tx = self._is_tx
-        is_tx[cohort] = True
-        decodable &= ~is_tx[seg_rx]
-        is_tx[cohort] = False
+        win = det[order[starts]]
+        seg_c, seg_rx = c_e[win], rx_e[win]
+        # half-duplex: a transmitter cannot decode its own cohort's slot
+        tx_cohort = self._tx_cohort
+        tx_cohort[members] = member_c
+        decodable &= tx_cohort[seg_rx] != seg_c
+        tx_cohort[members] = -1
         if awake is not None:
-            decodable &= awake[seg_rx]
-        win = order[starts[decodable]]
+            decodable &= awake[slots[seg_c], seg_rx]
+        if receiving is not None:
+            decodable &= receiving[seg_rx]
+        win = win[decodable]
         if fstate is not None and win.size:
-            lost = fstate.lose_beacons(event, tx_e[win], rx_e[win])
+            lost = fstate.lose_beacons(event + c_e[win], tx_e[win], rx_e[win])
             win = win[~lost]
         decoded[epos[win]] = True
 

@@ -14,7 +14,8 @@ monotonic — negative increments raise.  Histograms use fixed upper-bound
 buckets chosen at creation time, so bucketing is deterministic and two
 snapshots are always mergeable.
 
-All state is plain Python (no numpy), cheap to create per run, and
+All state is plain Python (numpy only vectorizes
+:meth:`_BoundHistogram.observe_many`), cheap to create per run, and
 serialized by :meth:`MetricsRegistry.snapshot` into a JSON-safe dict that
 :mod:`repro.obs.exporters` writes out.
 """
@@ -23,6 +24,8 @@ from __future__ import annotations
 
 import math
 from typing import Any, Iterator
+
+import numpy as np
 
 LabelValue = "str | int | float | bool"
 
@@ -207,6 +210,23 @@ class _BoundHistogram:
             s.counts[-1] += 1
         s.sum += value
         s.count += 1
+
+    def observe_many(self, values) -> None:
+        """:meth:`observe` each of ``values`` in order, vectorized:
+        ``searchsorted`` + ``bincount`` bucket them, and the sum
+        accumulates left to right, so it is bitwise the looped one."""
+        values = np.asarray(values, dtype=float).ravel()
+        if values.size == 0:
+            return
+        s = self._sample
+        hits = np.bincount(
+            np.searchsorted(self._buckets, values, side="left"),
+            minlength=len(s.counts),
+        )
+        for i, c in enumerate(hits.tolist()):
+            s.counts[i] += c
+        s.sum = float(np.cumsum(np.concatenate(([s.sum], values)))[-1])
+        s.count += values.size
 
 
 class Histogram(Metric):

@@ -103,11 +103,11 @@ class PerCohortBeaconDiscovery(SparseBeaconDiscovery):
     Each cohort hashes its own fading draws (one ``link_db`` call per
     cohort) and races *every* receiver of its transmitters' edges —
     decoded or not — with its own ``(tx, −power, rx)`` lexsort and SIR
-    arithmetic (not :func:`~repro.radio.interference.capture`).  It
-    shares the run loop with the kernel but none of its decode, so a
-    bitwise match is evidence that the kernel's singleton pass,
-    per-period subkeys, settled-receiver skip and shared capture rule
-    change nothing.
+    arithmetic (not :func:`~repro.radio.interference.capture`) and its
+    own half-duplex mask.  It shares the run loop with the kernel but
+    none of its decode, so a bitwise match is evidence that the kernel's
+    singleton pass, per-period subkeys, block races, settled-segment
+    skip and shared capture rule change nothing.
     """
 
     def _process_period(
@@ -177,10 +177,9 @@ class PerCohortBeaconDiscovery(SparseBeaconDiscovery):
         with np.errstate(divide="ignore", invalid="ignore"):
             sir_db = 10.0 * np.log10(np.maximum(signal, 1e-300) / noise)
         decodable = (seg_counts == 1) | (sir_db >= self.capture_margin_db)
-        is_tx = self._is_tx
+        is_tx = np.zeros(self.n, dtype=bool)
         is_tx[cohort] = True
         decodable &= ~is_tx[seg_rx]
-        is_tx[cohort] = False
         if awake is not None:
             decodable &= awake[seg_rx]
         win = seg_starts[decodable]

@@ -6,7 +6,10 @@ import itertools
 import numpy as np
 import pytest
 
+from repro.core import beacon as beacon_module
 from repro.core.beacon import SparseBeaconDiscovery, top_k_required_csr
+from repro.core.config import PaperConfig
+from repro.core.network import D2DNetwork
 from repro.faults.invariants import InvariantChecker, InvariantViolation
 from repro.faults.plan import FaultConfig, FaultPlan
 from repro.obs import Observability
@@ -282,6 +285,108 @@ class TestDecodeMatchesPerCohortReference:
         assert got_metrics == want_metrics
 
 
+class _BlockRecorder(SparseBeaconDiscovery):
+    """Records ``(cohorts, edges)`` of every raced block."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.blocks = []
+
+    def _race_block(self, members, member_c, *args):
+        indptr = self.budget.indptr
+        edges = int((indptr[members + 1] - indptr[members]).sum())
+        self.blocks.append((np.unique(member_c).size, edges))
+        super()._race_block(members, member_c, *args)
+
+
+class TestBlockBoundaries:
+    """With the block size shrunk, periods split into many blocks (and
+    cohorts outgrow a block), yet the decode is still bitwise the
+    per-cohort reference."""
+
+    N = 30
+
+    @pytest.fixture(scope="class")
+    def budget(self):
+        mean_rx = varied_radio(self.N, 31, base_dbm=-78.0, spread_db=25.0)
+        return MatrixLinkBudget(
+            mean_rx, threshold_dbm=-95.0, fading=HashedRayleighFading(31)
+        )
+
+    @pytest.mark.parametrize("chunk", [1, 7, 64, 200])
+    @pytest.mark.parametrize("period_slots", [4, 16])
+    @pytest.mark.parametrize("listen_duty", [1.0, 0.4])
+    @pytest.mark.parametrize(
+        "faults", ["none", "beacon_loss", "rach_collision", "crash_stall"]
+    )
+    def test_bitwise_equal(
+        self, monkeypatch, budget, chunk, period_slots, listen_duty, faults
+    ):
+        monkeypatch.setattr(beacon_module, "DEFAULT_CHUNK_PAIRS", chunk)
+        kwargs = dict(
+            period_slots=period_slots, preambles=1, listen_duty=listen_duty
+        )
+        plan = _fault_plan(faults, self.N, period_slots)
+        required = budget.edge_is_link.copy()
+        got, got_metrics = _run_with_metrics(
+            SparseBeaconDiscovery, budget, kwargs, required, None, plan
+        )
+        want, want_metrics = _run_with_metrics(
+            PerCohortBeaconDiscovery, budget, kwargs, required, None, plan
+        )
+        assert got.decoded.tobytes() == want.decoded.tobytes()
+        for f in dataclasses.fields(want):
+            if f.name != "decoded":
+                assert getattr(got, f.name) == getattr(want, f.name), f.name
+        assert got_metrics == want_metrics
+
+    @pytest.mark.parametrize("chunk", [7, 64, 200])
+    def test_blocks_respect_the_chunk(self, monkeypatch, budget, chunk):
+        monkeypatch.setattr(beacon_module, "DEFAULT_CHUNK_PAIRS", chunk)
+        disc = _BlockRecorder(
+            budget, threshold_dbm=-95.0, period_slots=16, preambles=1
+        )
+        result = disc.run(
+            np.random.default_rng(5), budget.edge_is_link.copy(), max_periods=12
+        )
+        cohorts = np.array([b[0] for b in disc.blocks])
+        edges = np.array([b[1] for b in disc.blocks])
+        assert len(disc.blocks) > result.periods  # periods split
+        assert (edges[cohorts > 1] <= chunk).all()
+        if chunk == 200:
+            assert (cohorts > 1).any()
+        else:
+            assert (edges > chunk).any()  # a cohort outgrows its block
+
+    def test_constant_density_st_discovery(self):
+        """n = 4096 at constant density, ST's top-1 requirement: large
+        cohorts, several blocks per period at the default block size."""
+        cfg = PaperConfig(seed=1).with_devices(4096, keep_density=True)
+        net = D2DNetwork(cfg)
+        budget = net.sparse_budget
+        results = []
+        for cls in (SparseBeaconDiscovery, PerCohortBeaconDiscovery):
+            disc = cls(
+                budget,
+                threshold_dbm=cfg.threshold_dbm,
+                period_slots=cfg.period_slots,
+                slot_ms=cfg.slot_ms,
+                preambles=cfg.beacon_preambles,
+            )
+            results.append(
+                disc.run(
+                    np.random.default_rng(1),
+                    top_k_required_csr(budget, k=1),
+                    max_periods=max(1, int(cfg.max_time_ms / cfg.period_ms)),
+                )
+            )
+        got, want = results
+        assert got.decoded.tobytes() == want.decoded.tobytes()
+        for f in dataclasses.fields(want):
+            if f.name != "decoded":
+                assert getattr(got, f.name) == getattr(want, f.name), f.name
+
+
 class TestHalfDuplexInvariant:
     def test_crafted_violation_raises(self):
         # devices 0 and 1 both beaconed on channel 5; 0 → 1 "decoded"
@@ -300,17 +405,18 @@ class TestHalfDuplexInvariant:
         )
 
     def test_kernel_without_is_tx_mask_is_caught(self):
-        """Defeat the kernel's half-duplex mask: the checker names it."""
+        """Defeat the kernel's half-duplex mask (the per-transmitter
+        cohort scratch): the checker names it."""
 
         class NeverTransmitting:
             def __setitem__(self, devices, value):
                 pass
 
             def __getitem__(self, devices):
-                return np.zeros(len(devices), dtype=bool)
+                return np.full(len(devices), -1, dtype=np.int64)
 
         disc = make_discovery(varied_radio(3, 12), preambles=1, period_slots=1)
-        disc._is_tx = NeverTransmitting()
+        disc._tx_cohort = NeverTransmitting()
         required = edge_mask(disc.budget, ~np.eye(3, dtype=bool))
         with pytest.raises(InvariantViolation) as info:
             disc.run(

@@ -1,5 +1,6 @@
 """Tests for the run-scoped metrics registry."""
 
+import numpy as np
 import pytest
 
 from repro.obs.metrics import (
@@ -116,6 +117,29 @@ class TestHistogram:
     def test_default_buckets(self):
         h = Histogram("h")
         assert h.buckets == DEFAULT_BUCKETS
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            [],
+            [5.0],
+            # on a bound, between bounds, above the last bound, fractions
+            [1.0, 5.0, 10.0, 0.5, 3, 7, 100, 10.000001, 0.1, 0.2, 0.3],
+            list(range(40)) + [2, 2, 13, 1e9],
+        ],
+    )
+    def test_observe_many_equals_looped_observe(self, values):
+        looped = Histogram("h", buckets=(1.0, 5.0, 10.0))
+        batched = Histogram("h", buckets=(1.0, 5.0, 10.0))
+        one, many = looped.bound(k="a"), batched.bound(k="a")
+        one.observe(0.7)  # both start from the same non-empty sample
+        many.observe(0.7)
+        for v in values:
+            one.observe(v)
+        many.observe_many(np.asarray(values))
+        assert batched.bucket_counts(k="a") == looped.bucket_counts(k="a")
+        assert batched.count(k="a") == looped.count(k="a")
+        assert batched.sum_(k="a") == looped.sum_(k="a")  # bitwise
 
 
 class TestHistogramMerge:

@@ -130,27 +130,46 @@ def scalar_capture(rx, tx, power_dbm, margin_db):
     return out
 
 
-# (rx, tx, power) copies with unique (rx, tx) pairs; powers from a short
-# list so equal-power ties are common
-copies = st.lists(
-    st.tuples(
-        st.integers(0, 5),
-        st.integers(0, 7),
-        st.sampled_from([-60.0, -63.0, -66.0, -66.0, -70.0, -79.0]),
-    ),
-    max_size=30,
-    unique_by=lambda c: (c[0], c[1]),
-)
+#: a short power list, so equal-power ties are common
+POWERS = (-60.0, -63.0, -66.0, -66.0, -70.0, -79.0)
 
 
-@settings(deadline=None, max_examples=200)
-@given(copies, st.sampled_from([0.0, 3.0, 6.0, 10.0]))
+@st.composite
+def copies(draw):
+    """One slot's ``(rx, tx, power)`` copies in shuffled order.
+
+    Each receiver gets 1–5 copies; transmitters repeat, so duplicate
+    ``(rx, tx)`` copies occur, and half the segments force one power on
+    every copy, so 2-copy and ≥3-copy segments tie on power (with the
+    lower transmitter arriving first or second, as the shuffle falls).
+    """
+    segments = draw(
+        st.lists(
+            st.tuples(st.integers(0, 9), st.integers(1, 5)),
+            max_size=8,
+            unique_by=lambda seg: seg[0],
+        )
+    )
+    out = []
+    for rx, k in segments:
+        tie = draw(st.booleans())
+        p0 = draw(st.sampled_from(POWERS))
+        for _ in range(k):
+            power = p0 if tie else draw(st.sampled_from(POWERS))
+            out.append((rx, draw(st.integers(0, 7)), power))
+    return draw(st.permutations(out))
+
+
+@settings(deadline=None, max_examples=300)
+@given(copies(), st.sampled_from([0.0, 3.0, 6.0, 10.0]))
 def test_capture_matches_scalar_loop(edges, margin_db):
     rx = np.array([e[0] for e in edges], dtype=np.int64)
     tx = np.array([e[1] for e in edges], dtype=np.int64)
     power = np.array([e[2] for e in edges], dtype=float)
     order, starts, counts, decodable = capture(rx, tx, power, margin_db)
-    assert sorted(order.tolist()) == list(range(rx.size))
+    # the contract: receiver, then power descending, then lowest
+    # transmitter, full ties in input order — one stable 3-key sort
+    assert order.tolist() == np.lexsort((tx, -power, rx)).tolist()
     want = scalar_capture(rx.tolist(), tx.tolist(), power.tolist(), margin_db)
     assert rx[order[starts]].tolist() == sorted(want)
     for r, w, c, ok in zip(
@@ -162,6 +181,36 @@ def test_capture_matches_scalar_loop(edges, margin_db):
             assert ok
         elif abs(sir_db - margin_db) > 1e-9:
             assert bool(ok) == (sir_db >= margin_db)
+
+
+class TestTies:
+    """Equal-power copies go to the lowest transmitter in whatever order
+    they arrive."""
+
+    @pytest.mark.parametrize(
+        "tx", [[3, 5], [5, 3], [5, 4, 3], [4, 5, 3], [3, 5, 4]]
+    )
+    def test_lowest_tx_wins_any_arrival_order(self, tx):
+        winner, count, decodable = resolve(tx, [-70.0] * len(tx), margin_db=0.0)
+        assert (winner, count) == (3, len(tx))
+        assert decodable == (len(tx) == 2)  # 0 dB SIR only against one
+
+    def test_stronger_second_copy_is_swapped_first(self):
+        rx = np.array([2, 1, 2, 1])
+        tx = np.array([0, 0, 1, 1])
+        power = np.array([-80.0, -60.0, -60.0, -80.0])
+        order, starts, counts, decodable = capture(rx, tx, power, 6.0)
+        assert order.tolist() == [1, 3, 2, 0]
+        assert tx[order[starts]].tolist() == [0, 1]
+        assert decodable.tolist() == [True, True]
+
+    def test_duplicate_copies_keep_input_order(self):
+        rx = np.zeros(4, dtype=np.int64)
+        tx = np.array([2, 2, 1, 2])
+        power = np.array([-70.0, -70.0, -75.0, -70.0])
+        order, _, counts, _ = capture(rx, tx, power, 6.0)
+        assert order.tolist() == [0, 1, 3, 2]
+        assert counts.tolist() == [4]
 
 
 class TestValidation:
