@@ -17,6 +17,11 @@ covers a ~14.1 km square.  All cities run with ``workers=2`` so the
 pool pickling/reassembly path is what gets measured, not the inline
 fallback.
 
+Each city row carries a ``layers`` dict: span name → total ms from
+:func:`~repro.obs.profile.profile_table` over the run's ops trace
+(``halo.links``, ``build.links``, ``discovery``, ``mwoe_scan``, ...,
+summed over shards), as the scale rows do.
+
 The CI-size city also writes its **observability bundle** (per-shard
 ``worker_NNNN.json`` plus ``merged.json``) next to the artifact and
 stamps ``metrics.obs_bundle``, so ``scripts/check_bench_regression.py``
@@ -40,6 +45,8 @@ from benchmarks.conftest import FULL, save_and_print, write_bench_json
 from repro.core.config import PaperConfig
 from repro.core.network import D2DNetwork
 from repro.core.st import STSimulation
+from repro.obs.ops import OpsPlane
+from repro.obs.profile import profile_table
 from repro.shard import CityConfig, run_city
 
 SEED = 1
@@ -83,6 +90,7 @@ def _run_single(n: int) -> dict:
 
 def _run_city_row(n: int, tiles: tuple[int, int], obs_dir=None) -> dict:
     city = CityConfig(_config(n), *tiles)
+    plane = OpsPlane()
     t0 = time.perf_counter()
     res = run_city(
         city,
@@ -91,8 +99,10 @@ def _run_city_row(n: int, tiles: tuple[int, int], obs_dir=None) -> dict:
         check_invariants=False,
         measure_memory=True,
         obs_dir=obs_dir,
+        ops=plane,
     )
     wall = time.perf_counter() - t0
+    (trace_id,) = plane.trace_ids()
     assert res.converged, f"sharded ST did not converge at n={n} {tiles}"
     return {
         "n": n,
@@ -105,6 +115,10 @@ def _run_city_row(n: int, tiles: tuple[int, int], obs_dir=None) -> dict:
         "halo_links": res.halo["links"],
         "halo_candidates": res.halo["candidates"],
         "max_shard_wall_s": round(max(res.shard_walls), 4),
+        "layers": {
+            row.name: round(row.total_ms, 2)
+            for row in profile_table([plane.trace(trace_id)])
+        },
     }
 
 

@@ -11,10 +11,11 @@ scheme.  The tree-based ST algorithm only needs each device to decode its
 heaviest neighbours, which are strong precisely because they are heavy —
 the physical root of the paper's scaling advantage.
 
-The simulation runs over the CSR radio graph: one period costs O(E)
-array work.  Singleton cohorts decode in one pass; the multi-transmitter
-cohorts race in cache-sized blocks of consecutive cohorts, each block
-one call of the shared capture rule.
+The simulation runs over the CSR radio graph: one period costs at most
+O(E) array work, and only the races some still-undecoded required edge
+depends on are run.  Singleton cohorts decode in one pass; the
+multi-transmitter cohorts race in cache-sized blocks of consecutive
+cohorts, each block one call of the shared capture rule.
 """
 
 from __future__ import annotations
@@ -44,7 +45,9 @@ class BeaconResult:
     time_ms: float
     messages: int
     #: radio-graph edge mask: edge ``tx → rx`` set once receiver ``rx``
-    #: identity-decoded sender ``tx``
+    #: identity-decoded sender ``tx``.  Exact on required edges and on
+    #: edges decoded on entry; elsewhere it may miss decodes, because
+    #: races no open required edge depends on are not run
     decoded: np.ndarray = field(repr=False, default=None)
     #: ordered pairs still missing when the run ended
     missing_pairs: int = 0
@@ -246,7 +249,8 @@ class SparseBeaconDiscovery:
             beacon sent on the channel it transmitted on itself).
 
         The returned :class:`BeaconResult` carries the decoded edge mask
-        in its ``decoded`` field.
+        in its ``decoded`` field, exact on ``required`` and on the edges
+        decoded on entry (see :meth:`_process_period`).
         """
         n = self.n
         required = np.asarray(required, dtype=bool).copy()
@@ -257,7 +261,11 @@ class SparseBeaconDiscovery:
             )
         if decoded is None:
             decoded = np.zeros(required.size, dtype=bool)
-        remaining = int((required & ~decoded).sum())
+        # the required edges still undecoded: the only work a period races
+        # (beacon loss counts every winner's erasure draw, so it races all)
+        open_ = required & ~decoded
+        race_all = faults is not None and faults.config.beacon_loss > 0
+        remaining = int(np.count_nonzero(open_))
         required_total = max(int(required.sum()), 1)
         messages = 0
         labels = obs_labels or {}
@@ -313,14 +321,15 @@ class SparseBeaconDiscovery:
                     # a required pair — drop them instead of spinning
                     budget = self.budget
                     required &= ~(dead[budget.row_ids] | dead[budget.indices])
+                    open_ &= required
                 live = np.flatnonzero(ok_mask)
                 order = live[np.argsort(chan[live], kind="stable")]
             if invariants is not None:
                 before = decoded.copy()
             if order.size:
                 event += self._process_period(
-                    order, chan, awake, receiving, event, decoded, fstate,
-                    occ_hist,
+                    order, chan, awake, receiving, event, decoded,
+                    None if race_all else open_, fstate, occ_hist,
                 )
             if invariants is not None:
                 channel = np.full(n, -1, dtype=np.int64)
@@ -332,7 +341,8 @@ class SparseBeaconDiscovery:
                     self.budget.row_ids[new],
                     self.budget.indices[new],
                 )
-            remaining = int((required & ~decoded).sum())
+            open_ = required & ~decoded
+            remaining = int(np.count_nonzero(open_))
             if obs is not None:
                 tx_counter.inc(period_tx, **labels)
                 period_end_ms = period * self.period_slots * self.slot_ms
@@ -400,6 +410,7 @@ class SparseBeaconDiscovery:
         receiving: np.ndarray | None,
         event: int,
         decoded: np.ndarray,
+        open_: np.ndarray | None,
         fstate: _BeaconFaultState | None,
         occ_hist,
     ) -> int:
@@ -407,28 +418,35 @@ class SparseBeaconDiscovery:
 
         ``order`` lists this period's live transmitters sorted (stably)
         by channel; cohorts are its channel groups in ascending channel
-        order, and cohort ``c`` uses radio event ``event + c``.  The
-        period does only the work whose outcome is still open:
+        order, and cohort ``c`` uses radio event ``event + c``.
+        ``open_`` marks the required edges still undecoded at the period
+        start (``None`` races everything).  The period does only the
+        work an open edge depends on:
 
         * the fading subkey of every cohort's event is derived once;
-        * all singleton cohorts decode in one vectorized pass — with one
-          transmitter there is no capture race, and the receiver is never
-          the transmitter, so half-duplex is vacuous;
-        * the multi-transmitter cohorts are raced in blocks of
-          consecutive cohorts holding at most ``DEFAULT_CHUNK_PAIRS``
-          edges (a larger cohort is a block of its own), so each block's
-          sort stays in cache; see :meth:`_race_block`.
+        * a cohort none of whose transmitters has an open out-edge is
+          skipped;
+        * the singleton cohorts' open edges decode in one vectorized
+          pass — with one transmitter there is no capture race, and the
+          receiver is never the transmitter, so half-duplex is vacuous;
+        * the other cohorts are raced in blocks of consecutive cohorts
+          holding at most ``DEFAULT_CHUNK_PAIRS`` edges (a larger cohort
+          is a block of its own), so each block's sort stays in cache;
+          only ``(cohort, receiver)`` segments with an open edge are
+          raced, with all of their edges (see :meth:`_race_block`).
 
-        This is bitwise the full per-cohort decode.  Each device
-        transmits in one cohort per period, so cohorts own disjoint
-        edges and the order they are decoded in does not matter.  A
-        race's only effect is ``decoded[winner] = True`` and decoding is
-        monotone, so racing a settled receiver changes nothing; fading
-        and erasures are counter-hashed, so a skipped draw shifts no
-        other; and a receiver that is raced keeps every edge it had, so
-        its segment's order and sums are unchanged.  The exception is a
-        plan with ``beacon_loss > 0``: it counts every winner's erasure
-        draw, settled or not, so such runs race every receiver.
+        On required edges and on edges decoded on entry this is bitwise
+        the full per-cohort decode; elsewhere it decodes a subset of it.
+        Each device transmits in one cohort per period, so cohorts own
+        disjoint edges, their decode order does not matter and ``open_``
+        stays exact all period.  A race's only effect is
+        ``decoded[winner] = True``; a segment without an open edge can
+        only set a bit that is already set or not required, which no
+        output reads.  Fading and erasures are counter-hashed, so a
+        skipped draw shifts no other, and a raced segment keeps every
+        edge it had, so its order and sums are unchanged.  The exception
+        is a plan with ``beacon_loss > 0``: it counts every winner's
+        erasure draw, so such runs pass ``open_=None``.
         """
         sorted_chan = chan[order]
         starts = np.flatnonzero(
@@ -444,15 +462,20 @@ class SparseBeaconDiscovery:
             if self._hashed_fading
             else None
         )
-        # beacon loss counts every winner's erasure draw, settled or not
-        skip_settled = fstate is None or fstate.plan.config.beacon_loss <= 0
-        single = np.flatnonzero(sizes == 1)
+        if open_ is None:
+            active = np.ones(n_cohorts, dtype=bool)
+        else:
+            # a cohort is open when one of its transmitters has an open edge
+            tx_open = np.zeros(self.n, dtype=bool)
+            tx_open[self.budget.row_ids[np.flatnonzero(open_)]] = True
+            active = np.logical_or.reduceat(tx_open[order], starts)
+        single = np.flatnonzero((sizes == 1) & active)
         if single.size:
             self._decode_singletons(
                 order[starts[single]], single, slots, subkeys, awake,
-                receiving, event, decoded, fstate, skip_settled,
+                receiving, event, decoded, open_, fstate,
             )
-        multi = sizes > 1
+        multi = (sizes > 1) & active
         if not multi.any():
             return n_cohorts
         in_multi = np.repeat(multi, sizes)
@@ -473,7 +496,7 @@ class SparseBeaconDiscovery:
             block = slice(first[i], first[j])
             self._race_block(
                 members[block], member_c[block], slots, subkeys, awake,
-                receiving, event, decoded, fstate, skip_settled,
+                receiving, event, decoded, open_, fstate,
             )
             i = j
         return n_cohorts
@@ -489,18 +512,19 @@ class SparseBeaconDiscovery:
         receiving: np.ndarray | None,
         event: int,
         decoded: np.ndarray,
+        open_: np.ndarray | None,
         fstate: _BeaconFaultState | None,
-        skip_settled: bool,
     ) -> None:
         """Every lone transmitter of the period at once: each of its
-        edges decodes when the faded power clears the threshold."""
+        open edges (all of them when ``open_`` is ``None``) decodes when
+        the faded power clears the threshold."""
         budget = self.budget
         indptr = budget.indptr
         epos, tx_e = gather_rows(indptr, tx)
         c_e = np.repeat(cohort_ids, indptr[tx + 1] - indptr[tx])
-        if skip_settled:
-            open_ = np.flatnonzero(~decoded[epos])
-            epos, tx_e, c_e = epos[open_], tx_e[open_], c_e[open_]
+        if open_ is not None:
+            keep = np.flatnonzero(open_[epos])
+            epos, tx_e, c_e = epos[keep], tx_e[keep], c_e[keep]
         rx_e = budget.indices[epos]
         power = budget.power_dbm[epos]
         if subkeys is not None:
@@ -527,8 +551,8 @@ class SparseBeaconDiscovery:
         receiving: np.ndarray | None,
         event: int,
         decoded: np.ndarray,
+        open_: np.ndarray | None,
         fstate: _BeaconFaultState | None,
-        skip_settled: bool,
     ) -> None:
         """Consecutive multi-transmitter cohorts at once (``members`` are
         their transmitters, ``member_c`` each one's cohort): every
@@ -536,11 +560,10 @@ class SparseBeaconDiscovery:
         beacon when it is alone or clears the capture margin over the
         superposed rest.
 
-        Edges are keyed ``cohort · n + receiver``.  With the settled
-        skip, a stable argsort of the keys (a merge of the already
-        sorted CSR rows) groups the segments, and only those with an
-        undecoded edge are hashed and raced — exactly the receivers the
-        per-cohort decode would race.
+        Edges are keyed ``cohort · n + receiver``.  Given ``open_``, a
+        stable argsort of the keys (a merge of the already sorted CSR
+        rows) groups the segments, and only those with an open edge are
+        hashed and raced, each with all of its edges.
         """
         budget = self.budget
         n = self.n
@@ -551,17 +574,17 @@ class SparseBeaconDiscovery:
         key = c_e * n + rx_e
         # arrays are filtered through integer positions: one mask scan,
         # then cheap gathers (boolean-indexing each array costs ~3× more)
-        if skip_settled:
-            open_ = ~decoded[epos]
-            if not open_.any():
+        if open_ is not None:
+            is_open = open_[epos]
+            if not is_open.any():
                 return
-            if not open_.all():
+            if not is_open.all():
                 perm = np.argsort(key, kind="stable")
                 key = key[perm]
                 seg = np.flatnonzero(
                     np.concatenate(([True], key[1:] != key[:-1]))
                 )
-                seg_open = np.logical_or.reduceat(open_[perm], seg)
+                seg_open = np.logical_or.reduceat(is_open[perm], seg)
                 keep = np.flatnonzero(
                     np.repeat(seg_open, np.diff(np.append(seg, key.size)))
                 )

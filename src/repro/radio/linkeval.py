@@ -33,8 +33,6 @@ or any shadowing with just ``link_db``) reject on ``g_k > max_gain_db``.
 
 from __future__ import annotations
 
-from typing import Callable
-
 import numpy as np
 
 from repro.radio.chanhash import pair_code
@@ -53,8 +51,6 @@ _SLACK_DB = 1e-9
 _KEEP_ALL = 1 << 53
 
 _MASK32 = np.uint64(0xFFFFFFFF)
-
-PairMask = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
 class LinkEvaluator:
@@ -144,19 +140,20 @@ class LinkEvaluator:
         positions: np.ndarray,
         ids: np.ndarray | None = None,
         *,
-        pair_mask: PairMask | None = None,
+        split: int | None = None,
         count_candidates: bool = False,
         max_chunk_pairs: int = DEFAULT_CHUNK_PAIRS,
     ) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
         """Every pair within ``max_d2`` whose mean power reaches the floor.
 
         ``ids`` names the devices (default ``0..n−1``); they key the
-        shadowing and label the output.  ``pair_mask(rows, cols)``, given
-        the row and column positions of a block slice, returns the (k, m)
-        mask of pairs to consider.  Returns ``(candidates, lo, hi,
-        power_dbm)``: the number of considered pairs within ``max_d2``
-        (0 unless ``count_candidates``) and one entry per link with
-        ``lo < hi`` — in block order, not sorted.
+        shadowing and label the output.  With ``split``, only the pairs
+        of one of the first ``split`` devices and one of the rest are
+        considered (bipartite slices of :func:`~repro.radio.spatial.
+        pair_slices`).  Returns ``(candidates, lo, hi, power_dbm)``: the
+        number of considered pairs within ``max_d2`` (0 unless
+        ``count_candidates``) and one entry per link with ``lo < hi`` —
+        in block order, not sorted.
 
         The exact distance filter runs on the early test's survivors:
         hashing a whole slice and compressing once measured faster than
@@ -172,11 +169,9 @@ class LinkEvaluator:
         out_hi: list[np.ndarray] = []
         out_p: list[np.ndarray] = []
         for rows, cols, d2, valid in pair_slices(
-            positions, self.radius_m, max_chunk_pairs=max_chunk_pairs
+            positions, self.radius_m, split=split,
+            max_chunk_pairs=max_chunk_pairs,
         ):
-            if pair_mask is not None:
-                mask = pair_mask(rows, cols)
-                valid = mask if valid is None else valid & mask
             if count_candidates:
                 near = d2 <= self.max_d2
                 if valid is not None:

@@ -36,6 +36,10 @@ DEFAULT_CHUNK_PAIRS = 1 << 15
 #: every adjacent cell pair exactly once.
 _HALF_OFFSETS = ((0, 1), (1, -1), (1, 0), (1, 1))
 
+#: The whole 3×3 neighbourhood, for the bipartite scan of
+#: :meth:`CellGrid.cross_blocks` (ordered cell pairs, so no halving).
+_ALL_OFFSETS = tuple((dx, dy) for dx in (-1, 0, 1) for dy in (-1, 0, 1))
+
 
 class CellGrid:
     """Uniform grid over 2-D positions with cell side ``cell_m``.
@@ -114,11 +118,38 @@ class CellGrid:
                     if nk is not None:
                         yield a, self.members(nk)
 
+    def cross_blocks(
+        self, split: int
+    ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """Member blocks ``(a, b)`` covering every candidate pair of a
+        node below ``split`` and one at or above it, once.
+
+        For each occupied cell, its members below ``split`` against the
+        members at or above ``split`` of each occupied cell of its 3×3
+        neighbourhood; every block's pairs are the full product.
+        """
+        for k in range(self.occupied_cells):
+            m = self.members(k)
+            a = m[: np.searchsorted(m, split)]
+            if a.size == 0:
+                continue
+            cx, cy = divmod(int(self._cell_ids[k]), self.ncy)
+            for dx, dy in _ALL_OFFSETS:
+                nx, ny = cx + dx, cy + dy
+                if 0 <= nx < self.ncx and 0 <= ny < self.ncy:
+                    nk = self._lookup.get(nx * self.ncy + ny)
+                    if nk is not None:
+                        mb = self.members(nk)
+                        b = mb[np.searchsorted(mb, split) :]
+                        if b.size:
+                            yield a, b
+
 
 def pair_slices(
     positions: np.ndarray,
     radius_m: float,
     *,
+    split: int | None = None,
     max_chunk_pairs: int = DEFAULT_CHUNK_PAIRS,
 ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]]:
     """Squared distances of every candidate pair, one block slice at a time.
@@ -129,7 +160,10 @@ def pair_slices(
     mask of the entries that are (in-cell slices, whose other entries
     are self-pairs or pairs another slice holds).  Every pair closer
     than ``radius_m`` is in exactly one slice; a slice holds at most
-    ``max_chunk_pairs`` entries unless one row is longer.
+    ``max_chunk_pairs`` entries unless one row is longer.  With
+    ``split``, the pairs are only those of a node below ``split`` (a
+    row) and one at or above it (a column), and ``upper`` is ``None``
+    (:meth:`CellGrid.cross_blocks`).
     """
     if max_chunk_pairs < 1:
         raise ValueError("max_chunk_pairs must be >= 1")
@@ -138,7 +172,8 @@ def pair_slices(
     grid = CellGrid(positions, radius_m)
     x = np.ascontiguousarray(grid.positions[:, 0])
     y = np.ascontiguousarray(grid.positions[:, 1])
-    for a, b in grid.blocks():
+    blocks = grid.blocks() if split is None else grid.cross_blocks(split)
+    for a, b in blocks:
         same = a is b
         xa, ya, xb, yb = x[a], y[a], x[b], y[b]
         step = max(1, max_chunk_pairs // b.size)

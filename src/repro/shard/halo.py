@@ -9,16 +9,16 @@ halo layer finds those **cross-tile** links deterministically:
   within the radius necessarily has both endpoints inside their tiles'
   bands (the segment between them crosses the shared border), so bands
   are a lossless exchange set.
-* Candidate pairs come from the same cell-grid block slices
-  (:func:`~repro.radio.spatial.pair_slices`) the network build uses —
-  cell side equal to the radius, every adjacent cell pair exactly once —
-  followed by the exact distance filter (:func:`cross_pairs`), and
-  :func:`cross_links` evaluates them with the build's
-  :class:`~repro.radio.linkeval.LinkEvaluator`.
 * Every cross-tile pair is **owned by exactly one shard**: the one with
-  the smaller tile id.  The union over shards of
-  ``cross_pairs(..., owner=s)`` is a partition of the cross-tile pairs —
-  no drops, no double counting (``tests/test_properties_shard.py``).
+  the smaller tile id.  Shard ``s`` evaluates the tile pairs ``(s, t)``,
+  ``t > s`` (:func:`owned_tile_pairs`), so the union over shards is a
+  partition of the cross-tile pairs — no drops, no double counting
+  (``tests/test_properties_shard.py``).
+* :func:`cross_links` evaluates each owned tile pair with the network
+  build's :class:`~repro.radio.linkeval.LinkEvaluator` over bipartite
+  cell-grid block slices (:func:`~repro.radio.spatial.pair_slices` with
+  ``split``): only tile ``s`` × tile ``t`` pairs in adjacent cells are
+  hashed, each once — no same-tile or unowned pair is touched.
 * Link power uses the city-level channel: the Table-I path loss plus
   hashed shadowing keyed on :func:`~repro.shard.tiling.city_channel_key`
   over **global** device ids (:func:`cross_link_power`) — a pure
@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+from typing import Iterator
 
 import numpy as np
 
@@ -37,7 +38,7 @@ from repro.obs import active_span
 from repro.radio.linkeval import LinkEvaluator
 from repro.radio.pathloss import max_range_m
 from repro.radio.shadowing import HashedShadowing, NoShadowing
-from repro.radio.spatial import DEFAULT_CHUNK_PAIRS, pair_slices
+from repro.radio.spatial import DEFAULT_CHUNK_PAIRS
 from repro.shard.tiling import CityConfig, Tiling
 
 
@@ -97,75 +98,20 @@ def border_band(
     return dist_to_border <= radius_m
 
 
-def cross_pairs(
-    positions_city: np.ndarray,
-    ids: np.ndarray,
-    tile_ids: np.ndarray,
-    radius_m: float,
-    *,
-    owner: int | None = None,
-    max_chunk_pairs: int = DEFAULT_CHUNK_PAIRS,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """All cross-tile pairs within ``radius_m``, as global-id arrays.
-
-    Parameters
-    ----------
-    positions_city:
-        ``(m, 2)`` city-frame coordinates of the devices under
-        consideration (typically the union of border bands).
-    ids:
-        ``(m,)`` global device ids, parallel to ``positions_city``.
-    tile_ids:
-        ``(m,)`` owning tile per device.
-    owner:
-        When given, keep only pairs owned by this shard — the pair's
-        smaller tile id.  ``None`` returns every cross-tile pair.
-
-    Returns ``(gi, gj, dist)`` with ``gi < gj`` globally, sorted by
-    ``(gi, gj)`` — a canonical order independent of input permutation
-    and chunking.
-    """
-    positions = np.asarray(positions_city, dtype=float)
-    ids = np.asarray(ids, dtype=np.int64)
+def owned_tile_pairs(
+    tile_ids: np.ndarray, owner: int | None = None
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Index arrays ``(a, b)`` of the devices in tiles ``s < t``, one per
+    tile pair present in ``tile_ids`` with ``s == owner`` (every ``s``
+    when ``owner`` is ``None``).  Each pair ``a[i]``–``b[j]`` is owned by
+    ``s``, and every cross-tile pair is in exactly one ``a × b``."""
     tiles = np.asarray(tile_ids, dtype=np.int64)
-    mask = _cross_mask(tiles, owner)
-    out_i: list[np.ndarray] = []
-    out_j: list[np.ndarray] = []
-    out_d: list[np.ndarray] = []
-    r2 = radius_m * radius_m
-    for rows, cols, d2, valid in pair_slices(
-        positions, radius_m, max_chunk_pairs=max_chunk_pairs
-    ):
-        near = (d2 <= r2) & mask(rows, cols)
-        if valid is not None:
-            near &= valid
-        r, c = np.nonzero(near)
-        if r.size == 0:
-            continue
-        a, b = ids[rows[r]], ids[cols[c]]
-        out_i.append(np.minimum(a, b))
-        out_j.append(np.maximum(a, b))
-        out_d.append(np.sqrt(d2[r, c]))
-    if not out_i:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty.copy(), np.empty(0, dtype=float)
-    return _sorted_pairs(
-        np.concatenate(out_i), np.concatenate(out_j), np.concatenate(out_d)
-    )
-
-
-def _cross_mask(tiles: np.ndarray, owner: int | None):
-    """Block-slice mask of cross-tile pairs (owned by ``owner`` if set)."""
-
-    def mask(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        tr = tiles[rows][:, None]
-        tc = tiles[cols][None, :]
-        keep = tr != tc
-        if owner is not None:
-            keep &= np.minimum(tr, tc) == owner
-        return keep
-
-    return mask
+    present = np.unique(tiles)
+    members = [np.flatnonzero(tiles == t) for t in present]
+    for i, s in enumerate(present):
+        if owner is None or s == owner:
+            for j in range(i + 1, present.size):
+                yield members[i], members[j]
 
 
 def _sorted_pairs(
@@ -216,37 +162,49 @@ def cross_links(
     owner: int | None = None,
     max_chunk_pairs: int = DEFAULT_CHUNK_PAIRS,
 ) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
-    """Cross-tile links: candidates never materialize.
+    """Cross-tile links within ``radius_m`` (owned by ``owner`` if set):
+    candidates never materialize.
 
-    Equivalent to ``cross_pairs`` → ``cross_link_power`` → threshold
-    filter, but evaluated per block slice by the network build's
+    Equivalent to distance filter → :func:`cross_link_power` → threshold
+    filter over every owned cross-tile pair, but evaluated per block
+    slice by the network build's
     :class:`~repro.radio.linkeval.LinkEvaluator` (early rejection on the
-    shadowing hash), so peak memory is bounded by the slice size instead
-    of the candidate count — at city scale the distance-passing
-    candidates outnumber the surviving links by orders of magnitude.
-    Returns ``(candidates, gi, gj, power_dbm)``: ``candidates`` counts
-    the distance-passing cross-tile pairs; the link arrays are in the
-    canonical ``(gi, gj)`` order, with values bitwise identical to the
-    unfused path (elementwise float ops, order-free).
+    shadowing hash), one bipartite evaluation per owned tile pair
+    (:func:`owned_tile_pairs`), so peak memory is bounded by the slice
+    size instead of the candidate count — at city scale the
+    distance-passing candidates outnumber the surviving links by orders
+    of magnitude.  Returns ``(candidates, gi, gj, power_dbm)``:
+    ``candidates`` counts the distance-passing owned cross-tile pairs;
+    the link arrays are in the canonical ``(gi, gj)`` order, with values
+    bitwise identical to the unfused path (elementwise float ops,
+    order-free).
     """
     cfg = city.base
     positions = np.asarray(positions_city, dtype=float)
     ids = np.asarray(ids, dtype=np.int64)
-    tiles = np.asarray(tile_ids, dtype=np.int64)
     with active_span("halo.links", devices=int(positions.shape[0])):
-        candidates, gi, gj, power = LinkEvaluator(
+        evaluator = LinkEvaluator(
             _pathloss_for(cfg),
             tx_power_dbm=cfg.tx_power_dbm,
             floor_dbm=cfg.threshold_dbm,
             shadowing=_city_shadowing(city),
             radius_m=radius_m,
-        ).links(
-            positions,
-            ids,
-            pair_mask=_cross_mask(tiles, owner),
-            count_candidates=True,
-            max_chunk_pairs=max_chunk_pairs,
         )
+        candidates = 0
+        empty = np.empty(0, dtype=np.int64)
+        parts = [(empty, empty, np.empty(0))]
+        for a, b in owned_tile_pairs(tile_ids, owner):
+            sub = np.concatenate((a, b))
+            count, gi, gj, power = evaluator.links(
+                positions[sub],
+                ids[sub],
+                split=a.size,
+                count_candidates=True,
+                max_chunk_pairs=max_chunk_pairs,
+            )
+            candidates += count
+            parts.append((gi, gj, power))
+        gi, gj, power = (np.concatenate(col) for col in zip(*parts))
         return (candidates, *_sorted_pairs(gi, gj, power))
 
 

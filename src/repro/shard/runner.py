@@ -117,13 +117,18 @@ def _shard_payload(
                 _rounds.append(hash_array(phases))
 
             sim_cls = STSimulation if algorithm == "st" else FSTSimulation
-            with spans.span(f"run.{algorithm}"):
-                run = sim_cls(
+            with spans.span(f"run.{algorithm}") as run_span:
+                sim = sim_cls(
                     net,
                     obs=obs,
                     invariants=InvariantChecker() if check_invariants else None,
                     phase_hook=phase_hook,
-                ).run()
+                )
+                roots = sim.obs.spans.roots
+                first = len(roots)
+                run = sim.run()
+                # the simulation's own layer spans (st_run → discovery, ...)
+                run_span.children.extend(roots[first:])
             sim_time_ms += run.time_ms
             runs[algorithm] = {
                 "result": {

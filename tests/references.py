@@ -16,7 +16,9 @@ The network build has its own reference: :func:`streamed_pair_chunks`
 :func:`streamed_links` (candidate chunk → distance filter → ``loss_db``
 → full ``link_db`` draw → floor, no early rejection) and the two-key
 ``lexsort`` CSR assembly (:func:`lexsort_csr`) — together
-:func:`streamed_budget_csr` and :func:`streamed_cross_links`.
+:func:`streamed_budget_csr` and :func:`streamed_cross_links`.  The
+halo's tile-pair partition has :func:`cross_pairs`, a whole-grid scan
+with a same-tile/ownership mask.
 
 CSR Borůvka's per-phase MWOE scan has one too:
 :func:`presorted_boruvka_csr` sorts every edge once by ``(tx, weight
@@ -36,7 +38,7 @@ from repro.core.pulsesync import PulseSyncResult, _PulseSyncBase
 from repro.faults.plan import FaultPlan
 from repro.oscillator.prc import LinearPRC
 from repro.radio.sparse_link import gather_rows
-from repro.radio.spatial import DEFAULT_CHUNK_PAIRS
+from repro.radio.spatial import DEFAULT_CHUNK_PAIRS, pair_slices
 from repro.spanningtree.boruvka import (
     BoruvkaResult,
     _default_max_phases,
@@ -105,13 +107,16 @@ class PerCohortBeaconDiscovery(SparseBeaconDiscovery):
     decoded or not — with its own ``(tx, −power, rx)`` lexsort and SIR
     arithmetic (not :func:`~repro.radio.interference.capture`) and its
     own half-duplex mask.  It shares the run loop with the kernel but
-    none of its decode, so a bitwise match is evidence that the kernel's
-    singleton pass, per-period subkeys, block races, settled-segment
-    skip and shared capture rule change nothing.
+    none of its decode, so a match is evidence that the kernel's
+    singleton pass, per-period subkeys, block races, open-work skip and
+    shared capture rule change nothing on the edges a run must decode.
+    It ignores ``open_``: its ``decoded`` is the full decode, of which
+    the kernel's is a subset off the required edges.
     """
 
     def _process_period(
-        self, order, chan, awake, receiving, event, decoded, fstate, occ_hist
+        self, order, chan, awake, receiving, event, decoded, open_, fstate,
+        occ_hist,
     ) -> int:
         sorted_chan = chan[order]
         boundaries = np.nonzero(np.diff(sorted_chan))[0] + 1
@@ -393,6 +398,59 @@ def streamed_cross_links(city, positions_city, ids, tile_ids, radius_m, *, owner
     )
     order = np.lexsort((gj, gi))
     return candidates, gi[order], gj[order], power[order]
+
+
+def cross_pairs(
+    positions_city, ids, tile_ids, radius_m, *, owner=None,
+    max_chunk_pairs=DEFAULT_CHUNK_PAIRS,
+):
+    """All cross-tile pairs within ``radius_m`` (owned by ``owner``, the
+    pair's smaller tile id, if set) as ``(gi, gj, dist)`` with
+    ``gi < gj``, sorted by ``(gi, gj)``.
+
+    The brute partition reference for :func:`repro.shard.halo.
+    cross_links`: it scans every candidate pair of the whole input's
+    cell grid (:func:`~repro.radio.spatial.pair_slices` without
+    ``split``) and masks away same-tile and unowned pairs
+    (:func:`_cross_mask`), where the program evaluates bipartite tile
+    pairs.
+    """
+    positions = np.asarray(positions_city, dtype=float)
+    ids = np.asarray(ids, dtype=np.int64)
+    mask = _cross_mask(np.asarray(tile_ids, dtype=np.int64), owner)
+    out_i, out_j, out_d = [], [], []
+    r2 = radius_m * radius_m
+    for rows, cols, d2, valid in pair_slices(
+        positions, radius_m, max_chunk_pairs=max_chunk_pairs
+    ):
+        near = (d2 <= r2) & mask(rows, cols)
+        if valid is not None:
+            near &= valid
+        r, c = np.nonzero(near)
+        a, b = ids[rows[r]], ids[cols[c]]
+        out_i.append(np.minimum(a, b))
+        out_j.append(np.maximum(a, b))
+        out_d.append(np.sqrt(d2[r, c]))
+    if not out_i:
+        empty = np.empty(0, dtype=np.int64)
+        return empty, empty.copy(), np.empty(0, dtype=float)
+    gi, gj, dist = (np.concatenate(col) for col in (out_i, out_j, out_d))
+    order = np.argsort((gi << 32) | gj)
+    return gi[order], gj[order], dist[order]
+
+
+def _cross_mask(tiles, owner):
+    """Block-slice mask of cross-tile pairs (owned by ``owner`` if set)."""
+
+    def mask(rows, cols):
+        tr = tiles[rows][:, None]
+        tc = tiles[cols][None, :]
+        keep = tr != tc
+        if owner is not None:
+            keep &= np.minimum(tr, tc) == owner
+        return keep
+
+    return mask
 
 
 def lexsort_heavy_edge_forest(budget, node_mask=None) -> list[tuple[int, int]]:

@@ -226,10 +226,29 @@ def _run_with_metrics(cls, budget, kwargs, required, decoded, faults):
     return result, obs.metrics.snapshot()
 
 
+def _assert_matches_reference(got, got_metrics, want, want_metrics, required, entry):
+    """The kernel's decode contract against the full per-cohort decode:
+    every result field but ``decoded`` and every metric are equal;
+    ``decoded`` is byte-equal on the required edges and holds every edge
+    decoded on entry; elsewhere it is a subset (a race no open required
+    edge depends on is not run), and equal when everything is required."""
+    for f in dataclasses.fields(want):
+        if f.name != "decoded":
+            assert getattr(got, f.name) == getattr(want, f.name), f.name
+    assert got_metrics == want_metrics
+    assert (got.decoded & required).tobytes() == (want.decoded & required).tobytes()
+    assert not (got.decoded & ~want.decoded).any()
+    if entry is not None:
+        assert got.decoded[entry].all()
+    if required.all():
+        assert got.decoded.tobytes() == want.decoded.tobytes()
+
+
 class TestDecodeMatchesPerCohortReference:
     """The kernel's period decode (singleton pass, per-period fading
-    subkeys, settled-receiver skip) is bitwise the per-cohort decode of
-    :class:`~tests.references.PerCohortBeaconDiscovery`."""
+    subkeys, open-work skip) matches the per-cohort decode of
+    :class:`~tests.references.PerCohortBeaconDiscovery` on every output
+    and on the required edges (:func:`_assert_matches_reference`)."""
 
     N = 30
 
@@ -274,15 +293,41 @@ class TestDecodeMatchesPerCohortReference:
         want, want_metrics = _run_with_metrics(
             PerCohortBeaconDiscovery, budget, kwargs, required, decoded, plan
         )
-        assert got.decoded.tobytes() == want.decoded.tobytes()
-        for f in dataclasses.fields(want):
-            if f.name != "decoded":
-                assert getattr(got, f.name) == getattr(want, f.name), f.name
         assert (
             got_metrics["beacon_slot_occupancy"]
             == want_metrics["beacon_slot_occupancy"]
         )
-        assert got_metrics == want_metrics
+        _assert_matches_reference(
+            got, got_metrics, want, want_metrics, required, decoded
+        )
+
+    @pytest.mark.parametrize("requirement", ["every_edge", "random"])
+    @pytest.mark.parametrize("fading", ["none", "hashed"])
+    @pytest.mark.parametrize(
+        "faults", ["none", "beacon_loss", "rach_collision", "crash_stall"]
+    )
+    def test_required_and_seeded(self, radios, requirement, fading, faults):
+        """A requirement over every radio edge decodes byte-equal; a
+        random, asymmetric one (so a transmitter's open out-edges are not
+        its open in-edges) still matches on every required edge."""
+        budget = radios[fading]
+        kwargs = dict(period_slots=8, preambles=1, listen_duty=1.0)
+        rng = np.random.default_rng(11)
+        if requirement == "every_edge":
+            required = np.ones(budget.edge_count, dtype=bool)
+        else:
+            required = rng.random(budget.edge_count) < 0.15
+        decoded = rng.random(budget.edge_count) < 0.3
+        plan = _fault_plan(faults, self.N, 8)
+        got, got_metrics = _run_with_metrics(
+            SparseBeaconDiscovery, budget, kwargs, required, decoded, plan
+        )
+        want, want_metrics = _run_with_metrics(
+            PerCohortBeaconDiscovery, budget, kwargs, required, decoded, plan
+        )
+        _assert_matches_reference(
+            got, got_metrics, want, want_metrics, required, decoded
+        )
 
 
 class _BlockRecorder(SparseBeaconDiscovery):
@@ -334,11 +379,30 @@ class TestBlockBoundaries:
         want, want_metrics = _run_with_metrics(
             PerCohortBeaconDiscovery, budget, kwargs, required, None, plan
         )
-        assert got.decoded.tobytes() == want.decoded.tobytes()
-        for f in dataclasses.fields(want):
-            if f.name != "decoded":
-                assert getattr(got, f.name) == getattr(want, f.name), f.name
-        assert got_metrics == want_metrics
+        _assert_matches_reference(
+            got, got_metrics, want, want_metrics, required, None
+        )
+
+    @pytest.mark.parametrize("chunk", [1, 7, 64, 200])
+    @pytest.mark.parametrize(
+        "faults", ["none", "beacon_loss", "rach_collision", "crash_stall"]
+    )
+    def test_random_requirement_seeded(self, monkeypatch, budget, chunk, faults):
+        monkeypatch.setattr(beacon_module, "DEFAULT_CHUNK_PAIRS", chunk)
+        kwargs = dict(period_slots=4, preambles=1, listen_duty=1.0)
+        rng = np.random.default_rng(23)
+        required = rng.random(budget.edge_count) < 0.2
+        decoded = rng.random(budget.edge_count) < 0.3
+        plan = _fault_plan(faults, self.N, 4)
+        got, got_metrics = _run_with_metrics(
+            SparseBeaconDiscovery, budget, kwargs, required, decoded, plan
+        )
+        want, want_metrics = _run_with_metrics(
+            PerCohortBeaconDiscovery, budget, kwargs, required, decoded, plan
+        )
+        _assert_matches_reference(
+            got, got_metrics, want, want_metrics, required, decoded
+        )
 
     @pytest.mark.parametrize("chunk", [7, 64, 200])
     def test_blocks_respect_the_chunk(self, monkeypatch, budget, chunk):
@@ -381,10 +445,9 @@ class TestBlockBoundaries:
                 )
             )
         got, want = results
-        assert got.decoded.tobytes() == want.decoded.tobytes()
-        for f in dataclasses.fields(want):
-            if f.name != "decoded":
-                assert getattr(got, f.name) == getattr(want, f.name), f.name
+        _assert_matches_reference(
+            got, {}, want, {}, top_k_required_csr(budget, k=1), None
+        )
 
 
 class TestHalfDuplexInvariant:

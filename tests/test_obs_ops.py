@@ -483,7 +483,10 @@ class TestScopeNesting:
         ] * 4
         for shard in root.children[:4]:
             assert names(shard) == ["build", "run.st"]
-            assert {"mwoe_scan"} == set(names(shard.children[1]))
+            run_st = shard.children[1]
+            assert {"mwoe_scan", "st_run"} == set(names(run_st))
+            (st_run,) = [c for c in run_st.children if c.name == "st_run"]
+            assert names(st_run) == ["discovery", "construction", "trim"]
 
 
 class TestDefaultPlane:

@@ -18,8 +18,10 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.shard.halo import border_band, cross_pairs
+from repro.radio.spatial import pair_slices
+from repro.shard.halo import border_band, owned_tile_pairs
 from repro.shard.tiling import Tiling, city_channel_key, shard_seed
+from tests.references import cross_pairs
 
 
 @st.composite
@@ -86,6 +88,49 @@ def test_every_cross_pair_found_by_exactly_one_shard(layout, radius):
     assert set(seen) == expected, (
         f"dropped: {expected - set(seen)}; extra: {set(seen) - expected}"
     )
+
+
+def _bipartite_pair_counts(positions, tiles, radius, owner, chunk):
+    """How often each pair within the radius appears in the bipartite
+    slices :func:`~repro.shard.halo.cross_links` evaluates for ``owner``."""
+    counts: dict[tuple[int, int], int] = {}
+    r2 = radius * radius
+    for a, b in owned_tile_pairs(tiles, owner):
+        sub = np.concatenate((a, b))
+        for rows, cols, d2, upper in pair_slices(
+            positions[sub], radius, split=a.size, max_chunk_pairs=chunk
+        ):
+            assert upper is None
+            assert (rows < a.size).all() and (cols >= a.size).all()
+            r, c = np.nonzero(d2 <= r2)
+            for i, j in zip(sub[rows[r]].tolist(), sub[cols[c]].tolist()):
+                assert tiles[i] != tiles[j], f"same-tile pair {(i, j)}"
+                if owner is not None:
+                    assert min(tiles[i], tiles[j]) == owner
+                key = (min(i, j), max(i, j))
+                counts[key] = counts.get(key, 0) + 1
+    return counts
+
+
+@settings(deadline=None, max_examples=60)
+@given(city_layouts(), radii, st.integers(min_value=1, max_value=64))
+def test_bipartite_slices_hold_each_owned_pair_once(layout, radius, chunk):
+    """The halo's bipartite tile-pair slices hold every owned cross-tile
+    pair within the radius exactly once and no same-tile pair, per owner
+    and for ``owner=None``."""
+    tiling, positions = layout
+    tiles = tiling.tile_of(positions)
+    expected = _brute_cross_pairs(positions, tiles, radius)
+    union: dict[tuple[int, int], int] = {}
+    for owner in range(tiling.count):
+        for key, count in _bipartite_pair_counts(
+            positions, tiles, radius, owner, chunk
+        ).items():
+            union[key] = union.get(key, 0) + count
+    assert set(union) == expected
+    assert set(union.values()) <= {1}, "a pair appeared twice"
+    unowned = _bipartite_pair_counts(positions, tiles, radius, None, chunk)
+    assert unowned == union
 
 
 @settings(deadline=None, max_examples=40)

@@ -10,7 +10,6 @@ from repro.radio.spatial import DEFAULT_CHUNK_PAIRS
 from repro.shard.halo import (
     cross_link_power,
     cross_links,
-    cross_pairs,
     cross_radius_m,
     halo_reach,
     links_digest,
@@ -22,6 +21,7 @@ from repro.shard.tiling import (
     parse_tiles,
     shard_seed,
 )
+from tests.references import cross_pairs
 
 
 class TestParseTiles:
